@@ -28,16 +28,16 @@ from .gridspace import (
 from .hamiltonians import (
     TimeProfile, QuadraticHamiltonian, SolvableFamily, dilation_transform,
     quadratic_phase_transform, effective_frequency, omega_from_mass,
-    solvable_mass, epsilon_from_mass, reduce_oscillator, general_f_transform,
+    epsilon_from_mass, reduce_oscillator, general_f_transform,
 )
 from .propagators import (
     HermiteBasis, StepperReport, Trajectory, hermite_propagate,
     split_step_propagate, free_propagate, exact_solvable_propagate,
     ExactSolvablePropagator, gaussian_exact_propagate,
     gaussian_oscillator_evolve, crank_nicolson_curved,
-    quadratic_hamiltonian_matrix, oscillator_spectrum,
+    apply_curved_kinetic, quadratic_hamiltonian_matrix, oscillator_spectrum,
 )
 from .metricmap import (
-    MetricProfile, metric_from_generator, curved_hamiltonian_matrix,
+    MetricProfile, metric_from_generator, curved_hamiltonian,
     generator_from_metric, verify_metric_equivalence,
 )

@@ -21,7 +21,6 @@ import argparse
 import json
 import os
 import sys
-import time
 
 import numpy as np
 
@@ -35,8 +34,9 @@ from .hamiltonians import (QuadraticHamiltonian, SolvableFamily, TimeProfile,
                            omega_from_mass, quadratic_phase_transform)
 from .metricmap import (MetricProfile, generator_from_metric,
                         metric_from_generator)
-from .propagators import (ExactSolvablePropagator, crank_nicolson_curved,
-                          curved_kinetic_diagonals, split_step_propagate)
+from .propagators import (ExactSolvablePropagator, apply_curved_kinetic,
+                          crank_nicolson_curved, curved_kinetic_diagonals,
+                          split_step_propagate)
 from .verify import all_passed, run_suites
 
 TRAJECTORY_HEADER = "t,norm,fidelity_vs_exact,x_mean,p_mean,energy"
@@ -159,8 +159,11 @@ def _build_state(spec, grid):
         psi = state.to_wavefunction(grid)
     elif kind == "csv":
         psi = wavefunction_from_csv(_require(spec, "path", str, where))
-        if psi.grid != grid:
+        # the written grid is rebuilt to within a few ulps of its extent
+        ulp = np.spacing(max(abs(grid.x0), abs(grid.xmax)))
+        if psi.grid.n != grid.n or np.max(np.abs(psi.grid.x - grid.x)) > 4 * ulp:
             raise ScenarioError(f"{where}: CSV grid does not match the scenario grid")
+        psi = WaveFunction(grid, psi.values)
     else:
         raise ScenarioError(f"{where}.kind: unknown state kind {kind!r}")
     if not psi.edge_decay_ok():
@@ -184,14 +187,6 @@ def load_scenario(path):
 
 
 # -- scenario execution ----------------------------------------------------------
-
-def _curved_energy(psi, main, second):
-    v = psi.values
-    hv = main * v
-    hv[:-2] += second * v[2:]
-    hv[2:] += second * v[:-2]
-    return float((psi.grid.dx * np.vdot(v, hv)).real)
-
 
 def run_scenario(path, outdir=None):
     """Execute a scenario file; returns (report dict, output paths)."""
@@ -229,15 +224,7 @@ def run_scenario(path, outdir=None):
             if exact is None:
                 raise ScenarioError(
                     "propagator.method 'exact' needs system.family")
-            wall0 = time.perf_counter()
-            times = t_grid[::stride]
-            if times[-1] != t_grid[-1]:
-                times = np.append(times, t_grid[-1])
-            states = [exact(float(t)) for t in times]
-            from .propagators import StepperReport, Trajectory
-            report = StepperReport(steps=len(times) - 1,
-                                   wall_time_s=time.perf_counter() - wall0)
-            traj = Trajectory(times, states, report)
+            traj = exact.trajectory(t_grid, stride)
         elif method == "split_step":
             traj = split_step_propagate(mass, freq, psi0, t_grid, stride=stride)
         else:
@@ -249,7 +236,12 @@ def run_scenario(path, outdir=None):
             ham = QuadraticHamiltonian.oscillator(m_t, w_t)
             nrm = state.norm()
             unit = state.normalized()
-            fid = exact(float(t)).fidelity(state) if exact is not None else float("nan")
+            if exact is None:
+                fid = float("nan")
+            elif method == "exact":
+                fid = state.fidelity(state)
+            else:
+                fid = exact(float(t)).fidelity(state)
             rows.append((t, nrm, fid, expectation("x", unit),
                          expectation("p", unit), expectation(ham, unit)))
     elif sys_kind == "curved":
@@ -260,13 +252,15 @@ def run_scenario(path, outdir=None):
                                "system.metric")
         m = _require(system, "mass", float, "system")
         traj = crank_nicolson_curved(metric, m, psi0, t_grid, stride=stride)
-        main, second = curved_kinetic_diagonals(metric.check_positive(grid.x),
-                                                m, grid.dx)
+        kinetic = curved_kinetic_diagonals(metric.check_positive(grid.x),
+                                           m, grid.dx)
         for t, state in zip(traj.times, traj.states):
             nrm = state.norm()
             unit = state.normalized()
+            hv = apply_curved_kinetic(kinetic, unit.values)
+            energy = float((grid.dx * np.vdot(unit.values, hv)).real)
             rows.append((t, nrm, float("nan"), expectation("x", unit),
-                         expectation("p", unit), _curved_energy(unit, main, second)))
+                         expectation("p", unit), energy))
     else:
         raise ScenarioError(f"system.kind: unknown system {sys_kind!r}")
 

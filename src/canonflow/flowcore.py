@@ -150,7 +150,6 @@ class FlowEvaluation:
     x_out: np.ndarray
     jacobian: np.ndarray
     f2: np.ndarray
-    domain_ok: bool = True
 
 
 def _check(cond, message):

@@ -16,9 +16,8 @@ and U p U^dag = sqrt(w) p sqrt(w) with w = 1/phi'.  Expectation values of a
 <x> of U psi equals e^(-eps) <x> of psi while U x U^dag = e^(+eps) x.
 
 Resampling after a point transform uses band-limited (trigonometric)
-interpolation by default, with a cubic-spline fallback; values whose
-preimage leaves the grid are only zeroed after checking that the state
-carries no weight there (never silent clamping).
+interpolation; values whose preimage leaves the grid are only zeroed after
+checking that the state carries no weight there (never silent clamping).
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import DomainBlowup, NotNormalized, SupportLeakage
 from .flowcore import GeneratorSpec, flow_evaluate
@@ -199,21 +197,16 @@ def apply_momentum(values, grid, power=1):
     return np.fft.ifft(grid.k ** power * np.fft.fft(values))
 
 
-def momentum_matrix_fd(grid):
-    """Hermitian central-difference matrix of p = -i d/dx (Dirichlet ends)."""
-    n = grid.n
-    s = np.zeros((n, n))
-    idx = np.arange(n - 1)
-    s[idx, idx + 1] = 1.0 / (2.0 * grid.dx)
-    s[idx + 1, idx] = -1.0 / (2.0 * grid.dx)
-    return -1j * s
+def apply_weighted_kinetic(values, grid, w, m):
+    """(1/2m) sqrt(w) p w p sqrt(w) psi, with p applied spectrally.
 
-
-def momentum_matrix_spectral(grid):
-    """Dense spectral matrix of p = -i d/dx (exact on band-limited content)."""
-    n = grid.n
-    fmat = np.fft.fft(np.eye(n), axis=0)
-    return np.conj(fmat.T) @ (grid.k[:, None] * fmat) / n
+    This is the kinetic term of p^2/(2m) after a point transform with
+    conjugation factor w, and equally the curved-metric operator
+    (1/2m) g^(-1/4) p g^(-1/2) p g^(-1/4) for g = w^(-2).
+    """
+    root = np.sqrt(w)
+    inner = w * apply_momentum(root * values, grid)
+    return root * apply_momentum(inner, grid) / (2.0 * m)
 
 
 def band_limited_values(psi, points):
@@ -229,21 +222,10 @@ def band_limited_values(psi, points):
     return phases @ coeff
 
 
-def _interpolate(psi, points, interpolant):
-    if interpolant == "spectral":
-        return band_limited_values(psi, points)
-    if interpolant == "cubic":
-        grid = psi.grid
-        re = CubicSpline(grid.x, psi.values.real)
-        im = CubicSpline(grid.x, psi.values.imag)
-        return re(points) + 1j * im(points)
-    raise ValueError(f"unknown interpolant {interpolant!r}")
-
-
 # -- unitaries ----------------------------------------------------------------
 
-def apply_point_unitary(gen, eps, psi, *, interpolant="spectral",
-                        leak_tol=LEAK_TOL, mass_leak_tol=None):
+def apply_point_unitary(gen, eps, psi, *, leak_tol=LEAK_TOL,
+                        mass_leak_tol=None):
     """Apply (U psi)(x) = sqrt(phi'(x)) psi(phi(x)) on the grid.
 
     Raises ``SupportLeakage`` when the input state does not decay at the
@@ -300,8 +282,7 @@ def apply_point_unitary(gen, eps, psi, *, interpolant="spectral",
                 "reachable by the flow")
 
     out = np.zeros(grid.n, dtype=complex)
-    out[in_grid] = np.sqrt(jac[in_grid]) * _interpolate(psi, y[in_grid],
-                                                        interpolant)
+    out[in_grid] = np.sqrt(jac[in_grid]) * band_limited_values(psi, y[in_grid])
     result = WaveFunction(grid, out)
     if not result.edge_decay_ok(tol=max(leak_tol, 1e-9)):
         raise SupportLeakage("transformed support reaches the grid edge")
@@ -443,8 +424,12 @@ def wavefunction_from_csv(path):
     data = np.genfromtxt(path, delimiter=",", names=True)
     x = np.atleast_1d(data["x"])
     vals = np.atleast_1d(data["re"]) + 1j * np.atleast_1d(data["im"])
-    dxs = np.diff(x)
-    if x.size < 8 or np.max(np.abs(dxs - dxs[0])) > 1e-9 * abs(dxs[0]):
+    if x.size < 8:
+        raise ValueError("CSV grid needs at least 8 points")
+    # the spacing from the endpoints keeps the rebuilt points within a few
+    # ulps of the written ones; neighbour differences drift by up to n ulps
+    dx = (x[-1] - x[0]) / (x.size - 1)
+    if np.max(np.abs(np.diff(x) - dx)) > 1e-9 * abs(dx):
         raise ValueError("CSV grid is not strictly uniform")
-    grid = Grid(float(x[0]), float(dxs[0]), int(x.size))
+    grid = Grid(float(x[0]), float(dx), int(x.size))
     return WaveFunction(grid, vals)

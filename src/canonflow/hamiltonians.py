@@ -30,12 +30,13 @@ oscillator, mu = 1, nu = 0, alpha = gamma/2.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .errors import ImaginaryFrequency, MassZeroCrossing, NegativeRadicand
 from .flowcore import GeneratorSpec, flow_evaluate
+from .gridspace import apply_momentum, apply_weighted_kinetic
 
 
 # -- time profiles ------------------------------------------------------------
@@ -324,11 +325,6 @@ class SolvableFamily:
         return np.abs(epsp.d2(t) - epsp.d1(t) ** 2 + sign * self.alpha ** 2)
 
 
-def solvable_mass(family, t):
-    """m(t) and its first two derivatives for a solvable mass family."""
-    return family.mass_with_derivatives(t)
-
-
 # -- general-generator transform of a standard Hamiltonian ---------------------
 
 @dataclass(frozen=True)
@@ -339,9 +335,9 @@ class TransformedStandardHamiltonian:
     potential: V(phi_eps(x))
     drive:     -(deps/2) {f(x), p}   (only for time-dependent eps)
 
-    ``assemble`` builds the dense Hermitian grid matrix; with V = 0 and
-    constant eps this equals the curved-space Hamiltonian for the metric
-    g = w^(-2) assembled the same way.
+    ``apply`` acts with it on grid values, p applied spectrally; with V = 0
+    and constant eps it is the curved-space Hamiltonian for the metric
+    g = w^(-2) (``metricmap.curved_hamiltonian``).
     """
 
     mass: float
@@ -351,25 +347,17 @@ class TransformedStandardHamiltonian:
     weight: Callable          # w(x)
     potential: Callable       # V(phi_eps(x))
 
-    def assemble(self, grid, discretization="spectral"):
-        from .gridspace import momentum_matrix_fd, momentum_matrix_spectral
-
+    def apply(self, values, grid):
+        """H psi for grid values psi."""
         x = grid.x
         w = np.asarray(self.weight(x), dtype=float)
-        if discretization == "spectral":
-            p = momentum_matrix_spectral(grid)
-        elif discretization == "fd":
-            p = momentum_matrix_fd(grid)
-        else:
-            raise ValueError(f"unknown discretization {discretization!r}")
-        b = p @ np.diag(np.sqrt(w))
-        ham = (b.conj().T @ (w[:, None] * b)) / (2.0 * self.mass)
-        ham += np.diag(self.potential(x))
+        out = (apply_weighted_kinetic(values, grid, w, self.mass)
+               + self.potential(x) * values)
         if self.deps != 0.0:
             fv = np.asarray(self.generator.f(x), dtype=float)
-            anti = np.diag(fv) @ p + p @ np.diag(fv)
-            ham = ham - 0.5 * self.deps * anti
-        return 0.5 * (ham + ham.conj().T)
+            anti = fv * apply_momentum(values, grid) + apply_momentum(fv * values, grid)
+            out = out - 0.5 * self.deps * anti
+        return out
 
 
 def general_f_transform(mass, potential, gen, eps, deps=0.0):

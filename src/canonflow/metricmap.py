@@ -31,7 +31,7 @@ produces it - splits into two stages:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -39,10 +39,8 @@ from scipy.interpolate import CubicSpline, PPoly
 
 from .errors import (FixedPointInInterval, NonMonotoneFlow, SingularMetric)
 from .flowcore import GeneratorSpec, flow_evaluate
-from .gridspace import (WaveFunction, apply_point_unitary,
-                        momentum_matrix_fd, momentum_matrix_spectral)
-from .propagators import (Trajectory, crank_nicolson_curved,
-                          curved_kinetic_diagonals, free_propagate)
+from .gridspace import apply_point_unitary, apply_weighted_kinetic
+from .propagators import crank_nicolson_curved, free_propagate
 
 
 @dataclass(frozen=True)
@@ -127,28 +125,16 @@ def metric_from_generator(gen, eps, name=None):
                          name=name or f"from {gen.name}@eps={eps}")
 
 
-def curved_hamiltonian_matrix(metric, m, grid, discretization="fd"):
-    """Dense Hermitian grid matrix of (1/2m) g^(-1/4) p g^(-1/2) p g^(-1/4).
+def curved_hamiltonian(metric, m, grid):
+    """The operator (1/2m) g^(-1/4) p g^(-1/2) p g^(-1/4) on the grid, as an apply.
 
-    ``fd`` uses the Hermitian central-difference momentum (the banded form
-    integrated by Crank-Nicolson); ``spectral`` the dense FFT momentum.
-    Both are assembled as B^dag M B products, Hermitian by construction, and
-    reduce to the flat kinetic matrix when g = 1.
+    Returns a function taking grid values to H_g psi, with p applied
+    spectrally (``apply_weighted_kinetic`` with w = g^(-1/2)); it reduces to
+    the flat kinetic term when g = 1.  The banded finite-difference form that
+    Crank-Nicolson integrates is ``propagators.curved_kinetic_diagonals``.
     """
-    gvals = metric.check_positive(grid.x)
-    if discretization == "fd":
-        main, second = curved_kinetic_diagonals(gvals, float(m), grid.dx)
-        out = np.diag(main)
-        idx = np.arange(grid.n - 2)
-        out[idx, idx + 2] = second
-        out[idx + 2, idx] = second
-        return out
-    if discretization == "spectral":
-        p = momentum_matrix_spectral(grid)
-        b = p @ np.diag(gvals ** -0.25)
-        ham = (b.conj().T @ (gvals[:, None] ** -0.5 * b)) / (2.0 * float(m))
-        return 0.5 * (ham + ham.conj().T)
-    raise ValueError(f"unknown discretization {discretization!r}")
+    w = metric.check_positive(grid.x) ** -0.5
+    return lambda values: apply_weighted_kinetic(values, grid, w, float(m))
 
 
 # -- inverse problem -----------------------------------------------------------
@@ -463,8 +449,7 @@ class EquivalenceReport:
 
 
 def verify_metric_equivalence(gen, eps, psi0, t_final, *, m=1.0, dt=1e-3,
-                              interpolant="spectral", stride=None,
-                              leak_tol=1e-3):
+                              stride=None, leak_tol=1e-3):
     """Check exp(-i H_g t) psi0 = U exp(-i H_free t) U^dag psi0 numerically.
 
     Valid for constant eps only (a time-dependent parameter adds a
@@ -489,11 +474,9 @@ def verify_metric_equivalence(gen, eps, psi0, t_final, *, m=1.0, dt=1e-3,
     t_grid = np.linspace(0.0, t_final, nsteps + 1)
     curved = crank_nicolson_curved(metric, m, psi0, t_grid, stride=stride)
 
-    staged = apply_point_unitary(gen, -eps, psi0, interpolant=interpolant,
-                                 leak_tol=leak_tol)
+    staged = apply_point_unitary(gen, -eps, psi0, leak_tol=leak_tol)
     flown = free_propagate(staged, t_final, m=m)
-    flat_side = apply_point_unitary(gen, eps, flown, interpolant=interpolant,
-                                    leak_tol=leak_tol)
+    flat_side = apply_point_unitary(gen, eps, flown, leak_tol=leak_tol)
 
     fid = curved.final.fidelity(flat_side)
     return EquivalenceReport(fidelity=float(fid),

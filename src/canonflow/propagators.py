@@ -22,6 +22,11 @@ Three routes to psi(t) are built here and cross-validated against each other:
   Hermitian banded product with the central-difference momentum (splitting
   methods do not factor once the mass depends on position).
 
+Both fixed-step integrators are thin callers of one driver, ``_drive``: it
+takes the step's update and its H psi apply, and owns the output stride,
+the 16 sampled steps at which norm drift and the Schrodinger residual are
+recorded, and the resulting ``StepperReport`` and ``Trajectory``.
+
 ``gaussian_exact_propagate`` pushes a closed-form Gaussian through the same
 transform chain (dilation: a -> e^(2 eps) a; quadratic phase: a -> a + i chi;
 static-oscillator evolution by a Moebius map of a and classical motion of the
@@ -32,7 +37,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 import scipy.linalg
@@ -90,6 +95,47 @@ def _check_resolution(psi, tail_frac=0.1, tol=1e-10):
     tail = max(np.max(spec[half - m:half + 1]), np.max(spec[half:half + m]))
     if tail > tol * np.max(spec):
         raise ResolutionError("spectral tail above threshold; refine dx")
+
+
+def _drive(psi0, t, dt, stride, update, apply_h):
+    """Step psi0 across the uniform time grid t; the loop every integrator shares.
+
+    ``update(i, values)`` returns the values after step i and
+    ``apply_h(i, values)`` applies step i's Hamiltonian.  Every ``stride``-th
+    state is kept (first and last always; default: about 16 of them).  At 16
+    evenly spaced steps the norm drift and the residual of
+    i dpsi/dt = H psi at the step midpoint, relative to the initial norm,
+    go into the report.
+    """
+    grid = psi0.grid
+    nsteps = t.size - 1
+    if stride is None:
+        stride = max(1, nsteps // 16)
+    sample_every = max(1, nsteps // 16)
+    report = StepperReport(steps=nsteps)
+    wall0 = time.perf_counter()
+    norm0 = psi0.norm()
+    values = psi0.values.copy()
+    states = [WaveFunction(grid, values)]
+    stored_t = [t[0]]
+
+    for i in range(nsteps):
+        prev = values
+        values = update(i, prev)
+        if (i + 1) % sample_every == 0 or i == nsteps - 1:
+            nrm = np.sqrt(grid.dx * np.sum(np.abs(values) ** 2))
+            report.max_norm_drift = max(report.max_norm_drift, abs(nrm - norm0))
+            mid = 0.5 * (prev + values)
+            resid = 1j * (values - prev) / dt - apply_h(i, mid)
+            report.max_schrodinger_residual = max(
+                report.max_schrodinger_residual,
+                float(np.sqrt(grid.dx * np.sum(np.abs(resid) ** 2))) / norm0)
+        if (i + 1) % stride == 0 or i == nsteps - 1:
+            states.append(WaveFunction(grid, values))
+            stored_t.append(t[i + 1])
+
+    report.wall_time_s = time.perf_counter() - wall0
+    return Trajectory(np.asarray(stored_t), states, report)
 
 
 # -- Hermite eigenbasis of the static oscillator --------------------------------
@@ -152,8 +198,7 @@ def hermite_propagate(psi, basis, t, *, min_capture=1.0 - 1e-10):
 
 # -- split-step reference integrator -------------------------------------------
 
-def split_step_propagate(mass, omega, psi0, t_grid, *, stride=None,
-                         residual_samples=16):
+def split_step_propagate(mass, omega, psi0, t_grid, *, stride=None):
     """Strang-split evolution of p^2/(2 m(t)) + (1/2) m(t) w(t)^2 x^2.
 
     Coefficients are sampled at each step's midpoint, giving global second
@@ -165,44 +210,23 @@ def split_step_propagate(mass, omega, psi0, t_grid, *, stride=None,
     grid = psi0.grid
     x2 = grid.x ** 2
     k2 = grid.k ** 2
-    nsteps = t.size - 1
-    if stride is None:
-        stride = max(1, nsteps // 16)
-    sample_every = max(1, nsteps // max(1, residual_samples))
 
-    report = StepperReport(steps=nsteps)
-    t0_wall = time.perf_counter()
-    norm0 = psi0.norm()
-    values = psi0.values.copy()
-    states = [WaveFunction(grid, values)]
-    stored_t = [t[0]]
-
-    for i in range(nsteps):
+    def coefficients(i):
         tm = 0.5 * (t[i] + t[i + 1])
-        m = float(mass.value(tm))
-        w = float(omega.value(tm))
+        return float(mass.value(tm)), float(omega.value(tm))
+
+    def update(i, values):
+        m, w = coefficients(i)
         half_v = np.exp(-0.25j * dt * m * w * w * x2)
         kin = np.exp(-0.5j * dt * k2 / m)
-        prev = values
-        values = half_v * np.fft.ifft(kin * np.fft.fft(half_v * prev))
+        return half_v * np.fft.ifft(kin * np.fft.fft(half_v * values))
 
-        if (i + 1) % sample_every == 0 or i == nsteps - 1:
-            nrm = np.sqrt(grid.dx * np.sum(np.abs(values) ** 2))
-            report.max_norm_drift = max(report.max_norm_drift,
-                                        abs(nrm - norm0))
-            mid = 0.5 * (prev + values)
-            hmid = (apply_momentum(mid, grid, 2) / (2.0 * m)
-                    + 0.5 * m * w * w * x2 * mid)
-            resid = 1j * (values - prev) / dt - hmid
-            report.max_schrodinger_residual = max(
-                report.max_schrodinger_residual,
-                float(np.sqrt(grid.dx * np.sum(np.abs(resid) ** 2))) / norm0)
-        if (i + 1) % stride == 0 or i == nsteps - 1:
-            states.append(WaveFunction(grid, values))
-            stored_t.append(t[i + 1])
+    def apply_h(i, values):
+        m, w = coefficients(i)
+        return (apply_momentum(values, grid, 2) / (2.0 * m)
+                + 0.5 * m * w * w * x2 * values)
 
-    report.wall_time_s = time.perf_counter() - t0_wall
-    return Trajectory(np.asarray(stored_t), states, report)
+    return _drive(psi0, t, dt, stride, update, apply_h)
 
 
 def free_propagate(psi, t, m=1.0):
@@ -222,21 +246,19 @@ class ExactSolvablePropagator:
     """
 
     def __init__(self, family, psi0, *, static_mass=None, basis_size=40,
-                 interpolant="spectral", min_capture=1.0 - 1e-10):
+                 min_capture=1.0 - 1e-10):
         self.family = family
         self.grid = psi0.grid
         self.m0_static = (family.static_mass() if static_mass is None
                           else float(static_mass))
         self.eps = epsilon_from_mass(family.mass_profile(), self.m0_static)
-        self.interpolant = interpolant
         self.basis = HermiteBasis(basis_size, self.m0_static, family.Omega0,
                                   psi0.grid)
         self._lin = GeneratorSpec.linear()
 
         e0 = float(self.eps.value(0.0))
         chi0 = self.m0_static * float(self.eps.d1(0.0))
-        staged = apply_point_unitary(self._lin, e0, psi0,
-                                     interpolant=interpolant)
+        staged = apply_point_unitary(self._lin, e0, psi0)
         staged = apply_quadratic_phase(chi0, staged)
         self.coeffs, captured = self.basis.expand(staged)
         if captured < min_capture:
@@ -250,8 +272,19 @@ class ExactSolvablePropagator:
         et = float(self.eps.value(t))
         chit = self.m0_static * float(self.eps.d1(t))
         out = apply_quadratic_phase(-chit, evolved)
-        return apply_point_unitary(self._lin, -et, out,
-                                   interpolant=self.interpolant)
+        return apply_point_unitary(self._lin, -et, out)
+
+    def trajectory(self, t_grid, stride):
+        """The exact states at the times a stepped run over t_grid would keep."""
+        wall0 = time.perf_counter()
+        t = np.asarray(t_grid, dtype=float)
+        times = t[::stride]
+        if times[-1] != t[-1]:
+            times = np.append(times, t[-1])
+        states = [self(float(t)) for t in times]
+        report = StepperReport(steps=len(times) - 1,
+                               wall_time_s=time.perf_counter() - wall0)
+        return Trajectory(times, states, report)
 
 
 def exact_solvable_propagate(family, psi0, t, **kwargs):
@@ -350,11 +383,13 @@ def curved_kinetic_diagonals(gvals, m, dx):
     return pref * main, pref * second
 
 
-def _curved_sparse(gvals, m, dx):
-    main, second = curved_kinetic_diagonals(gvals, m, dx)
-    n = gvals.size
-    return scipy.sparse.diags([second, main, second], offsets=[-2, 0, 2],
-                              shape=(n, n), format="csc")
+def apply_curved_kinetic(diagonals, values):
+    """H psi for the (main, second) pair from ``curved_kinetic_diagonals``."""
+    main, second = diagonals
+    hv = main * values
+    hv[:-2] += second * values[2:]
+    hv[2:] += second * values[:-2]
+    return hv
 
 
 def crank_nicolson_curved(metric, m, psi0, t_grid, *, stride=None):
@@ -366,9 +401,13 @@ def crank_nicolson_curved(metric, m, psi0, t_grid, *, stride=None):
     """
     t, dt = _validate_time_grid(t_grid)
     grid = psi0.grid
-    gvals = np.asarray(metric.g(grid.x), dtype=float)
-    ham = _curved_sparse(gvals, float(m), grid.dx)
     n = grid.n
+    gvals = np.asarray(metric.g(grid.x), dtype=float)
+    diagonals = curved_kinetic_diagonals(gvals, float(m), grid.dx)
+    main, second = diagonals
+    # sparse storage only as the LU factorization's input format
+    ham = scipy.sparse.diags([second, main, second], offsets=[-2, 0, 2],
+                             shape=(n, n), format="csc")
     eye = scipy.sparse.identity(n, format="csc")
     a_plus = (eye + 0.5j * dt * ham).tocsc()
     a_minus = (eye - 0.5j * dt * ham).tocsc()
@@ -377,67 +416,40 @@ def crank_nicolson_curved(metric, m, psi0, t_grid, *, stride=None):
     except RuntimeError as exc:
         raise LinearSolveFailure(f"Cayley factorization failed: {exc}")
 
-    nsteps = t.size - 1
-    if stride is None:
-        stride = max(1, nsteps // 16)
-    report = StepperReport(steps=nsteps)
-    wall0 = time.perf_counter()
-    norm0 = psi0.norm()
-    values = psi0.values.copy()
-    states = [WaveFunction(grid, values)]
-    stored_t = [t[0]]
-    sample_every = max(1, nsteps // 16)
-
-    for i in range(nsteps):
-        prev = values
-        values = solver.solve(a_minus @ prev)
-        if not np.all(np.isfinite(values)):
+    def update(i, values):
+        out = solver.solve(a_minus @ values)
+        if not np.all(np.isfinite(out)):
             raise LinearSolveFailure("Crank-Nicolson solve produced non-finite values")
-        if (i + 1) % sample_every == 0 or i == nsteps - 1:
-            nrm = np.sqrt(grid.dx * np.sum(np.abs(values) ** 2))
-            report.max_norm_drift = max(report.max_norm_drift, abs(nrm - norm0))
-            mid = 0.5 * (prev + values)
-            resid = 1j * (values - prev) / dt - ham @ mid
-            report.max_schrodinger_residual = max(
-                report.max_schrodinger_residual,
-                float(np.sqrt(grid.dx * np.sum(np.abs(resid) ** 2))) / norm0)
-        if (i + 1) % stride == 0 or i == nsteps - 1:
-            states.append(WaveFunction(grid, values))
-            stored_t.append(t[i + 1])
+        return out
 
-    report.wall_time_s = time.perf_counter() - wall0
-    return Trajectory(np.asarray(stored_t), states, report)
+    return _drive(psi0, t, dt, stride, update,
+                  lambda i, values: apply_curved_kinetic(diagonals, values))
 
 
-# -- grid assembly of quadratic Hamiltonians (spectrum checks) -------------------
+# -- banded assembly of quadratic Hamiltonians (spectrum checks) -----------------
 
-def quadratic_hamiltonian_matrix(ham, grid, fd_order=4):
-    """Dense Hermitian finite-difference matrix of a p^2 + b x^2 + (c/2){x,p}."""
-    n, dx = grid.n, grid.dx
-    x = grid.x
-    if fd_order == 2:
-        stencil = np.array([1.0, -2.0, 1.0]) / dx ** 2
-        offs = [-1, 0, 1]
-    elif fd_order == 4:
-        stencil = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12.0 * dx ** 2)
-        offs = [-2, -1, 0, 1, 2]
-    else:
-        raise ValueError("fd_order must be 2 or 4")
-    lap = scipy.sparse.diags(stencil, offs, shape=(n, n)).toarray()
-    out = (-ham.a) * lap + np.diag(ham.b * x * x)
+def quadratic_hamiltonian_matrix(ham, grid):
+    """Finite-difference a p^2 + b x^2 + (c/2){x,p} in upper-form band storage.
+
+    The Laplacian is the 4th-order five-point stencil and p in the mixed term
+    the central difference, both with Dirichlet ends.  Row 2 holds the
+    diagonal, row 1 the first superdiagonal (from column 1) and row 0 the
+    second (from column 2), the layout ``scipy.linalg.eig_banded`` reads;
+    the matrix is Hermitian by construction.
+    """
+    x, h2 = grid.x, 12.0 * grid.dx ** 2
+    bands = np.zeros((3, grid.n), dtype=complex if ham.c else float)
+    bands[2] = 30.0 * ham.a / h2 + ham.b * x * x
+    bands[1, 1:] = -16.0 * ham.a / h2
+    bands[0, 2:] = ham.a / h2
     if ham.c != 0.0:
-        s = np.zeros((n, n))
-        idx = np.arange(n - 1)
-        s[idx, idx + 1] = 1.0 / (2.0 * dx)
-        s[idx + 1, idx] = -1.0 / (2.0 * dx)
-        p = -1j * s
-        xm = np.diag(x.astype(complex))
-        out = out.astype(complex) + 0.5 * ham.c * (xm @ p + p @ xm)
-    return out
+        # (c/2)(x p + p x) at (j, j+1), with p there equal to -i/(2 dx)
+        bands[1, 1:] += -0.25j * ham.c * (x[:-1] + x[1:]) / grid.dx
+    return bands
 
 
-def oscillator_spectrum(ham, grid, k=8, fd_order=4):
+def oscillator_spectrum(ham, grid, k=8):
     """Lowest k eigenvalues of the finite-difference assembly."""
-    mat = quadratic_hamiltonian_matrix(ham, grid, fd_order=fd_order)
-    vals = scipy.linalg.eigvalsh(mat)
-    return vals[:k]
+    return scipy.linalg.eig_banded(quadratic_hamiltonian_matrix(ham, grid),
+                                   eigvals_only=True, select="i",
+                                   select_range=(0, k - 1))

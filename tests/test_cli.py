@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from canonflow.cli import TRAJECTORY_HEADER, main, run_scenario
+from canonflow.gridspace import GaussianState, Grid, wavefunction_to_csv
 
 
 def invoke(capsys, *argv):
@@ -27,6 +28,22 @@ def ck_scenario(tmp_path, outdir, method="split_step", t_final=0.5, n=512):
         "outputs": {"directory": str(outdir)},
     }
     path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    return path
+
+
+def curved_scenario(tmp_path, outdir):
+    scenario = {
+        "system": {"kind": "curved", "mass": 1.0,
+                   "metric": {"type": "from_generator", "eps": 0.4,
+                              "generator": {"type": "exp_decay", "rate": 1.0}}},
+        "initial_state": {"kind": "gaussian", "width_re": 1.0, "center": 4.0},
+        "grid": {"xmin": -4.0, "xmax": 20.0, "n": 512},
+        "propagator": {"method": "crank_nicolson", "dt": 0.002,
+                       "t_final": 0.2, "output_stride": 50},
+        "outputs": {"directory": str(outdir)},
+    }
+    path = tmp_path / "curved.json"
     path.write_text(json.dumps(scenario))
     return path
 
@@ -115,13 +132,39 @@ class TestScenarios:
         assert (outdir / "plot.gp").exists()
 
     def test_byte_stable(self, tmp_path):
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        path = ck_scenario(tmp_path, out1)
-        run_scenario(path)
-        path2 = ck_scenario(tmp_path, out2)
-        run_scenario(path2)
-        assert (out1 / "trajectory.csv").read_bytes() == \
-            (out2 / "trajectory.csv").read_bytes()
+        for kind in ("split_step", "exact", "curved"):
+            outputs = []
+            for run in ("a", "b"):
+                outdir = tmp_path / kind / run
+                if kind == "curved":
+                    path = curved_scenario(tmp_path, outdir)
+                else:
+                    path = ck_scenario(tmp_path, outdir, method=kind)
+                run_scenario(path)
+                outputs.append((outdir / "trajectory.csv").read_bytes())
+            assert outputs[0] == outputs[1], kind
+
+    def test_csv_state_written_by_the_library(self, tmp_path, capsys):
+        # [-10, 10) with n = 1000 reads back with a spacing a few ulps off
+        grid = Grid.from_interval(-10.0, 10.0, 1000)
+        state = tmp_path / "state.csv"
+        wavefunction_to_csv(GaussianState(a=1.0, center=0.5).to_wavefunction(grid),
+                            state)
+        scenario = {
+            "system": {"kind": "oscillator",
+                       "mass": {"type": "constant", "value": 1.0},
+                       "frequency": {"type": "constant", "value": 1.0}},
+            "initial_state": {"kind": "csv", "path": str(state)},
+            "grid": {"xmin": -10.0, "xmax": 10.0, "n": 1000},
+            "propagator": {"method": "split_step", "dt": 0.01, "t_final": 0.1},
+            "outputs": {"directory": str(tmp_path / "run"), "formats": ["csv"]},
+        }
+        path = tmp_path / "from_csv.json"
+        path.write_text(json.dumps(scenario))
+        code, out = invoke(capsys, "propagate", str(path))
+        assert code == 0, out
+        first = (tmp_path / "run" / "trajectory.csv").read_text().splitlines()[1]
+        assert float(first.split(",")[3]) == pytest.approx(0.5, abs=1e-12)
 
     def test_exact_method_fidelity_column(self, tmp_path, capsys):
         outdir = tmp_path / "run"
@@ -144,18 +187,7 @@ class TestScenarios:
 
     def test_curved_scenario(self, tmp_path, capsys):
         outdir = tmp_path / "curved"
-        scenario = {
-            "system": {"kind": "curved", "mass": 1.0,
-                       "metric": {"type": "from_generator", "eps": 0.4,
-                                  "generator": {"type": "exp_decay", "rate": 1.0}}},
-            "initial_state": {"kind": "gaussian", "width_re": 1.0, "center": 4.0},
-            "grid": {"xmin": -4.0, "xmax": 20.0, "n": 512},
-            "propagator": {"method": "crank_nicolson", "dt": 0.002,
-                           "t_final": 0.2, "output_stride": 50},
-            "outputs": {"directory": str(outdir)},
-        }
-        path = tmp_path / "curved.json"
-        path.write_text(json.dumps(scenario))
+        path = curved_scenario(tmp_path, outdir)
         code, _ = invoke(capsys, "propagate", str(path))
         assert code == 0
         lines = (outdir / "trajectory.csv").read_text().splitlines()

@@ -118,12 +118,6 @@ class TestPointUnitary:
         with pytest.raises(SupportLeakage):
             apply_point_unitary(LIN, -1.2, psi)
 
-    def test_cubic_interpolant_available(self):
-        psi = ground()
-        out_c = apply_point_unitary(LIN, 0.3, psi, interpolant="cubic")
-        out_s = apply_point_unitary(LIN, 0.3, psi)
-        assert out_c.fidelity(out_s) > 1.0 - 1e-8
-
 
 class TestQuadraticPhase:
     def test_modulus_preserved_exactly(self):

@@ -12,7 +12,7 @@ from canonflow.hamiltonians import (QuadraticHamiltonian, SolvableFamily,
                                     effective_frequency, epsilon_from_mass,
                                     general_f_transform, omega_from_mass,
                                     quadratic_phase_transform,
-                                    reduce_oscillator, solvable_mass)
+                                    reduce_oscillator)
 
 
 def nc_coefficients(expr, x, p):
@@ -175,14 +175,14 @@ class TestSolvableFamily:
     def test_exponential_member(self):
         fam = SolvableFamily(m0=1.0, mu=1.0, nu=0.0, alpha=0.1, Omega0=1.0)
         for t in (0.0, 2.0, 5.0):
-            m, dm, ddm = solvable_mass(fam, t)
+            m, dm, ddm = fam.mass_with_derivatives(t)
             assert m == pytest.approx(np.exp(0.2 * t), rel=1e-14)
             assert dm == pytest.approx(0.2 * np.exp(0.2 * t), rel=1e-13)
             assert ddm == pytest.approx(0.04 * np.exp(0.2 * t), rel=1e-13)
 
     def test_symmetric_member_at_zero(self):
         fam = SolvableFamily(m0=2.0, mu=0.5, nu=0.5, alpha=0.3, Omega0=1.0)
-        assert solvable_mass(fam, 0.0)[0] == pytest.approx(2.0, rel=1e-15)
+        assert fam.mass_with_derivatives(0.0)[0] == pytest.approx(2.0, rel=1e-15)
 
     def test_constancy_residual_random(self):
         rng = np.random.default_rng(5)
@@ -197,12 +197,12 @@ class TestSolvableFamily:
         fam = SolvableFamily.caldirola_kanai(gamma=0.2, omega0=np.sqrt(1.01))
         assert fam.Omega0 == pytest.approx(1.0, abs=1e-12)
         assert fam.alpha == pytest.approx(0.1)
-        assert solvable_mass(fam, 3.0)[0] == pytest.approx(np.exp(0.6), rel=1e-14)
+        assert fam.mass_with_derivatives(3.0)[0] == pytest.approx(np.exp(0.6), rel=1e-14)
 
     def test_mass_zero_crossing(self):
         fam = SolvableFamily(m0=1.0, mu=1.0, nu=-1.0, alpha=0.5, Omega0=1.0)
         with pytest.raises(MassZeroCrossing):
-            solvable_mass(fam, 0.0)
+            fam.mass_with_derivatives(0.0)
 
     def test_trigonometric_extension(self):
         fam = SolvableFamily(m0=1.0, mu=1.0, nu=0.3, alpha=0.4, Omega0=1.5,
@@ -276,27 +276,50 @@ class TestGeneralTransform:
         assert np.allclose(tr.potential(xs), np.cos(xs), atol=1e-14)
 
     def test_free_case_equals_curved_assembly(self):
-        # with V = 0 and constant eps the assembled operator must equal the
-        # curved-metric Hamiltonian with g = w^(-2), same discretization
+        # with V = 0 and constant eps the transformed operator must equal the
+        # curved-metric Hamiltonian with g = w^(-2), in both discretizations
         from canonflow.gridspace import Grid
-        from canonflow.metricmap import curved_hamiltonian_matrix, metric_from_generator
+        from canonflow.metricmap import curved_hamiltonian, metric_from_generator
+        from canonflow.propagators import (apply_curved_kinetic,
+                                           curved_kinetic_diagonals)
 
         gen = GeneratorSpec.exp_decay(1.0)
         grid = Grid.from_interval(-3.0, 6.0, 64)
         tr = general_f_transform(1.0, lambda x: 0.0 * np.asarray(x), gen, 0.4)
-        left = tr.assemble(grid, discretization="spectral")
-        right = curved_hamiltonian_matrix(metric_from_generator(gen, 0.4), 1.0,
-                                          grid, discretization="spectral")
-        assert np.max(np.abs(left - right)) < 1e-10
-        left_fd = tr.assemble(grid, discretization="fd")
-        right_fd = curved_hamiltonian_matrix(metric_from_generator(gen, 0.4), 1.0,
-                                             grid, discretization="fd")
-        assert np.max(np.abs(left_fd - right_fd)) < 1e-12
+        metric = metric_from_generator(gen, 0.4)
+        curved = curved_hamiltonian(metric, 1.0, grid)
+        for v in probes(grid):
+            assert np.max(np.abs(tr.apply(v, grid) - curved(v))) < 1e-10
+
+        # finite differences: the banded pair is sqrt(w) p w p sqrt(w)/2
+        # with the central-difference p = -i S (Dirichlet ends)
+        def central(v):
+            out = np.zeros_like(v)
+            out[:-1] += v[1:]
+            out[1:] -= v[:-1]
+            return out / (2.0 * grid.dx)
+
+        w = np.asarray(tr.weight(grid.x))
+        root = np.sqrt(w)
+        kinetic = curved_kinetic_diagonals(metric.g(grid.x), 1.0, grid.dx)
+        for v in probes(grid):
+            sandwich = -0.5 * root * central(w * central(root * v))
+            assert np.max(np.abs(apply_curved_kinetic(kinetic, v) - sandwich)) < 1e-12
 
     def test_assembled_hermitian_with_drive(self):
         from canonflow.gridspace import Grid
         gen = GeneratorSpec.linear()
         tr = general_f_transform(1.0, lambda x: 0.5 * np.asarray(x) ** 2,
                                  gen, 0.1, 0.2)
-        mat = tr.assemble(Grid.from_interval(-5.0, 5.0, 48))
-        assert np.max(np.abs(mat - mat.conj().T)) < 1e-12
+        grid = Grid.from_interval(-5.0, 5.0, 48)
+        for u in probes(grid):
+            for v in probes(grid):
+                gap = np.vdot(u, tr.apply(v, grid)) - np.conj(np.vdot(v, tr.apply(u, grid)))
+                assert abs(grid.dx * gap) < 1e-12
+
+
+def probes(grid):
+    """Unit-norm Gaussian grid values for operator checks."""
+    from canonflow.gridspace import GaussianState
+    return [GaussianState(a=a, center=c, momentum=p).to_wavefunction(grid).values
+            for a, c, p in [(1.0, 0.5, 0.0), (1.5, 1.0, 0.8), (2.0 - 0.5j, 0.2, -0.6)]]

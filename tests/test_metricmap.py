@@ -7,9 +7,10 @@ from canonflow.errors import SingularMetric
 from canonflow.flowcore import GeneratorSpec, conjugation_factor, flow_evaluate
 from canonflow.gridspace import (GaussianState, Grid, WaveFunction,
                                  apply_point_unitary)
-from canonflow.metricmap import (MetricProfile, curved_hamiltonian_matrix,
+from canonflow.metricmap import (MetricProfile, curved_hamiltonian,
                                  generator_from_metric, metric_from_generator,
                                  verify_metric_equivalence)
+from canonflow.propagators import apply_curved_kinetic, curved_kinetic_diagonals
 
 EXP1 = GeneratorSpec.exp_decay(1.0)
 QUAD = GeneratorSpec.quadratic()
@@ -44,49 +45,64 @@ class TestMetricFromGenerator:
         assert np.allclose(metric.g(np.linspace(-2, 2, 5)), np.exp(0.6), rtol=1e-13)
 
 
+def gaussian_probes(grid, specs):
+    return [GaussianState(a=a, center=c, momentum=p).to_wavefunction(grid).values
+            for a, c, p in specs]
+
+
 class TestCurvedMatrix:
+    """The curved operator in its spectral (FFT-applied) and banded fd forms."""
+
     GRID = Grid.from_interval(-5.0, 5.0, 64)
+    PROBES = gaussian_probes(GRID, [(1.0, 0.0, 0.0), (1.5, 0.8, 0.7), (2.0, -0.5, -1.0)])
 
     def test_flat_equals_flat(self):
-        h1 = curved_hamiltonian_matrix(MetricProfile.constant(1.0), 1.0, self.GRID)
-        h2 = curved_hamiltonian_matrix(MetricProfile.from_callable(lambda x: 1.0 + 0.0 * x),
-                                       1.0, self.GRID)
-        assert np.max(np.abs(h1 - h2)) == 0.0
+        h1 = curved_hamiltonian(MetricProfile.constant(1.0), 1.0, self.GRID)
+        h2 = curved_hamiltonian(MetricProfile.from_callable(lambda x: 1.0 + 0.0 * x),
+                                1.0, self.GRID)
+        for v in self.PROBES:
+            assert np.max(np.abs(h1(v) - h2(v))) == 0.0
 
     def test_constant_metric_scaling(self):
         # classical kinetic term p^2/(2 m g): g = 4 scales it by 1/4
-        h4 = curved_hamiltonian_matrix(MetricProfile.constant(4.0), 1.0, self.GRID)
-        h1 = curved_hamiltonian_matrix(MetricProfile.constant(1.0), 1.0, self.GRID)
-        assert np.max(np.abs(h4 - 0.25 * h1)) < 1e-14
+        h4 = curved_hamiltonian(MetricProfile.constant(4.0), 1.0, self.GRID)
+        h1 = curved_hamiltonian(MetricProfile.constant(1.0), 1.0, self.GRID)
+        for v in self.PROBES:
+            assert np.max(np.abs(h4(v) - 0.25 * h1(v))) < 1e-14
 
     def test_hermitian_by_construction(self):
         metric = metric_from_generator(EXP1, 0.4)
         grid = Grid.from_interval(-3.0, 8.0, 80)
-        h_fd = curved_hamiltonian_matrix(metric, 1.0, grid)
-        assert np.max(np.abs(h_fd - h_fd.conj().T)) == 0.0
-        h_sp = curved_hamiltonian_matrix(metric, 1.0, grid, discretization="spectral")
-        assert np.max(np.abs(h_sp - h_sp.conj().T)) < 1e-14
+        # banded fd: unit-vector probes read single entries, which pair exactly
+        kinetic = curved_kinetic_diagonals(metric.check_positive(grid.x), 1.0, grid.dx)
+        entries = np.array([apply_curved_kinetic(kinetic, e) for e in np.eye(grid.n)])
+        assert np.max(np.abs(entries - entries.T)) == 0.0
+        # spectral: <u|H v> = conj <v|H u> on Gaussian probes
+        h_sp = curved_hamiltonian(metric, 1.0, grid)
+        probes = gaussian_probes(grid, [(1.0, 2.0, 0.0), (1.5, 3.0, 0.8), (2.0, 2.5, -0.6)])
+        for u in probes:
+            for v in probes:
+                gap = np.vdot(u, h_sp(v)) - np.conj(np.vdot(v, h_sp(u)))
+                assert abs(grid.dx * gap) < 1e-14
 
     def test_positive_required(self):
         with pytest.raises(SingularMetric):
-            curved_hamiltonian_matrix(
+            curved_hamiltonian(
                 MetricProfile.from_callable(lambda x: np.asarray(x)), 1.0, self.GRID)
 
     @pytest.mark.parametrize("gen,eps", [(LIN, 0.3), (EXP1, 0.4)])
     def test_conjugation_identity(self, gen, eps):
-        # H_g psi = U H_free U^dag psi on smooth probes, spectral assembly
+        # H_g psi = U H_free U^dag psi on smooth probes, spectral form
         grid = Grid.from_interval(-6.0, 14.0, 320)
-        hg = curved_hamiltonian_matrix(metric_from_generator(gen, eps), 1.0,
-                                       grid, discretization="spectral")
-        hfree = curved_hamiltonian_matrix(MetricProfile.constant(1.0), 1.0,
-                                          grid, discretization="spectral")
+        hg = curved_hamiltonian(metric_from_generator(gen, eps), 1.0, grid)
+        hfree = curved_hamiltonian(MetricProfile.constant(1.0), 1.0, grid)
         probes = [GaussianState(a=2.0, center=c, momentum=p).to_wavefunction(grid)
                   for c, p in [(3.5, 0.0), (4.5, 1.0), (4.0, -0.8)]]
         for probe in probes:
-            lhs = hg @ probe.values
+            lhs = hg(probe.values)
             staged = apply_point_unitary(gen, -eps, probe, leak_tol=1e-8)
             rhs = apply_point_unitary(gen, eps,
-                                      WaveFunction(grid, hfree @ staged.values),
+                                      WaveFunction(grid, hfree(staged.values)),
                                       leak_tol=1e-4)
             num = np.sqrt(grid.dx * np.sum(np.abs(lhs - rhs.values) ** 2))
             den = np.sqrt(grid.dx * np.sum(np.abs(lhs) ** 2))

@@ -265,6 +265,17 @@ class TestCrankNicolson:
             crank_nicolson_curved(bad, 1.0, psi, np.linspace(0, 0.1, 11))
 
 
+def dense_oracle(ham, grid):
+    """The finite-difference assembly as a dense matrix, built independently."""
+    n, dx, x = grid.n, grid.dx, grid.x
+    lap = (np.diag(np.full(n - 2, -1.0), -2) + np.diag(np.full(n - 1, 16.0), -1)
+           + np.diag(np.full(n, -30.0)) + np.diag(np.full(n - 1, 16.0), 1)
+           + np.diag(np.full(n - 2, -1.0), 2)) / (12.0 * dx ** 2)
+    p = -1j * (np.diag(np.ones(n - 1), 1) - np.diag(np.ones(n - 1), -1)) / (2.0 * dx)
+    xm = np.diag(x)
+    return -ham.a * lap + ham.b * xm @ xm + 0.5 * ham.c * (xm @ p + p @ xm)
+
+
 class TestSpectrum:
     def test_oscillator_levels(self):
         grid = Grid.from_interval(-10.0, 10.0, 1024)
@@ -273,15 +284,22 @@ class TestSpectrum:
         target = np.arange(8) + 0.5
         assert np.max(np.abs(vals - target) / target) < 1e-4
 
-    def test_second_order_assembly_less_accurate(self):
-        grid = Grid.from_interval(-10.0, 10.0, 1024)
-        ham = QuadraticHamiltonian.oscillator(1.0, 1.0)
-        err4 = np.abs(oscillator_spectrum(ham, grid, k=4, fd_order=4) - (np.arange(4) + 0.5))
-        err2 = np.abs(oscillator_spectrum(ham, grid, k=4, fd_order=2) - (np.arange(4) + 0.5))
-        assert np.all(err4 < err2)
+    @pytest.mark.parametrize("c", [0.0, 0.3])
+    def test_banded_matches_dense_eigvalsh(self, c):
+        grid = Grid.from_interval(-8.0, 8.0, 384)
+        ham = QuadraticHamiltonian(0.5, 0.5, c)
+        dense = np.linalg.eigvalsh(dense_oracle(ham, grid))[:6]
+        assert np.max(np.abs(oscillator_spectrum(ham, grid, k=6) - dense)) < 1e-10
 
     def test_mixed_term_hermitian(self):
+        # the upper-form bands stand for the independently built Hermitian matrix
         from canonflow.propagators import quadratic_hamiltonian_matrix
         grid = Grid.from_interval(-6.0, 6.0, 128)
-        mat = quadratic_hamiltonian_matrix(QuadraticHamiltonian(0.5, 0.5, 0.3), grid)
-        assert np.max(np.abs(mat - mat.conj().T)) < 1e-14
+        ham = QuadraticHamiltonian(0.5, 0.5, 0.3)
+        dense = dense_oracle(ham, grid)
+        assert np.max(np.abs(dense - dense.conj().T)) < 1e-14
+        bands = quadratic_hamiltonian_matrix(ham, grid)
+        for offset in range(3):
+            band = np.diagonal(dense, offset)
+            assert np.max(np.abs(bands[2 - offset, offset:] - band)) < 1e-14 * np.max(np.abs(dense))
+        assert np.all(dense[np.triu_indices(grid.n, 3)] == 0)
