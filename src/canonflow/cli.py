@@ -471,12 +471,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ScenarioError as exc:
-        print(json.dumps({"error": {"kind": exc.kind, "message": str(exc)}}))
-        return 64
     except CanonflowError as exc:
-        print(json.dumps({"error": {"kind": exc.kind, "message": str(exc)}}))
-        return 2
+        error = {"kind": exc.kind, "message": str(exc)}
+        if exc.detail is not None:
+            error["detail"] = exc.detail
+        print(json.dumps({"error": error}))
+        return 64 if isinstance(exc, ScenarioError) else 2
 
 
 if __name__ == "__main__":

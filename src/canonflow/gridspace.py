@@ -96,9 +96,9 @@ class WaveFunction:
         return complex(self.grid.dx * np.vdot(self.values, other.values))
 
     def fidelity(self, other):
-        """|<self|other>| for unit-normalized inputs (norms divided out)."""
+        """|<self|other>| with the norms divided out, clamped to at most 1."""
         ov = abs(self.inner(other))
-        return float(ov / (self.norm() * other.norm()))
+        return min(1.0, float(ov / (self.norm() * other.norm())))
 
     def edge_decay_ok(self, frac=EDGE_FRACTION, tol=LEAK_TOL):
         m = max(1, int(round(frac * self.grid.n)))
@@ -224,20 +224,16 @@ def band_limited_values(psi, points):
 
 # -- unitaries ----------------------------------------------------------------
 
-def apply_point_unitary(gen, eps, psi, *, leak_tol=LEAK_TOL,
-                        mass_leak_tol=None):
+def apply_point_unitary(gen, eps, psi, *, leak_tol=LEAK_TOL):
     """Apply (U psi)(x) = sqrt(phi'(x)) psi(phi(x)) on the grid.
 
-    Raises ``SupportLeakage`` when the input state does not decay at the
-    grid edge (relative amplitude above ``leak_tol``), when the probability
-    mass outside the window actually read by the flow exceeds
-    ``mass_leak_tol`` (defaults to ``leak_tol``; mass there is lost, never
-    silently clamped), or when the transformed support touches the grid
-    edge.  Grid points whose flow image is undefined or out of grid are
-    zero-filled only after those checks pass.
+    Raises ``SupportLeakage`` when the input's relative edge amplitude or
+    the fraction of its probability outside the window read by the flow
+    (that mass would be lost, never silently clamped) exceeds ``leak_tol``,
+    or when the transformed support touches the grid edge.  Grid points
+    whose flow image is undefined or out of grid are zero-filled only after
+    those checks pass.
     """
-    if mass_leak_tol is None:
-        mass_leak_tol = leak_tol
     if eps == 0.0:
         return WaveFunction(psi.grid, psi.values)
     if not psi.edge_decay_ok(tol=leak_tol):
@@ -276,7 +272,7 @@ def apply_point_unitary(gen, eps, psi, *, leak_tol=LEAK_TOL,
     unread = (x < ylo - grid.dx) | (x > yhi + grid.dx)
     if np.any(unread):
         lost = grid.dx * float(np.sum(np.abs(psi.values[unread]) ** 2))
-        if lost > mass_leak_tol * psi.norm() ** 2:
+        if lost > leak_tol * psi.norm() ** 2:
             raise SupportLeakage(
                 f"probability mass {lost:.3e} lies outside the window "
                 "reachable by the flow")

@@ -9,8 +9,8 @@ Three routes to psi(t) are built here and cross-validated against each other:
 
   with D the dilation point unitary, Q the quadratic phase, eps =
   (1/2) ln(m0/m(t)), chi = m0 * deps, and H'' the constant-mass oscillator
-  of frequency Omega0 evolved spectrally in its Hermite eigenbasis
-  (phases e^(-i (n+1/2) Omega0 t), exact).
+  of frequency Omega0 evolved by phases e^(-i (n+1/2) Omega0 t) in its
+  Hermite eigenbasis, on which D and Q act in closed form (no resampling).
 
 * ``split_step_propagate`` - a second-order Strang splitting of
   H(t) = p^2/(2 m(t)) + (1/2) m(t) w(t)^2 x^2 with midpoint coefficient
@@ -45,12 +45,12 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .errors import (LinearSolveFailure, ResolutionError, SingularMetric,
-                     TruncationError)
-from .flowcore import GeneratorSpec
-from .gridspace import (Grid, GaussianState, WaveFunction,
-                        apply_point_unitary, apply_quadratic_phase,
-                        apply_momentum)
+                     SupportLeakage, TruncationError)
+from .gridspace import GaussianState, WaveFunction, apply_momentum
 from .hamiltonians import epsilon_from_mass
+
+BASIS_SIZE = 40              # Hermite functions in the exact chain's frame
+MIN_CAPTURE = 1.0 - 1e-10    # least probability a basis expansion must hold
 
 
 @dataclass
@@ -154,16 +154,19 @@ class HermiteBasis:
         self.omega0 = float(omega0)
         self.grid = grid
         self.length_scale = 1.0 / np.sqrt(self.m0 * self.omega0)
+        self.functions = self.at(grid.x)
 
-        xi = grid.x / self.length_scale
-        funcs = np.empty((self.size, grid.n))
+    def at(self, points):
+        """The basis functions at arbitrary points, shape (size, len(points))."""
+        xi = np.asarray(points, dtype=float) / self.length_scale
+        funcs = np.empty((self.size, xi.size))
         funcs[0] = (self.m0 * self.omega0 / np.pi) ** 0.25 * np.exp(-0.5 * xi * xi)
         if self.size > 1:
             funcs[1] = np.sqrt(2.0) * xi * funcs[0]
         for n in range(1, self.size - 1):
             funcs[n + 1] = (np.sqrt(2.0 / (n + 1)) * xi * funcs[n]
                             - np.sqrt(n / (n + 1.0)) * funcs[n - 1])
-        self.functions = funcs
+        return funcs
 
     def energies(self):
         return (np.arange(self.size) + 0.5) * self.omega0
@@ -182,14 +185,14 @@ class HermiteBasis:
         return WaveFunction(self.grid, coeffs @ self.functions)
 
 
-def hermite_propagate(psi, basis, t, *, min_capture=1.0 - 1e-10):
+def hermite_propagate(psi, basis, t):
     """Evolve under the static oscillator by exact spectral phases.
 
     Raises ``TruncationError`` when the basis captures less than
-    ``min_capture`` of the state's probability.
+    ``MIN_CAPTURE`` of the state's probability.
     """
     c, captured = basis.expand(psi)
-    if captured < min_capture:
+    if captured < MIN_CAPTURE:
         raise TruncationError(
             f"basis of size {basis.size} captures only {captured:.12f}")
     phases = np.exp(-1j * basis.energies() * t)
@@ -240,39 +243,39 @@ def free_propagate(psi, t, m=1.0):
 class ExactSolvablePropagator:
     """Precomputed transform-chain propagator for a solvable mass family.
 
-    The initial state is transformed once into the static frame and expanded
-    in the Hermite basis; evaluation at any t costs one phase rotation and
-    one inverse transform pair.
+    psi(t) = sum_n c_n e^(-i E_n t) h_n(t), with h_n(t) the Hermite functions
+    carried back through the phase and the dilation in closed form
+    (``_frame``); evaluation at any t costs one Hermite recurrence.
     """
 
-    def __init__(self, family, psi0, *, static_mass=None, basis_size=40,
-                 min_capture=1.0 - 1e-10):
-        self.family = family
+    def __init__(self, family, psi0, *, static_mass=None):
         self.grid = psi0.grid
         self.m0_static = (family.static_mass() if static_mass is None
                           else float(static_mass))
         self.eps = epsilon_from_mass(family.mass_profile(), self.m0_static)
-        self.basis = HermiteBasis(basis_size, self.m0_static, family.Omega0,
+        self.basis = HermiteBasis(BASIS_SIZE, self.m0_static, family.Omega0,
                                   psi0.grid)
-        self._lin = GeneratorSpec.linear()
-
-        e0 = float(self.eps.value(0.0))
-        chi0 = self.m0_static * float(self.eps.d1(0.0))
-        staged = apply_point_unitary(self._lin, e0, psi0)
-        staged = apply_quadratic_phase(chi0, staged)
-        self.coeffs, captured = self.basis.expand(staged)
-        if captured < min_capture:
+        if float(self.eps.value(0.0)) != 0.0 and not psi0.edge_decay_ok():
+            raise SupportLeakage("initial state does not decay at the grid edge")
+        self.coeffs = self.grid.dx * (self._frame(0.0).conj() @ psi0.values)
+        captured = float(np.sum(np.abs(self.coeffs) ** 2)) / psi0.norm() ** 2
+        if captured < MIN_CAPTURE:
             raise TruncationError(
-                f"basis of size {basis_size} captures only {captured:.12f}")
+                f"basis of size {BASIS_SIZE} captures only {captured:.12f}")
+
+    def _frame(self, t):
+        """Rows e^(-e/2) e^(i chi e^(-2e) x^2/2) phi_n(e^(-e) x), e = eps(t)."""
+        e, x = float(self.eps.value(t)), self.grid.x
+        chi = self.m0_static * float(self.eps.d1(t))
+        envelope = np.exp(-0.5 * e + 0.5j * chi * np.exp(-2.0 * e) * x * x)
+        return envelope * self.basis.at(np.exp(-e) * x)
 
     def __call__(self, t):
-        t = float(t)
-        phases = np.exp(-1j * self.basis.energies() * t)
-        evolved = self.basis.synthesize(self.coeffs * phases)
-        et = float(self.eps.value(t))
-        chit = self.m0_static * float(self.eps.d1(t))
-        out = apply_quadratic_phase(-chit, evolved)
-        return apply_point_unitary(self._lin, -et, out)
+        phases = np.exp(-1j * self.basis.energies() * float(t))
+        out = WaveFunction(self.grid, (self.coeffs * phases) @ self._frame(t))
+        if not out.edge_decay_ok(tol=1e-9):
+            raise SupportLeakage("evolved support reaches the grid edge")
+        return out
 
     def trajectory(self, t_grid, stride):
         """The exact states at the times a stepped run over t_grid would keep."""
@@ -287,13 +290,13 @@ class ExactSolvablePropagator:
         return Trajectory(times, states, report)
 
 
-def exact_solvable_propagate(family, psi0, t, **kwargs):
+def exact_solvable_propagate(family, psi0, t, *, static_mass=None):
     """psi(t) for the time-dependent oscillator (m(t), w) of a solvable family.
 
     Results are independent of the ``static_mass`` gauge choice (tested);
     the default m0 = m(0) makes the t = 0 dilation the identity.
     """
-    return ExactSolvablePropagator(family, psi0, **kwargs)(t)
+    return ExactSolvablePropagator(family, psi0, static_mass=static_mass)(t)
 
 
 # -- closed-form Gaussian transport ---------------------------------------------

@@ -212,7 +212,10 @@ class TestErrorPaths:
         path.write_text(json.dumps(scenario))
         code, out = invoke(capsys, "propagate", str(path))
         assert code == 2
-        assert json.loads(out)["error"]["kind"] == "DomainBlowup"
+        error = json.loads(out)["error"]
+        assert error["kind"] == "DomainBlowup"
+        indices = error["detail"]["indices"]
+        assert isinstance(indices, list) and indices
 
     def test_schema_error_exits_64(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

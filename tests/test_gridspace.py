@@ -48,6 +48,14 @@ class TestStates:
         assert back.grid == psi.grid
         assert np.max(np.abs(back.values - psi.values)) < 1e-15
 
+    def test_fidelity_never_exceeds_one(self):
+        # rounding in the overlap and the norms reads 1 + O(1e-16) unclamped
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            psi = WaveFunction(GRID, rng.normal(size=GRID.n)
+                               + 1j * rng.normal(size=GRID.n))
+            assert psi.fidelity(psi) <= 1.0
+
     def test_edge_decay_flags_wide_states(self):
         wide = GaussianState(a=0.02).to_wavefunction(Grid.from_interval(-6, 6, 128))
         assert not wide.edge_decay_ok()

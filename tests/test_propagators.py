@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from canonflow.errors import ResolutionError, TruncationError
+from canonflow import gridspace, propagators
+from canonflow.errors import ResolutionError, SupportLeakage, TruncationError
 from canonflow.flowcore import GeneratorSpec
 from canonflow.gridspace import (GaussianState, Grid, WaveFunction,
                                  apply_point_unitary, apply_quadratic_phase,
@@ -182,6 +183,46 @@ class TestExactChain:
         a = prop(1.0)
         b = exact_solvable_propagate(CK, psi, 1.0)
         assert a.fidelity(b) > 1.0 - 1e-12
+
+    @pytest.mark.parametrize("static_mass", [None, 2.0])
+    def test_never_resamples(self, monkeypatch, static_mass):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the exact chain resampled a grid state")
+
+        for module in (propagators, gridspace):
+            for name in ("apply_point_unitary", "band_limited_values",
+                         "flow_evaluate"):
+                monkeypatch.setattr(module, name, refuse, raising=False)
+        psi = GaussianState(a=1.0, center=1.0).to_wavefunction(GRID)
+        prop = ExactSolvablePropagator(CK, psi, static_mass=static_mass)
+        for t in (0.0, 0.7, 2.5, 5.0):
+            assert abs(prop(t).norm() - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("static_mass", [None, 2.0])
+    def test_pointwise_against_gaussian_oracle(self, static_mass):
+        g = GaussianState(a=1.0, center=1.0)
+        prop = ExactSolvablePropagator(CK, g.to_wavefunction(GRID),
+                                       static_mass=static_mass)
+        for t in np.linspace(0.0, 5.0, 11):
+            oracle = gaussian_exact_propagate(CK, g, float(t),
+                                              static_mass=static_mass)
+            gap = np.abs(prop(t).values - oracle.to_wavefunction(GRID).values)
+            assert np.max(gap) < 2.2e-15
+
+    def test_narrow_grid_raises_support_leakage(self):
+        # a falling mass spreads the state until it reaches the grid edge
+        fam = SolvableFamily(m0=1.0, mu=0.0, nu=1.0, alpha=0.2, Omega0=1.0)
+        narrow = Grid.from_interval(-8.0, 8.0, 512)
+        prop = ExactSolvablePropagator(
+            fam, GaussianState(a=1.0).to_wavefunction(narrow))
+        assert prop(1.0).edge_decay_ok(tol=1e-9)
+        with pytest.raises(SupportLeakage):
+            prop(5.0)
+
+    def test_far_off_centre_truncates(self):
+        psi = GaussianState(a=1.0, center=6.0).to_wavefunction(GRID)
+        with pytest.raises(TruncationError):
+            ExactSolvablePropagator(CK, psi)
 
 
 class TestGaussianTransport:
