@@ -311,15 +311,15 @@ def run_scenario(path, outdir=None):
 
 # -- subcommand handlers -----------------------------------------------------------
 
+def _generator_arg(args):
+    """The generator named by ``--f`` (and ``--rate`` for exp-decay)."""
+    return _build_generator({"type": args.f.replace("-", "_"),
+                             "rate": args.rate}, "--f")
+
+
 def _cmd_flow(args):
-    if args.f == "exp-decay":
-        gen = GeneratorSpec.exp_decay(args.rate)
-    elif args.f == "linear":
-        gen = GeneratorSpec.linear()
-    else:
-        gen = GeneratorSpec.quadratic()
     xs = np.asarray(args.x, dtype=float)
-    ev = flow_evaluate(gen, args.eps, xs)
+    ev = flow_evaluate(_generator_arg(args), args.eps, xs)
     if args.all:
         out = [{"x": float(xi), "x_out": float(o), "jacobian": float(j),
                 "weight": float(w)}
@@ -359,23 +359,15 @@ def _cmd_solvable(args):
 
 
 def _cmd_metric(args):
+    metric = metric_from_generator(_generator_arg(args), args.eps)
+    xs = np.linspace(args.xmin, args.xmax, args.samples)
     if args.invert:
-        gen = _build_generator({"type": args.f.replace("-", "_"),
-                                **({"rate": args.rate} if args.f == "exp-decay" else {})},
-                               "metric")
-        metric = metric_from_generator(gen, args.eps)
         rec = generator_from_metric(metric, args.eps, anchor=args.anchor,
                                     working_interval=(args.xmin, args.xmax))
-        xs = np.linspace(args.xmin, args.xmax, args.samples)
         print("x,phi,f")
         for xi in xs:
             print(f"{_fmt(xi)},{_fmt(rec.flow(xi))},{_fmt(rec.generator.f(xi))}")
         return 0
-    gen = _build_generator({"type": args.f.replace("-", "_"),
-                            **({"rate": args.rate} if args.f == "exp-decay" else {})},
-                           "metric")
-    metric = metric_from_generator(gen, args.eps)
-    xs = np.linspace(args.xmin, args.xmax, args.samples)
     gs = metric.g(xs)
     print("x,g")
     for xi, gi in zip(xs, gs):

@@ -184,7 +184,7 @@ def _closed_flow(gen, eps, x):
     return phi, jac, w
 
 
-def _ode_flow(gen, eps, x, rtol, atol, blowup_bound, with_jacobian):
+def _ode_flow(gen, eps, x, rtol, atol, with_jacobian):
     """Adaptive flow integration, optionally with the variational equation.
 
     The flow parameter is rescaled to s in [0, 1] so that entries with
@@ -216,8 +216,8 @@ def _ode_flow(gen, eps, x, rtol, atol, blowup_bound, with_jacobian):
         m = np.max(np.abs(phi))
         if np.isfinite(lo) or np.isfinite(hi):
             margin = np.min(np.minimum(phi - lo, hi - phi))
-            return min(blowup_bound - m, margin)
-        return blowup_bound - m
+            return min(BLOWUP_BOUND - m, margin)
+        return BLOWUP_BOUND - m
 
     escape.terminal = True
 
@@ -242,8 +242,7 @@ def _ode_flow(gen, eps, x, rtol, atol, blowup_bound, with_jacobian):
 
 
 def flow_evaluate(gen, eps, x, *, method="auto", rtol=FLOW_RTOL,
-                  atol=FLOW_ATOL, blowup_bound=BLOWUP_BOUND,
-                  with_jacobian=True):
+                  atol=FLOW_ATOL, with_jacobian=True):
     """Evaluate phi_eps(x), its x-derivative, and the conjugation factor.
 
     ``eps`` and ``x`` may be scalars or broadcastable arrays.  With
@@ -267,8 +266,7 @@ def flow_evaluate(gen, eps, x, *, method="auto", rtol=FLOW_RTOL,
             raise ValueError("no closed form for a custom generator")
         phi, jac, w = _closed_flow(gen, ea, xa)
     elif method == "ode":
-        phi, jac, w = _ode_flow(gen, ea, xa, rtol, atol, blowup_bound,
-                                with_jacobian)
+        phi, jac, w = _ode_flow(gen, ea, xa, rtol, atol, with_jacobian)
     else:
         raise ValueError(f"unknown flow method {method!r}")
 

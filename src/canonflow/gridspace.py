@@ -15,9 +15,13 @@ and U p U^dag = sqrt(w) p sqrt(w) with w = 1/phi'.  Expectation values of a
 *transformed state* therefore move with the inverse map, e.g. for f(x) = x,
 <x> of U psi equals e^(-eps) <x> of psi while U x U^dag = e^(+eps) x.
 
-Resampling after a point transform uses band-limited (trigonometric)
-interpolation; values whose preimage leaves the grid are only zeroed after
-checking that the state carries no weight there (never silent clamping).
+A point transform evaluates the flow once, as a vector, on the window of
+grid points between the preimages of the grid's two ends: by monotonicity
+those are exactly the points whose image lies in the grid, so none of them
+escapes.  It then resamples with band-limited (trigonometric)
+interpolation; values outside the window are only zeroed after checking
+that the state carries no weight where they would read (never silent
+clamping).
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from .flowcore import GeneratorSpec, flow_evaluate
 
 EDGE_FRACTION = 0.02     # outer fraction of points used by the edge-decay check
 LEAK_TOL = 1e-10         # default relative amplitude threshold
+NORM_TOL = 1e-6          # norm deviation ``expectation`` accepts as normalized
 
 
 @dataclass(frozen=True)
@@ -100,8 +105,8 @@ class WaveFunction:
         ov = abs(self.inner(other))
         return min(1.0, float(ov / (self.norm() * other.norm())))
 
-    def edge_decay_ok(self, frac=EDGE_FRACTION, tol=LEAK_TOL):
-        m = max(1, int(round(frac * self.grid.n)))
+    def edge_decay_ok(self, tol=LEAK_TOL):
+        m = max(1, int(round(EDGE_FRACTION * self.grid.n)))
         peak = np.max(np.abs(self.values))
         if peak == 0:
             return True
@@ -227,12 +232,19 @@ def band_limited_values(psi, points):
 def apply_point_unitary(gen, eps, psi, *, leak_tol=LEAK_TOL):
     """Apply (U psi)(x) = sqrt(phi'(x)) psi(phi(x)) on the grid.
 
+    One-dimensional flows preserve order, so the grid points whose image
+    lands in the grid are exactly those between the preimages
+    phi_(-eps)(x0) and phi_(-eps)(xmax) of the grid's ends (clipped into the
+    generator's domain); an end without a preimage leaves that side open.
+    The map is evaluated in one vector pass over that window, so no point
+    it evaluates escapes.
+
     Raises ``SupportLeakage`` when the input's relative edge amplitude or
-    the fraction of its probability outside the window read by the flow
-    (that mass would be lost, never silently clamped) exceeds ``leak_tol``,
-    or when the transformed support touches the grid edge.  Grid points
-    whose flow image is undefined or out of grid are zero-filled only after
-    those checks pass.
+    the fraction of its probability outside the image of the window (that
+    mass would be lost, never silently clamped) exceeds ``leak_tol``, when
+    no grid point has an image in the grid, or when the transformed support
+    touches the grid edge.  Grid points outside the window are zero-filled
+    only after those checks pass.
     """
     if eps == 0.0:
         return WaveFunction(psi.grid, psi.values)
@@ -242,27 +254,23 @@ def apply_point_unitary(gen, eps, psi, *, leak_tol=LEAK_TOL):
     grid = psi.grid
     x = grid.x
 
-    # Flow images of the grid; points past a finite-parameter escape are
-    # handled individually (their preimage carries no amplitude).
-    defined = np.ones(grid.n, dtype=bool)
-    try:
-        ev = flow_evaluate(gen, eps, x)
-        y = np.asarray(ev.x_out)
-        jac = np.asarray(ev.jacobian)
-    except DomainBlowup:
-        y = np.full(grid.n, np.nan)
-        jac = np.zeros(grid.n)
-        for i, xi in enumerate(x):
-            try:
-                evi = flow_evaluate(gen, eps, float(xi))
-                y[i] = evi.x_out
-                jac[i] = evi.jacobian
-            except DomainBlowup:
-                defined[i] = False
-        if not np.any(defined):
-            raise
+    # preimages of the grid's ends bound the points mapped into the grid
+    pre = [-np.inf, np.inf]
+    for side, end in enumerate(np.clip([grid.x0, grid.xmax], *gen.domain)):
+        try:
+            pre[side] = flow_evaluate(gen, -eps, float(end),
+                                      with_jacobian=False).x_out
+        except DomainBlowup:
+            pass                # no preimage: that side stays open
+    read = gen.in_domain(x) & (x >= pre[0]) & (x <= pre[1])
+    y = np.full(grid.n, np.nan)
+    jac = np.zeros(grid.n)
+    if np.any(read):
+        ev = flow_evaluate(gen, eps, x[read])
+        y[read] = ev.x_out
+        jac[read] = ev.jacobian
 
-    in_grid = defined & (y >= grid.x0) & (y <= grid.xmax)
+    in_grid = (y >= grid.x0) & (y <= grid.xmax)
     if not np.any(in_grid):
         raise SupportLeakage("flow maps the whole grid outside itself")
 
@@ -296,7 +304,7 @@ def apply_quadratic_phase(chi, psi):
 _SIMPLE_OBSERVABLES = ("x", "x2", "p", "p2", "xp_anticomm")
 
 
-def expectation(observable, psi, *, norm_tol=1e-6):
+def expectation(observable, psi):
     """<psi|O|psi> for O in {x, x2, p, p2, xp_anticomm, H(a,b,c)}.
 
     ``observable`` is one of the strings above or an object with fields
@@ -304,7 +312,7 @@ def expectation(observable, psi, *, norm_tol=1e-6):
     state; the (tiny) imaginary residue of the Hermitian expectation is
     checked and a warning is emitted above 1e-10.
     """
-    if abs(psi.norm() - 1.0) > norm_tol:
+    if abs(psi.norm() - 1.0) > NORM_TOL:
         raise NotNormalized(f"state norm is {psi.norm():.6g}, expected 1")
     grid = psi.grid
     x = grid.x
@@ -329,9 +337,8 @@ def expectation(observable, psi, *, norm_tol=1e-6):
             val = mean_of(x * pv) + mean_of(apply_momentum(x * v, grid, 1))
     else:
         a, b, c = observable.a, observable.b, observable.c
-        val = (a * expectation("p2", psi, norm_tol=norm_tol)
-               + b * expectation("x2", psi, norm_tol=norm_tol)
-               + 0.5 * c * expectation("xp_anticomm", psi, norm_tol=norm_tol))
+        val = (a * expectation("p2", psi) + b * expectation("x2", psi)
+               + 0.5 * c * expectation("xp_anticomm", psi))
         return float(val)
 
     if abs(val.imag) > 1e-10 * max(1.0, abs(val.real)):

@@ -42,6 +42,14 @@ from .flowcore import GeneratorSpec, flow_evaluate
 from .gridspace import apply_point_unitary, apply_weighted_kinetic
 from .propagators import crank_nicolson_curved, free_propagate
 
+TABLE_SAMPLES = 4097         # flow-table points on the extended interval
+MIN_DISPLACEMENT = 0.02      # displacement bump, as a fraction of the working span
+NODE_SPACING = 0.02          # spacing of the Abel generator's spline nodes
+MAX_JUNCTIONS = 200000       # anchor-orbit length before the seed is rejected
+# Relative amplitude the equivalence check lets the point unitaries truncate
+# (see ``verify_metric_equivalence``).
+EQUIVALENCE_LEAK_TOL = 1e-3
+
 
 @dataclass(frozen=True)
 class MetricProfile:
@@ -193,28 +201,26 @@ class ReconstructedGenerator:
     displacement: float        # minimal |phi(x) - x| on the working interval
 
 
-def _extend_domain(working, metric_domain, factor=1.5):
+def _extend_domain(working, metric_domain):
     lo, hi = working
     span = hi - lo
     margin = 0.02 * span        # keep clear of metric singularities
-    elo = max(metric_domain[0] + margin, lo - factor * span)
-    ehi = min(metric_domain[1] - margin, hi + factor * span)
+    elo = max(metric_domain[0] + margin, lo - 1.5 * span)
+    ehi = min(metric_domain[1] - margin, hi + 1.5 * span)
     return min(elo, lo), max(ehi, hi)
 
 
-def generator_from_metric(metric, eps, anchor, working_interval, *,
-                          extended_interval=None, samples=4097,
-                          min_displacement=None):
+def generator_from_metric(metric, eps, anchor, working_interval):
     """Find a generator whose eps-flow reproduces the metric g = (phi')^2.
 
     The flow map is phi(x) = phi(anchor) + int_anchor^x sqrt(g); the free
     constant phi(anchor) is fixed by the minimal fixed-point-free
-    displacement on ``extended_interval`` (default: the working interval
-    stretched 1.5x on both sides, clipped to the metric's domain).  When the
-    minimal displacement would put a fixed point strictly inside the
-    extension (or the metric is flat, where every shift works), the
-    displacement is bumped by ``min_displacement`` (default: 2% of the
-    working span); the round-tripped metric does not depend on this choice.
+    displacement on an extended interval (the working interval stretched
+    1.5x on both sides, clipped to the metric's domain).  When the minimal
+    displacement would put a fixed point strictly inside the extension (or
+    the metric is flat, where every shift works), the displacement is bumped
+    by ``MIN_DISPLACEMENT`` of the working span; the round-tripped metric
+    does not depend on this choice.
 
     Returns a :class:`ReconstructedGenerator`; its ``generator`` is a Custom
     :class:`GeneratorSpec` tabulated through the Abel construction whose
@@ -229,11 +235,7 @@ def generator_from_metric(metric, eps, anchor, working_interval, *,
     anchor = float(anchor)
     if not lo <= anchor <= hi:
         raise ValueError("anchor must lie in the working interval")
-    if extended_interval is None:
-        extended_interval = _extend_domain((lo, hi), metric.domain)
-    elo, ehi = extended_interval
-    if not (elo <= lo and hi <= ehi):
-        raise ValueError("extended interval must contain the working interval")
+    elo, ehi = _extend_domain((lo, hi), metric.domain)
 
     # cumulative proper length P(x) = int_anchor^x sqrt(g), high-order dense
     def rhs(x, _):
@@ -256,14 +258,11 @@ def generator_from_metric(metric, eps, anchor, working_interval, *,
             out[~up] = sol_dn.sol(x[~up])[0]
         return out
 
-    xs = np.linspace(elo, ehi, int(samples))
+    xs = np.linspace(elo, ehi, TABLE_SAMPLES)
     pvals = proper(xs)
 
     # choose phi(anchor): smallest displacement without an interior fixed point
     disp_fn = xs - pvals        # phi_C(x) - x = C - (x - P(x))
-    span = hi - lo
-    if min_displacement is None:
-        min_displacement = 0.02 * span
     if eps > 0:
         c_border = float(np.max(disp_fn))
         extremum = xs[np.argmax(disp_fn)]
@@ -276,7 +275,7 @@ def generator_from_metric(metric, eps, anchor, working_interval, *,
     if at_outer_edge and not degenerate:
         bump = 0.0               # borderline member: fixed point beyond the extension
     else:
-        bump = min_displacement if eps > 0 else -min_displacement
+        bump = np.copysign(MIN_DISPLACEMENT * (hi - lo), eps)
     c_val = c_border + bump
     phi_anchor = c_val  # phi(anchor) = C since P(anchor) = 0
 
@@ -295,8 +294,7 @@ def generator_from_metric(metric, eps, anchor, working_interval, *,
                                   displacement=min_disp)
 
 
-def _abel_generator(flow, eps, anchor, working, extended, *,
-                    node_spacing=0.02, max_junctions=200000):
+def _abel_generator(flow, eps, anchor, working, extended):
     """Generator construction through the Abel recursion.
 
     On the fundamental domain between anchor and phi(anchor) the Abel
@@ -355,7 +353,7 @@ def _abel_generator(flow, eps, anchor, working, extended, *,
             if ups[-1] > phi_hi:
                 break
             ups.append(float(flow.inverse(ups[-1])))
-        if len(ups) > max_junctions:
+        if len(ups) > MAX_JUNCTIONS:
             raise FixedPointInInterval(
                 "anchor orbit does not traverse the domain (displacement too small)")
     downs = [a]
@@ -368,7 +366,7 @@ def _abel_generator(flow, eps, anchor, working, extended, *,
             if downs[-1] < elo:
                 break
             downs.append(float(flow(downs[-1])))
-        if len(downs) > max_junctions:
+        if len(downs) > MAX_JUNCTIONS:
             raise FixedPointInInterval(
                 "anchor orbit does not traverse the domain (displacement too small)")
     junctions = np.concatenate([downs[::-1], ups[1:]])
@@ -405,7 +403,7 @@ def _abel_generator(flow, eps, anchor, working, extended, *,
     node_blocks = []
     for left, right in zip(pieces[:-1], pieces[1:]):
         width = right - left
-        m = max(7, int(np.ceil(width / node_spacing)) + 1)
+        m = max(7, int(np.ceil(width / NODE_SPACING)) + 1)
         # absolute setback: must exceed the residual forward/inverse fuzz
         shrink = max(1e-9 * (1.0 + max(abs(left), abs(right))), 1e-7 * width)
         node_blocks.append(np.linspace(left + shrink, right - shrink, m))
@@ -448,8 +446,7 @@ class EquivalenceReport:
     wall_time_s: float
 
 
-def verify_metric_equivalence(gen, eps, psi0, t_final, *, m=1.0, dt=1e-3,
-                              stride=None, leak_tol=1e-3):
+def verify_metric_equivalence(gen, eps, psi0, t_final, *, m=1.0, dt=1e-3):
     """Check exp(-i H_g t) psi0 = U exp(-i H_free t) U^dag psi0 numerically.
 
     Valid for constant eps only (a time-dependent parameter adds a
@@ -460,11 +457,11 @@ def verify_metric_equivalence(gen, eps, psi0, t_final, *, m=1.0, dt=1e-3,
     When the flow is incomplete (e.g. f = e^(-x)), the curved line ends at a
     finite-proper-distance boundary that both pictures resolve as a
     low-amplitude pile-up region (relative amplitude around 1e-3 in the
-    shipped scenarios, carrying mass of order 1e-7).  ``leak_tol`` is
-    passed to the point unitaries so those matched tails are transported or
-    truncated rather than rejected; the truncated mass, not the amplitude,
-    bounds the fidelity impact and stays orders of magnitude below the
-    1e-4 scale the equivalence is checked at.
+    shipped scenarios, carrying mass of order 1e-7).  The point unitaries
+    therefore run at ``EQUIVALENCE_LEAK_TOL`` = 1e-3, so those matched tails
+    are transported or truncated rather than rejected; the truncated mass,
+    not the amplitude, bounds the fidelity impact and stays orders of
+    magnitude below the 1e-4 scale the equivalence is checked at.
     """
     import time as _time
 
@@ -472,11 +469,11 @@ def verify_metric_equivalence(gen, eps, psi0, t_final, *, m=1.0, dt=1e-3,
     metric = metric_from_generator(gen, eps)
     nsteps = max(1, int(round(t_final / dt)))
     t_grid = np.linspace(0.0, t_final, nsteps + 1)
-    curved = crank_nicolson_curved(metric, m, psi0, t_grid, stride=stride)
+    curved = crank_nicolson_curved(metric, m, psi0, t_grid)
 
-    staged = apply_point_unitary(gen, -eps, psi0, leak_tol=leak_tol)
+    staged = apply_point_unitary(gen, -eps, psi0, leak_tol=EQUIVALENCE_LEAK_TOL)
     flown = free_propagate(staged, t_final, m=m)
-    flat_side = apply_point_unitary(gen, eps, flown, leak_tol=leak_tol)
+    flat_side = apply_point_unitary(gen, eps, flown, leak_tol=EQUIVALENCE_LEAK_TOL)
 
     fid = curved.final.fidelity(flat_side)
     return EquivalenceReport(fidelity=float(fid),

@@ -86,14 +86,15 @@ def _validate_time_grid(t_grid):
     return t, float(dt[0])
 
 
-def _check_resolution(psi, tail_frac=0.1, tol=1e-10):
-    """Reject states whose momentum content reaches the grid's Nyquist zone."""
+def _check_resolution(psi):
+    """Reject states with spectral weight above 1e-10 of the peak in the outer
+    tenth of the wavenumbers, next to the grid's Nyquist frequency."""
     spec = np.abs(np.fft.fft(psi.values))
     n = psi.grid.n
-    m = max(1, int(round(tail_frac * n / 2)))
+    m = max(1, int(round(0.1 * n / 2)))
     half = n // 2
     tail = max(np.max(spec[half - m:half + 1]), np.max(spec[half:half + m]))
-    if tail > tol * np.max(spec):
+    if tail > 1e-10 * np.max(spec):
         raise ResolutionError("spectral tail above threshold; refine dx")
 
 

@@ -1,8 +1,12 @@
 """Tests for grid states, the point/phase unitaries, and observables."""
 
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from canonflow import gridspace
 from canonflow.errors import NotNormalized, SupportLeakage
 from canonflow.flowcore import GeneratorSpec
 from canonflow.gridspace import (GaussianState, Grid, WaveFunction,
@@ -11,7 +15,21 @@ from canonflow.gridspace import (GaussianState, Grid, WaveFunction,
                                  wavefunction_from_csv, wavefunction_to_csv)
 
 LIN = GeneratorSpec.linear()
+EXP1 = GeneratorSpec.exp_decay(1.0)
+X2_CUSTOM = GeneratorSpec.custom(lambda t: t * t)
 GRID = Grid.from_interval(-10.0, 10.0, 1024)
+X2_GRID = Grid.from_interval(-20.0, 20.0, 1024)
+EXP_GRID = Grid.from_interval(-4.0, 20.0, 2048)
+X2_STATE = GaussianState(a=4.0, center=0.3, momentum=0.4)
+EXP_STATE = GaussianState(a=4.0, center=5.0, momentum=-0.7)
+
+# Flows that escape to infinity inside the grid: x^2 at eps*x -> 1 and the
+# backward e^(-x) flow below x = ln(0.4).
+ESCAPING = [
+    pytest.param(X2_CUSTOM, 0.2, X2_GRID, X2_STATE, id="custom-x2-forward"),
+    pytest.param(X2_CUSTOM, -0.2, X2_GRID, X2_STATE, id="custom-x2-backward"),
+    pytest.param(EXP1, -0.4, EXP_GRID, EXP_STATE, id="exp-decay-backward"),
+]
 
 
 def ground():
@@ -120,11 +138,85 @@ class TestPointUnitary:
         out = apply_point_unitary(gen, 0.4, psi)
         assert abs(out.norm() - 1.0) < 1e-9
 
+    @pytest.mark.parametrize("gen,eps,grid,state", ESCAPING)
+    def test_escaping_flow_one_vector_pass(self, monkeypatch, gen, eps, grid, state):
+        # two scalar preimages of the grid's ends and one vector pass; no
+        # per-point evaluation even where the flow escapes inside the grid
+        calls = []
+        original = gridspace.flow_evaluate
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(gridspace, "flow_evaluate", counted)
+        psi = state.to_wavefunction(grid)
+        start = time.perf_counter()
+        out = apply_point_unitary(gen, eps, psi)
+        assert time.perf_counter() - start < 0.5
+        assert len(calls) <= 3
+        assert abs(out.norm() - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("eps", [0.2, -0.2])
+    def test_escaping_custom_flow_matches_closed_form(self, eps):
+        psi = X2_STATE.to_wavefunction(X2_GRID)
+        custom = apply_point_unitary(X2_CUSTOM, eps, psi)
+        closed = apply_point_unitary(GeneratorSpec.quadratic(), eps, psi)
+        assert np.max(np.abs(custom.values - closed.values)) < 1e-10
+
+    @pytest.mark.parametrize("eps", [0.4, -0.4])
+    def test_nonlinear_pointwise_oracle(self, eps):
+        # sqrt(phi'(x)) psi(phi(x)) with phi(x) = ln(e^x + eps) in closed form;
+        # points whose image is undefined are zero
+        x = EXP_GRID.x
+        arg = np.exp(x) + eps
+        ok = arg > 0
+        u = np.log(arg[ok]) - EXP_STATE.center
+        a = EXP_STATE.a
+        oracle = np.zeros(EXP_GRID.n, dtype=complex)
+        oracle[ok] = (np.sqrt(1.0 / (1.0 + eps * np.exp(-x[ok])))
+                      * (a / np.pi) ** 0.25
+                      * np.exp(-0.5 * a * u * u + 1j * EXP_STATE.momentum * u))
+        out = apply_point_unitary(EXP1, eps, EXP_STATE.to_wavefunction(EXP_GRID))
+        assert np.max(np.abs(out.values - oracle)) < 1e-13
+
+    def test_no_image_in_grid_raises_support_leakage(self):
+        # e^(-x) at eps -0.4 is undefined below x = ln(0.4): a grid there has
+        # no point with an image
+        grid = Grid.from_interval(-6.0, -2.0, 64)
+        psi = GaussianState(a=16.0, center=-4.0).to_wavefunction(grid)
+        with pytest.raises(SupportLeakage):
+            apply_point_unitary(EXP1, -0.4, psi)
+
     def test_support_leakage_raised(self):
         # expanding transform pushes the support past the grid edge
         psi = GaussianState(a=0.6).to_wavefunction(Grid.from_interval(-8, 8, 256))
         with pytest.raises(SupportLeakage):
             apply_point_unitary(LIN, -1.2, psi)
+
+
+# U(eps) U(-eps) psi = psi and norm preservation on random Gaussians; the
+# ranges keep every state and its images clear of the grid edges
+ROUND_TRIPS = {
+    "linear": (LIN, Grid.from_interval(-14.0, 14.0, 512), (-1.0, 1.0)),
+    "exp_decay": (EXP1, Grid.from_interval(-4.0, 14.0, 576), (4.5, 6.0)),
+}
+
+
+@settings(derandomize=True, database=None, deadline=1000, max_examples=40)
+@given(kind=st.sampled_from(sorted(ROUND_TRIPS)),
+       eps=st.floats(-0.4, 0.4),
+       a=st.floats(2.0, 4.0),
+       center=st.floats(0.0, 1.0),
+       momentum=st.floats(-1.0, 1.0))
+def test_point_unitary_round_trip(kind, eps, a, center, momentum):
+    gen, grid, (lo, hi) = ROUND_TRIPS[kind]
+    psi = GaussianState(a=a, center=lo + center * (hi - lo),
+                        momentum=momentum).to_wavefunction(grid)
+    there = apply_point_unitary(gen, eps, psi)
+    back = apply_point_unitary(gen, -eps, there)
+    assert abs(there.norm() - psi.norm()) < 1e-12
+    assert np.max(np.abs(back.values - psi.values)) < 1e-11
 
 
 class TestQuadraticPhase:
