@@ -10,7 +10,8 @@ metric      metric from a generator, or generator recovered from a metric
 verify      run the bundled verification suites
 
 Exit codes: 0 success, 1 failed verification checks, 2 domain errors (with a
-machine-readable error JSON on stdout), 64 usage or scenario-schema errors.
+machine-readable error JSON on stdout), 64 usage, scenario-schema or
+invalid-argument errors (the latter two with the same error JSON).
 The environment variable CANONFLOW_OUT overrides the output directory of
 ``propagate``.  Trajectory CSVs are byte-stable for identical inputs.
 """
@@ -464,11 +465,15 @@ def main(argv=None):
     try:
         return args.func(args)
     except CanonflowError as exc:
+        code = 64 if isinstance(exc, ScenarioError) else 2
         error = {"kind": exc.kind, "message": str(exc)}
         if exc.detail is not None:
             error["detail"] = exc.detail
-        print(json.dumps({"error": error}))
-        return 64 if isinstance(exc, ScenarioError) else 2
+    except ValueError as exc:
+        # an argument value the library rejects, e.g. an empty interval
+        code, error = 64, {"kind": "ValueError", "message": str(exc)}
+    print(json.dumps({"error": error}))
+    return code
 
 
 if __name__ == "__main__":

@@ -76,7 +76,7 @@ class SingularMetric(CanonflowError):
 
 
 class LinearSolveFailure(CanonflowError):
-    """A banded/sparse linear solve failed or was too ill-conditioned."""
+    """A banded linear solve failed or was too ill-conditioned."""
 
     kind = "LinearSolveFailure"
 

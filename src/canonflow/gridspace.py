@@ -192,11 +192,6 @@ class GaussianState:
 
 # -- spectral helpers ---------------------------------------------------------
 
-def spectral_derivative(values, grid, order=1):
-    """order-th derivative via FFT (periodic wrap)."""
-    return np.fft.ifft((1j * grid.k) ** order * np.fft.fft(values))
-
-
 def apply_momentum(values, grid, power=1):
     """(p^power psi) with p = -i d/dx, spectrally."""
     return np.fft.ifft(grid.k ** power * np.fft.fft(values))
@@ -364,7 +359,7 @@ class BracketReport:
 
 def _anticomm_apply(fvals, dfvals, values, grid):
     """{g(x), p} psi = -i (2 g psi' + g' psi), spectrally."""
-    dpsi = spectral_derivative(values, grid, 1)
+    dpsi = 1j * apply_momentum(values, grid)
     return -1j * (2.0 * fvals * dpsi + dfvals * values)
 
 
@@ -396,7 +391,7 @@ def verify_bracket_identities(f1, f2, grid, probes):
                                 _anticomm_apply(f2v, df2v, v, grid), grid)
                 - _anticomm_apply(f2v, df2v,
                                   _anticomm_apply(f1v, df1v, v, grid), grid))
-        rhs2 = -(2.0 * hv * spectral_derivative(v, grid, 1) + dhv * v)
+        rhs2 = -(2j * hv * apply_momentum(v, grid) + dhv * v)
         res2 = max(res2, _l2(lhs2 - rhs2, grid) / nrm)
 
     return BracketReport(float(res1), float(res2))

@@ -92,20 +92,13 @@ class TimeProfile:
     def __call__(self, t):
         return self.value(t)
 
-    def derivative_consistency(self, ts, h=None):
+    def derivative_consistency(self, ts):
         """Max mismatch between stored and finite-difference derivatives."""
         ts = np.asarray(ts, dtype=float)
-        if h is None:
-            span = max(np.ptp(ts), 1.0)
-            h = 1e-4 * span
-        fd1 = (self.value(ts - 2 * h) - 8 * self.value(ts - h)
-               + 8 * self.value(ts + h) - self.value(ts + 2 * h)) / (12 * h)
-        fd2 = (-self.value(ts - 2 * h) + 16 * self.value(ts - h)
-               - 30 * self.value(ts) + 16 * self.value(ts + h)
-               - self.value(ts + 2 * h)) / (12 * h * h)
+        fd = TimeProfile.from_callable(self.value, timescale=max(np.ptp(ts), 1.0))
         scale = 1.0 + np.max(np.abs(self.value(ts)))
-        return float(max(np.max(np.abs(fd1 - self.d1(ts))),
-                         np.max(np.abs(fd2 - self.d2(ts)))) / scale)
+        return float(max(np.max(np.abs(fd.d1(ts) - self.d1(ts))),
+                         np.max(np.abs(fd.d2(ts) - self.d2(ts)))) / scale)
 
 
 def epsilon_from_mass(mass, m0):

@@ -53,7 +53,7 @@ EQUIVALENCE_LEAK_TOL = 1e-3
 
 @dataclass(frozen=True)
 class MetricProfile:
-    """A positive metric g(x) on an interval (time-independent snapshot)."""
+    """A positive, time-independent metric g(x) on an interval."""
 
     g: Callable
     domain: Tuple[float, float] = (-np.inf, np.inf)
@@ -91,27 +91,6 @@ class MetricProfile:
         if np.any(vals <= 0) or np.any(~np.isfinite(vals)):
             raise SingularMetric("metric must be positive and finite")
         return vals
-
-
-@dataclass(frozen=True)
-class MetricFamily:
-    """A time-indexed family g(x; t) of metrics.
-
-    Evolution and equivalence checks operate on fixed-time snapshots (the
-    dynamic equivalence with a single generator is exact only for a constant
-    transform parameter), so the family only hands out profiles.
-    """
-
-    g_of_xt: Callable
-    domain: Tuple[float, float] = (-np.inf, np.inf)
-    name: str = ""
-
-    def at_time(self, t):
-        t = float(t)
-        return MetricProfile(
-            g=lambda x, _t=t: np.asarray(self.g_of_xt(np.asarray(x, dtype=float), _t),
-                                         dtype=float),
-            domain=self.domain, name=f"{self.name}@t={t}")
 
 
 def metric_from_generator(gen, eps, name=None):

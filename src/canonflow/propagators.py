@@ -41,8 +41,6 @@ from typing import List
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .errors import (LinearSolveFailure, ResolutionError, SingularMetric,
                      SupportLeakage, TruncationError)
@@ -388,7 +386,8 @@ def curved_kinetic_diagonals(gvals, m, dx):
 
 
 def apply_curved_kinetic(diagonals, values):
-    """H psi for the (main, second) pair from ``curved_kinetic_diagonals``."""
+    """A psi for a symmetric band pair (main, second) with offsets 0 and +-2,
+    such as H from ``curved_kinetic_diagonals`` or 1 - i H dt/2."""
     main, second = diagonals
     hv = main * values
     hv[:-2] += second * values[2:]
@@ -402,26 +401,28 @@ def crank_nicolson_curved(metric, m, psi0, t_grid, *, stride=None):
     (1 + i H dt/2) psi_{n+1} = (1 - i H dt/2) psi_n with H Hermitian banded,
     hence exactly norm-preserving up to the linear-solve tolerance.  The
     metric is sampled once (time-independent evolution); Dirichlet ends.
+    H couples only j and j +- 2, so the even- and odd-indexed unknowns form
+    two tridiagonal systems, each LU-factored once by LAPACK (zgttrf).
     """
     t, dt = _validate_time_grid(t_grid)
     grid = psi0.grid
-    n = grid.n
-    gvals = np.asarray(metric.g(grid.x), dtype=float)
-    diagonals = curved_kinetic_diagonals(gvals, float(m), grid.dx)
+    diagonals = curved_kinetic_diagonals(metric.g(grid.x), float(m), grid.dx)
     main, second = diagonals
-    # sparse storage only as the LU factorization's input format
-    ham = scipy.sparse.diags([second, main, second], offsets=[-2, 0, 2],
-                             shape=(n, n), format="csc")
-    eye = scipy.sparse.identity(n, format="csc")
-    a_plus = (eye + 0.5j * dt * ham).tocsc()
-    a_minus = (eye - 0.5j * dt * ham).tocsc()
-    try:
-        solver = scipy.sparse.linalg.splu(a_plus)
-    except RuntimeError as exc:
-        raise LinearSolveFailure(f"Cayley factorization failed: {exc}")
+    half = 0.5j * dt
+    minus = (1.0 - half * main, -half * second)
+    factors = []
+    for p in (0, 1):
+        off = half * second[p::2]
+        *lu, info = scipy.linalg.lapack.zgttrf(off, 1.0 + half * main[p::2], off)
+        if info != 0:
+            raise LinearSolveFailure(f"Cayley factorization failed (info {info})")
+        factors.append(lu)
 
     def update(i, values):
-        out = solver.solve(a_minus @ values)
+        rhs = apply_curved_kinetic(minus, values)
+        out = np.empty_like(rhs)
+        for p, lu in enumerate(factors):
+            out[p::2] = scipy.linalg.lapack.zgttrs(*lu, rhs[p::2])[0]
         if not np.all(np.isfinite(out)):
             raise LinearSolveFailure("Crank-Nicolson solve produced non-finite values")
         return out

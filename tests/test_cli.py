@@ -224,6 +224,27 @@ class TestErrorPaths:
         assert code == 64
         assert json.loads(out)["error"]["kind"] == "ScenarioError"
 
+    @pytest.mark.parametrize("argv", [
+        ["metric", "--f", "linear", "--eps", "0.3", "--xmin", "1", "--xmax", "3",
+         "--invert"],
+        ["metric", "--f", "linear", "--eps", "0", "--invert"],
+        ["metric", "--f", "linear", "--eps", "0.3", "--xmin", "3", "--xmax", "1",
+         "--invert"],
+        ["solvable", "--m0", "1", "--mu", "0", "--nu", "0", "--alpha", "0.1",
+         "--Omega0", "1"],
+        ["propagate", "SCENARIO_N4"],
+    ], ids=["anchor-outside", "zero-eps", "empty-interval", "mu-nu-zero",
+            "grid-n4"])
+    def test_invalid_argument_value_exits_64(self, argv, tmp_path, capsys):
+        scenario = ck_scenario(tmp_path, tmp_path / "out", n=4)
+        argv = [str(scenario) if a == "SCENARIO_N4" else a for a in argv]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 64
+        error = json.loads(captured.out)["error"]
+        assert error["kind"] == "ValueError" and error["message"]
+        assert "Traceback" not in captured.err
+
     def test_usage_error_exits_64(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["flow", "--f", "nonsense", "--eps", "0.1", "--x", "1.0"])

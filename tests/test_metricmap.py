@@ -192,14 +192,3 @@ class TestEquivalence:
         rep = verify_metric_equivalence(LIN, 0.3, psi, 1.0, dt=1e-3)
         assert rep.fidelity > 1.0 - 1e-4
 
-
-class TestMetricFamily:
-    def test_snapshots(self):
-        from canonflow.metricmap import MetricFamily
-        fam = MetricFamily(g_of_xt=lambda x, t: (1.0 + 0.4 * np.exp(t) * np.exp(-x)) ** -2,
-                           name="moving")
-        snap = fam.at_time(0.0)
-        xs = np.linspace(-2, 2, 7)
-        assert np.allclose(snap.g(xs), (1.0 + 0.4 * np.exp(-xs)) ** -2, rtol=1e-13)
-        later = fam.at_time(1.0)
-        assert np.all(later.g(xs) < snap.g(xs))

@@ -1,10 +1,14 @@
 """Tests for the propagators: exact chain, split-step, Gaussian transport, CN."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from canonflow import gridspace, propagators
-from canonflow.errors import ResolutionError, SupportLeakage, TruncationError
+from canonflow.errors import (LinearSolveFailure, ResolutionError,
+                              SupportLeakage, TruncationError)
 from canonflow.flowcore import GeneratorSpec
 from canonflow.gridspace import (GaussianState, Grid, WaveFunction,
                                  apply_point_unitary, apply_quadratic_phase,
@@ -304,6 +308,70 @@ class TestCrankNicolson:
         bad = MetricProfile.from_callable(lambda x: np.asarray(x))  # negative left half
         with pytest.raises(SingularMetric):
             crank_nicolson_curved(bad, 1.0, psi, np.linspace(0, 0.1, 11))
+
+    def test_non_finite_state_raises(self):
+        grid = Grid.from_interval(-8.0, 8.0, 256)
+        values = GaussianState(a=1.0).to_wavefunction(grid).values.copy()
+        values[100] = np.nan
+        with pytest.raises(LinearSolveFailure):
+            crank_nicolson_curved(MetricProfile.constant(1.0), 1.0,
+                                  WaveFunction(grid, values),
+                                  np.linspace(0.0, 0.01, 3))
+
+
+def test_library_has_no_sparse_matrices():
+    for path in sorted(Path(propagators.__file__).parent.glob("*.py")):
+        assert "scipy.sparse" not in path.read_text(), path.name
+
+
+# Random smooth positive metrics g = exp(c1 sin(k x + phase) + c2 tanh(x - x0))
+# on [-10, 10); the dense operator is built here from its definition, not
+# from ``curved_kinetic_diagonals``.
+CN_CASES = dict(n=st.integers(64, 256),
+                c1=st.floats(-1.0, 1.0), k=st.floats(0.1, 1.0),
+                phase=st.floats(0.0, 2.0 * np.pi),
+                c2=st.floats(-1.0, 1.0), x0=st.floats(-5.0, 5.0),
+                m=st.floats(0.5, 2.0), dt=st.floats(1e-4, 0.05),
+                seed=st.integers(0, 2 ** 32 - 1))
+
+
+def random_cn_case(n, c1, k, phase, c2, x0, seed):
+    grid = Grid.from_interval(-10.0, 10.0, n)
+    metric = MetricProfile.from_callable(
+        lambda x: np.exp(c1 * np.sin(k * x + phase) + c2 * np.tanh(x - x0)))
+    rng = np.random.default_rng(seed)
+    psi = WaveFunction(grid, rng.normal(size=n) + 1j * rng.normal(size=n))
+    return grid, metric, psi
+
+
+def dense_curved_kinetic(gvals, m, dx):
+    """(1/2m) A S^T M S A with Dirichlet central differences S."""
+    n = gvals.size
+    s = (np.eye(n, k=1) - np.eye(n, k=-1)) / (2.0 * dx)
+    a = np.diag(gvals ** -0.25)
+    return a @ s.T @ np.diag(gvals ** -0.5) @ s @ a / (2.0 * m)
+
+
+@settings(derandomize=True, database=None, deadline=1000, max_examples=40)
+@given(**CN_CASES)
+def test_cn_step_matches_dense_solve(n, c1, k, phase, c2, x0, m, dt, seed):
+    grid, metric, psi = random_cn_case(n, c1, k, phase, c2, x0, seed)
+    ham = dense_curved_kinetic(metric.g(grid.x), m, grid.dx)
+    eye = np.eye(n)
+    want = np.linalg.solve(eye + 0.5j * dt * ham,
+                           (eye - 0.5j * dt * ham) @ psi.values)
+    got = crank_nicolson_curved(metric, m, psi, np.linspace(0.0, dt, 2)).final
+    assert np.linalg.norm(got.values - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@settings(derandomize=True, database=None, deadline=1000, max_examples=40)
+@given(**CN_CASES)
+def test_cn_norm_over_fifty_steps(n, c1, k, phase, c2, x0, m, dt, seed):
+    grid, metric, psi = random_cn_case(n, c1, k, phase, c2, x0, seed)
+    traj = crank_nicolson_curved(metric, m, psi, np.linspace(0.0, 50 * dt, 51),
+                                 stride=1)
+    norms = np.array([state.norm() for state in traj.states])
+    assert np.max(np.abs(norms - psi.norm())) <= 1e-12 * psi.norm()
 
 
 def dense_oracle(ham, grid):
