@@ -32,7 +32,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
+
+# solve_ivp is imported inside _ode_flow: only custom generators integrate
+# their flow, so closed-form flows load numpy only.
 
 from .errors import DomainBlowup, StepFailure
 
@@ -197,6 +199,8 @@ def _ode_flow(gen, eps, x, rtol, atol, with_jacobian):
     sampling f' for merely piecewise-smooth generators); the jacobian slot
     of the result is then None.
     """
+    from scipy.integrate import solve_ivp
+
     n = x.size
     e = np.broadcast_to(eps, x.shape).astype(float).ravel()
     x0 = x.ravel()

@@ -30,12 +30,14 @@ produces it - splits into two stages:
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Callable, Tuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline, PPoly
+
+# scipy is imported inside the functions that call it, so that importing
+# this module (and with it the CLI) loads numpy only.
 
 from .errors import (FixedPointInInterval, NonMonotoneFlow, SingularMetric)
 from .flowcore import GeneratorSpec, flow_evaluate
@@ -82,6 +84,8 @@ class MetricProfile:
             raise ValueError("sample abscissae must be strictly increasing")
         if np.any(g <= 0):
             raise SingularMetric("metric samples must be positive")
+        from scipy.interpolate import CubicSpline
+
         spline = CubicSpline(x, g)
         return cls(g=lambda q: np.asarray(spline(q), dtype=float),
                    domain=(float(x[0]), float(x[-1])), name=name)
@@ -136,6 +140,8 @@ class FlowTable:
     """
 
     def __init__(self, xs, phis, sqrt_g_vals):
+        from scipy.interpolate import CubicSpline
+
         if np.any(np.diff(phis) <= 0) or np.any(np.diff(xs) <= 0):
             raise NonMonotoneFlow("tabulated flow map is not strictly increasing")
         self._xs = xs
@@ -216,6 +222,8 @@ def generator_from_metric(metric, eps, anchor, working_interval):
         raise ValueError("anchor must lie in the working interval")
     elo, ehi = _extend_domain((lo, hi), metric.domain)
 
+    from scipy.integrate import solve_ivp
+
     # cumulative proper length P(x) = int_anchor^x sqrt(g), high-order dense
     def rhs(x, _):
         return [np.sqrt(float(metric.check_positive(np.asarray([x]))[0]))]
@@ -288,6 +296,8 @@ def _abel_generator(flow, eps, anchor, working, extended):
     into a piecewise cubic whose evaluation and derivative are cheap and
     never difference across a junction.
     """
+    from scipy.interpolate import CubicSpline, PPoly
+
     a = float(anchor)
     fa = float(flow(a))
     lo_dom, hi_dom = min(a, fa), max(a, fa)
@@ -442,9 +452,7 @@ def verify_metric_equivalence(gen, eps, psi0, t_final, *, m=1.0, dt=1e-3):
     not the amplitude, bounds the fidelity impact and stays orders of
     magnitude below the 1e-4 scale the equivalence is checked at.
     """
-    import time as _time
-
-    t0 = _time.perf_counter()
+    t0 = time.perf_counter()
     metric = metric_from_generator(gen, eps)
     nsteps = max(1, int(round(t_final / dt)))
     t_grid = np.linspace(0.0, t_final, nsteps + 1)
@@ -457,4 +465,4 @@ def verify_metric_equivalence(gen, eps, psi0, t_final, *, m=1.0, dt=1e-3):
     fid = curved.final.fidelity(flat_side)
     return EquivalenceReport(fidelity=float(fid),
                              curved_norm_drift=curved.report.max_norm_drift,
-                             wall_time_s=_time.perf_counter() - t0)
+                             wall_time_s=time.perf_counter() - t0)

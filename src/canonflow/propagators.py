@@ -40,7 +40,9 @@ from dataclasses import dataclass
 from typing import List
 
 import numpy as np
-import scipy.linalg
+
+# scipy.linalg is imported inside the two functions that call it, so the
+# oscillator propagators load numpy only.
 
 from .errors import (LinearSolveFailure, ResolutionError, SingularMetric,
                      SupportLeakage, TruncationError)
@@ -404,6 +406,8 @@ def crank_nicolson_curved(metric, m, psi0, t_grid, *, stride=None):
     H couples only j and j +- 2, so the even- and odd-indexed unknowns form
     two tridiagonal systems, each LU-factored once by LAPACK (zgttrf).
     """
+    from scipy.linalg.lapack import zgttrf, zgttrs
+
     t, dt = _validate_time_grid(t_grid)
     grid = psi0.grid
     diagonals = curved_kinetic_diagonals(metric.g(grid.x), float(m), grid.dx)
@@ -413,7 +417,7 @@ def crank_nicolson_curved(metric, m, psi0, t_grid, *, stride=None):
     factors = []
     for p in (0, 1):
         off = half * second[p::2]
-        *lu, info = scipy.linalg.lapack.zgttrf(off, 1.0 + half * main[p::2], off)
+        *lu, info = zgttrf(off, 1.0 + half * main[p::2], off)
         if info != 0:
             raise LinearSolveFailure(f"Cayley factorization failed (info {info})")
         factors.append(lu)
@@ -422,7 +426,7 @@ def crank_nicolson_curved(metric, m, psi0, t_grid, *, stride=None):
         rhs = apply_curved_kinetic(minus, values)
         out = np.empty_like(rhs)
         for p, lu in enumerate(factors):
-            out[p::2] = scipy.linalg.lapack.zgttrs(*lu, rhs[p::2])[0]
+            out[p::2] = zgttrs(*lu, rhs[p::2])[0]
         if not np.all(np.isfinite(out)):
             raise LinearSolveFailure("Crank-Nicolson solve produced non-finite values")
         return out
@@ -455,6 +459,7 @@ def quadratic_hamiltonian_matrix(ham, grid):
 
 def oscillator_spectrum(ham, grid, k=8):
     """Lowest k eigenvalues of the finite-difference assembly."""
-    return scipy.linalg.eig_banded(quadratic_hamiltonian_matrix(ham, grid),
-                                   eigvals_only=True, select="i",
-                                   select_range=(0, k - 1))
+    from scipy.linalg import eig_banded
+
+    return eig_banded(quadratic_hamiltonian_matrix(ham, grid),
+                      eigvals_only=True, select="i", select_range=(0, k - 1))

@@ -17,6 +17,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List
 
 import numpy as np
+# Loaded here, not first inside a suite's timed region (the library defers them).
+import scipy.integrate  # noqa: F401
+import scipy.interpolate  # noqa: F401
+import scipy.linalg  # noqa: F401
 
 from . import flowcore, gridspace, hamiltonians, metricmap, propagators
 from .flowcore import GeneratorSpec, flow_evaluate

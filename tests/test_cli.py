@@ -2,11 +2,15 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from canonflow.cli import TRAJECTORY_HEADER, main, run_scenario
+import canonflow
+from canonflow import verify
+from canonflow.cli import SUITE_NAMES, TRAJECTORY_HEADER, build_parser, main, run_scenario
 from canonflow.gridspace import GaussianState, Grid, wavefunction_to_csv
 
 
@@ -254,3 +258,52 @@ class TestErrorPaths:
         with pytest.raises(SystemExit) as err:
             main(["verify", "--suite", "bogus"])
         assert err.value.code == 64
+
+
+# the README's Caldirola-Kanai scenario, run by the transform chain
+README_SCENARIO = {
+    "system": {"kind": "oscillator",
+               "family": {"m0": 1.0, "mu": 1.0, "nu": 0.0, "alpha": 0.1, "Omega0": 1.0}},
+    "initial_state": {"kind": "gaussian", "width_re": 1.0, "center": 1.0, "momentum": 0.0},
+    "grid": {"xmin": -12.0, "xmax": 12.0, "n": 2048},
+    "propagator": {"method": "exact", "dt": 0.001, "t_final": 5.0, "output_stride": 250},
+    "outputs": {"directory": "runs/damped", "formats": ["csv", "json", "gnuplot"]},
+}
+
+
+def scipy_modules_after(code, cwd):
+    """The scipy modules a fresh interpreter holds after running ``code``."""
+    src = os.path.dirname(os.path.dirname(canonflow.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    script = (code + "\nimport json, sys\n"
+              "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))")
+    proc = subprocess.run([sys.executable, "-c", script], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestColdStart:
+    """Commands that never call scipy do not import it."""
+
+    @pytest.mark.parametrize("code", [
+        "from canonflow.cli import build_parser\nbuild_parser()",
+        "from canonflow.cli import main\n"
+        "assert main(['flow', '--f', 'quadratic', '--eps', '0.25', '--x', '2.0']) == 0",
+        "from canonflow.cli import main\n"
+        "assert main(['propagate', 'scenario.json', '--out', 'run']) == 0",
+    ], ids=["parser", "flow-quadratic", "propagate-exact"])
+    def test_no_scipy_loaded(self, code, tmp_path):
+        (tmp_path / "scenario.json").write_text(json.dumps(README_SCENARIO))
+        assert scipy_modules_after(code, tmp_path) == []
+
+    def test_verify_loads_scipy_up_front(self, tmp_path):
+        # so that no timed suite pays for the import
+        loaded = scipy_modules_after("import canonflow.verify", tmp_path)
+        assert {"scipy.integrate", "scipy.interpolate", "scipy.linalg"} <= set(loaded)
+
+    def test_parser_suite_names_match_verify(self):
+        assert SUITE_NAMES == tuple(verify.SUITES)
+        args = build_parser().parse_args(["verify", "--suite", *verify.SUITES])
+        assert args.suite == list(verify.SUITES)

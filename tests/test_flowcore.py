@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings, strategies as st
 
 from canonflow.errors import DomainBlowup
 from canonflow.flowcore import (GeneratorSpec, bracket_generator,
@@ -134,6 +135,50 @@ class TestFlowProperties:
         ev = flow_evaluate(GeneratorSpec.custom(lambda t: t, name="x"), 0.5, 0.0)
         assert ev.f2 == pytest.approx(np.exp(-0.5), abs=1e-9)
         assert ev.jacobian == pytest.approx(np.exp(0.5), abs=1e-9)
+
+
+# x ranges on which phi_a, phi_b and phi_(a+b) stay defined for |a|, |b| <= 0.3
+GROUP_LAW_CLOSED = {"linear": (LIN, (-1.5, 1.5)), "quadratic": (QUAD, (-1.5, 1.5)),
+                    "exp_decay": (EXP1, (0.0, 1.5))}
+unit_points = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=16)
+
+
+def sine_generator(c0, ratio, k):
+    """The positive custom generator c0 (1 + ratio sin(k x)), |ratio| < 1."""
+    return GeneratorSpec.custom(lambda t: c0 * (1.0 + ratio * np.sin(k * t)),
+                                dfunc=lambda t: c0 * ratio * k * np.cos(k * t),
+                                name="sine")
+
+
+@pytest.mark.parametrize("kind", sorted(GROUP_LAW_CLOSED))
+@settings(derandomize=True, database=None, deadline=1000, max_examples=40)
+@given(a=st.floats(-0.3, 0.3), b=st.floats(-0.3, 0.3), u=unit_points)
+def test_group_law_closed_property(kind, a, b, u):
+    gen, (lo, hi) = GROUP_LAW_CLOSED[kind]
+    x = lo + (hi - lo) * np.asarray(u)
+    once = flow_map(gen, a + b, x)
+    twice = flow_map(gen, b, flow_map(gen, a, x))
+    assert np.max(np.abs(once - twice) / (1.0 + np.abs(once))) < 1e-12
+
+
+@settings(derandomize=True, database=None, deadline=2000, max_examples=30)
+@given(c0=st.floats(0.5, 2.0), ratio=st.floats(-0.9, 0.9), k=st.floats(0.2, 3.0),
+       a=st.floats(-0.5, 0.5), b=st.floats(-0.5, 0.5), u=unit_points)
+def test_group_law_ode_property(c0, ratio, k, a, b, u):
+    gen = sine_generator(c0, ratio, k)
+    x = -3.0 + 6.0 * np.asarray(u)
+    once = flow_map(gen, a + b, x)
+    twice = flow_map(gen, b, flow_map(gen, a, x))
+    assert np.max(np.abs(once - twice)) < 1e-8
+
+
+@settings(derandomize=True, database=None, deadline=2000, max_examples=30)
+@given(c0=st.floats(0.5, 2.0), ratio=st.floats(-0.9, 0.9), k=st.floats(0.2, 3.0),
+       eps=st.floats(-0.5, 0.5), u=unit_points)
+def test_canonicality_ode_property(c0, ratio, k, eps, u):
+    # the weight f(x)/f(phi) against the variational Jacobian, as suite_canonicality
+    ev = flow_evaluate(sine_generator(c0, ratio, k), eps, -3.0 + 6.0 * np.asarray(u))
+    assert np.max(np.abs(ev.f2 * ev.jacobian - 1.0)) < 1e-8
 
 
 class TestDomains:
