@@ -14,7 +14,9 @@ The inverse problem - given the metric, find a generator whose flow
 produces it - splits into two stages:
 
 1. the flow map itself: g = (phi')^2 forces phi(x) = phi(anchor) +
-   integral of sqrt(g), leaving only the value phi(anchor) free.  Among the
+   integral of sqrt(g), leaving only the value phi(anchor) free.  sqrt(g) is
+   tabulated once as a cubic spline and phi is its exact antiderivative, so
+   phi' is that spline everywhere.  Among the
    one-parameter family this module picks the minimal-displacement member
    that is fixed-point-free on an extended domain (for metrics generated by
    a flow whose generator decays somewhere, this recovers the original map;
@@ -30,7 +32,6 @@ produces it - splits into two stages:
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable, Tuple
 
@@ -131,40 +132,43 @@ def curved_hamiltonian(metric, m, grid):
 # -- inverse problem -----------------------------------------------------------
 
 class FlowTable:
-    """Monotone tabulated flow map with inverse and derivative sqrt(g).
+    """Monotone flow map phi = C + int sqrt(g) on one spline of sqrt(g).
 
-    The inverse refines a spline guess with Newton steps on the *forward*
-    spline, so forward and inverse agree to rounding; the Abel construction
-    iterates the pair hundreds of times, and any forward/inverse mismatch
-    would shift the reconstructed generator's junction structure.
+    ``sqrt_g`` is a cubic spline of sqrt(g) and phi is its exact
+    antiderivative shifted by ``offset``, so ``derivative`` is the spline
+    itself.  The inverse refines a spline guess with Newton steps on the
+    forward map, dividing by that same spline, so forward and inverse agree
+    to rounding; the Abel construction iterates the pair hundreds of times,
+    and any forward/inverse mismatch would shift the reconstructed
+    generator's junction structure.
     """
 
-    def __init__(self, xs, phis, sqrt_g_vals):
+    def __init__(self, sqrt_g, offset):
         from scipy.interpolate import CubicSpline
 
-        if np.any(np.diff(phis) <= 0) or np.any(np.diff(xs) <= 0):
+        self._sqrt_g = sqrt_g
+        self._phi = sqrt_g.antiderivative()
+        self._offset = float(offset)
+        xs = sqrt_g.x
+        phis = self(xs)
+        if np.any(np.diff(phis) <= 0):
             raise NonMonotoneFlow("tabulated flow map is not strictly increasing")
-        self._xs = xs
-        self._phis = phis
-        self._fwd = CubicSpline(xs, phis)
-        self._dfwd = self._fwd.derivative()
         self._inv = CubicSpline(phis, xs)
-        self._sqrt_g = CubicSpline(xs, sqrt_g_vals)
         self.x_range = (float(xs[0]), float(xs[-1]))
         self.phi_range = (float(phis[0]), float(phis[-1]))
 
     def __call__(self, x):
-        return self._fwd(x)
+        return self._phi(x) + self._offset
 
     def inverse(self, y):
         y = np.asarray(y, dtype=float)
         x = np.clip(self._inv(y), self.x_range[0], self.x_range[1])
         for _ in range(3):
-            x = x - (self._fwd(x) - y) / self._dfwd(x)
+            x = x - (self(x) - y) / self._sqrt_g(x)
         return x
 
     def derivative(self, x):
-        """phi'(x) = sqrt(g(x)), from the dense tabulation."""
+        """phi'(x) = sqrt(g(x)), the tabulating spline."""
         return self._sqrt_g(x)
 
 
@@ -183,7 +187,6 @@ class ReconstructedGenerator:
     eps: float
     anchor: float
     seed_value: float          # phi(anchor)
-    displacement: float        # minimal |phi(x) - x| on the working interval
 
 
 def _extend_domain(working, metric_domain):
@@ -222,31 +225,14 @@ def generator_from_metric(metric, eps, anchor, working_interval):
         raise ValueError("anchor must lie in the working interval")
     elo, ehi = _extend_domain((lo, hi), metric.domain)
 
-    from scipy.integrate import solve_ivp
+    from scipy.interpolate import CubicSpline
 
-    # cumulative proper length P(x) = int_anchor^x sqrt(g), high-order dense
-    def rhs(x, _):
-        return [np.sqrt(float(metric.check_positive(np.asarray([x]))[0]))]
-
-    sol_up = solve_ivp(rhs, (anchor, ehi), [0.0], method="DOP853",
-                       rtol=1e-12, atol=1e-14, dense_output=True)
-    sol_dn = solve_ivp(rhs, (anchor, elo), [0.0], method="DOP853",
-                       rtol=1e-12, atol=1e-14, dense_output=True)
-    if sol_up.status != 0 or sol_dn.status != 0:
-        raise NonMonotoneFlow("could not integrate sqrt(g) over the domain")
-
-    def proper(x):
-        x = np.asarray(x, dtype=float)
-        out = np.empty_like(x)
-        up = x >= anchor
-        if np.any(up):
-            out[up] = sol_up.sol(x[up])[0]
-        if np.any(~up):
-            out[~up] = sol_dn.sol(x[~up])[0]
-        return out
-
+    # cumulative proper length P(x) = int_anchor^x sqrt(g), exact on the spline
     xs = np.linspace(elo, ehi, TABLE_SAMPLES)
-    pvals = proper(xs)
+    sqrt_g = CubicSpline(xs, np.sqrt(metric.check_positive(xs)))
+    proper = sqrt_g.antiderivative()
+    p_anchor = float(proper(anchor))
+    pvals = proper(xs) - p_anchor
 
     # choose phi(anchor): smallest displacement without an interior fixed point
     disp_fn = xs - pvals        # phi_C(x) - x = C - (x - P(x))
@@ -263,8 +249,7 @@ def generator_from_metric(metric, eps, anchor, working_interval):
         bump = 0.0               # borderline member: fixed point beyond the extension
     else:
         bump = np.copysign(MIN_DISPLACEMENT * (hi - lo), eps)
-    c_val = c_border + bump
-    phi_anchor = c_val  # phi(anchor) = C since P(anchor) = 0
+    c_val = c_border + bump     # = phi(anchor), since P(anchor) = 0
 
     phis = c_val + pvals
     gap = (phis - xs) if eps > 0 else (xs - phis)
@@ -272,13 +257,25 @@ def generator_from_metric(metric, eps, anchor, working_interval):
         raise FixedPointInInterval(
             "flow map has a fixed point inside the working interval")
 
-    flow = FlowTable(xs, phis, np.sqrt(metric.check_positive(xs)))
-
+    flow = FlowTable(sqrt_g, c_val - p_anchor)
     gen = _abel_generator(flow, eps, anchor, (lo, hi), (elo, ehi))
-    min_disp = float(np.min(np.abs(gap[(xs >= lo) & (xs <= hi)])))
     return ReconstructedGenerator(generator=gen, flow=flow, eps=eps,
-                                  anchor=anchor, seed_value=float(phi_anchor),
-                                  displacement=min_disp)
+                                  anchor=anchor, seed_value=float(c_val))
+
+
+def _orbit(step, start, end, edge, sign):
+    """Points start, step(start), ... moving in direction ``sign``.
+
+    Stops once a point reaches ``end`` or lies past ``edge``, beyond which
+    ``step`` leaves the table.
+    """
+    points = [start]
+    while sign * points[-1] < sign * end and sign * points[-1] <= sign * edge:
+        points.append(float(step(points[-1])))
+        if len(points) > MAX_JUNCTIONS:
+            raise FixedPointInInterval(
+                "anchor orbit does not traverse the domain (displacement too small)")
+    return points
 
 
 def _abel_generator(flow, eps, anchor, working, extended):
@@ -332,32 +329,10 @@ def _abel_generator(flow, eps, anchor, working, extended):
     # the edge of the flow's image, beyond which no point has a preimage and
     # the remaining stretch is junction-free.
     phi_lo, phi_hi = flow.phi_range
-    ups = [a]
-    while ups[-1] < dhi:
-        if upward:
-            if ups[-1] > ehi:
-                break
-            ups.append(float(flow(ups[-1])))
-        else:
-            if ups[-1] > phi_hi:
-                break
-            ups.append(float(flow.inverse(ups[-1])))
-        if len(ups) > MAX_JUNCTIONS:
-            raise FixedPointInInterval(
-                "anchor orbit does not traverse the domain (displacement too small)")
-    downs = [a]
-    while downs[-1] > dlo:
-        if upward:
-            if downs[-1] < phi_lo:
-                break
-            downs.append(float(flow.inverse(downs[-1])))
-        else:
-            if downs[-1] < elo:
-                break
-            downs.append(float(flow(downs[-1])))
-        if len(downs) > MAX_JUNCTIONS:
-            raise FixedPointInInterval(
-                "anchor orbit does not traverse the domain (displacement too small)")
+    ups = _orbit(flow if upward else flow.inverse, a, dhi,
+                 ehi if upward else phi_hi, 1.0)
+    downs = _orbit(flow.inverse if upward else flow, a, dlo,
+                   phi_lo if upward else elo, -1.0)
     junctions = np.concatenate([downs[::-1], ups[1:]])
     if np.any(np.diff(junctions) <= 0):
         raise NonMonotoneFlow("anchor orbit is not monotone")
@@ -386,14 +361,17 @@ def _abel_generator(flow, eps, anchor, working, extended):
         raise FixedPointInInterval(
             "Abel recursion did not reach the fundamental domain")
 
-    # junction-aware nodes, kept strictly inside each piece
-    pieces = np.concatenate([[dlo], junctions[(junctions > dlo)
-                                              & (junctions < dhi)], [dhi]])
+    # junction-aware nodes, kept strictly inside each piece by a setback that
+    # must exceed the residual forward/inverse fuzz.  Round-off can put a
+    # junction within a setback of a domain end; it is dropped, so that no
+    # piece is narrower than twice its setback.
+    reach = 2e-9 * (1.0 + max(abs(dlo), abs(dhi)))
+    pieces = np.concatenate([[dlo], junctions[(junctions > dlo + reach)
+                                              & (junctions < dhi - reach)], [dhi]])
     node_blocks = []
     for left, right in zip(pieces[:-1], pieces[1:]):
         width = right - left
         m = max(7, int(np.ceil(width / NODE_SPACING)) + 1)
-        # absolute setback: must exceed the residual forward/inverse fuzz
         shrink = max(1e-9 * (1.0 + max(abs(left), abs(right))), 1e-7 * width)
         node_blocks.append(np.linspace(left + shrink, right - shrink, m))
     nodes = np.concatenate(node_blocks)
@@ -432,7 +410,6 @@ class EquivalenceReport:
 
     fidelity: float
     curved_norm_drift: float
-    wall_time_s: float
 
 
 def verify_metric_equivalence(gen, eps, psi0, t_final, *, m=1.0, dt=1e-3):
@@ -452,7 +429,6 @@ def verify_metric_equivalence(gen, eps, psi0, t_final, *, m=1.0, dt=1e-3):
     not the amplitude, bounds the fidelity impact and stays orders of
     magnitude below the 1e-4 scale the equivalence is checked at.
     """
-    t0 = time.perf_counter()
     metric = metric_from_generator(gen, eps)
     nsteps = max(1, int(round(t_final / dt)))
     t_grid = np.linspace(0.0, t_final, nsteps + 1)
@@ -464,5 +440,4 @@ def verify_metric_equivalence(gen, eps, psi0, t_final, *, m=1.0, dt=1e-3):
 
     fid = curved.final.fidelity(flat_side)
     return EquivalenceReport(fidelity=float(fid),
-                             curved_norm_drift=curved.report.max_norm_drift,
-                             wall_time_s=time.perf_counter() - t0)
+                             curved_norm_drift=curved.report.max_norm_drift)

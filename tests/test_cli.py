@@ -249,6 +249,13 @@ class TestErrorPaths:
         assert error["kind"] == "ValueError" and error["message"]
         assert "Traceback" not in captured.err
 
+    def test_error_kind_is_class_name(self):
+        exported = [obj for obj in vars(canonflow).values()
+                    if isinstance(obj, type) and issubclass(obj, canonflow.CanonflowError)]
+        assert len(exported) == 15
+        for cls in exported:
+            assert cls("message").kind == cls.__name__
+
     def test_usage_error_exits_64(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["flow", "--f", "nonsense", "--eps", "0.1", "--x", "1.0"])
@@ -297,6 +304,13 @@ class TestColdStart:
     def test_no_scipy_loaded(self, code, tmp_path):
         (tmp_path / "scenario.json").write_text(json.dumps(README_SCENARIO))
         assert scipy_modules_after(code, tmp_path) == []
+
+    def test_metric_invert_loads_no_integrator(self, tmp_path):
+        code = ("from canonflow.cli import main\n"
+                "assert main(['metric', '--f', 'exp-decay', '--eps', '0.4', '--invert']) == 0")
+        loaded = scipy_modules_after(code, tmp_path)
+        assert "scipy.interpolate" in loaded
+        assert [m for m in loaded if m.startswith("scipy.integrate")] == []
 
     def test_verify_loads_scipy_up_front(self, tmp_path):
         # so that no timed suite pays for the import

@@ -247,3 +247,38 @@ class TestBracketGenerator:
         h = bracket_generator(QUAD, EXP1)
         xs = np.linspace(-1.5, 2.0, 11)
         assert np.allclose(h(xs), oracle(xs), rtol=1e-9)
+
+
+def _symbolic_family():
+    """f = c0 + c1 x + c2 x^2 + c3 e^(-lam x), its derivative, and the bracket h
+    = 2 (f1 f2' - f2 f1') of two members, each lambdified over x and the
+    coefficients."""
+    x = sp.symbols("x")
+    first, second = (sp.symbols(f"c0:4_{i} lam_{i}") for i in (1, 2))
+
+    def member(c0, c1, c2, c3, lam):
+        return c0 + c1 * x + c2 * x ** 2 + c3 * sp.exp(-lam * x)
+
+    f1, f2 = member(*first), member(*second)
+    h = 2 * (f1 * sp.diff(f2, x) - f2 * sp.diff(f1, x))
+    return (sp.lambdify((x, *first), f1, "numpy"),
+            sp.lambdify((x, *first), sp.diff(f1, x), "numpy"),
+            sp.lambdify((x, *first, *second), h, "numpy"))
+
+
+FAMILY_F, FAMILY_DF, FAMILY_H = _symbolic_family()
+family_params = st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0),
+                          st.floats(-2.0, 2.0), st.floats(0.1, 2.0))
+
+
+@settings(derandomize=True, database=None, deadline=1000, max_examples=60)
+@given(p1=family_params, p2=family_params, u=unit_points)
+def test_bracket_generator_symbolic_property(p1, p2, u):
+    gens = [GeneratorSpec.custom(lambda t, p=p: FAMILY_F(t, *p),
+                                 dfunc=lambda t, p=p: FAMILY_DF(t, *p), name="family")
+            for p in (p1, p2)]
+    x = -2.0 + 4.0 * np.asarray(u)
+    h = bracket_generator(*gens)(x)
+    oracle = FAMILY_H(x, *p1, *p2)
+    scale = 1.0 + np.abs(gens[0].f(x) * gens[1].df(x)) + np.abs(gens[1].f(x) * gens[0].df(x))
+    assert np.max(np.abs(h - oracle) / scale) < 1e-13

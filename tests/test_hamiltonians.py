@@ -1,8 +1,11 @@
 """Tests for the quadratic-coefficient algebra and the solvable mass family."""
 
+import functools
+
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings, strategies as st
 
 from canonflow.errors import (ImaginaryFrequency, MassZeroCrossing,
                               NegativeRadicand)
@@ -34,16 +37,49 @@ def nc_coefficients(expr, x, p):
     return sp.simplify(a), sp.simplify(b), sp.simplify(2 * cxp)
 
 
+PARAMS = sp.symbols("a b c epsilon depsilon chi dchi", real=True)
+
+
+@functools.cache
+def symbolic_image(transform):
+    """(a, b, c) of H = a p^2 + b x^2 + (c/2){x,p} after the transform, derived
+    by substitution into the noncommutative quadratic."""
+    x, p = sp.symbols("x p", commutative=False)
+    a, b, c, eps, deps, chi, dchi = PARAMS
+    if transform == "dilation":
+        # x -> e^eps x, p -> e^-eps p and the -(deps/2){x,p} drive
+        xp, pp, drive = sp.exp(eps) * x, sp.exp(-eps) * p, -(deps / 2) * (x * p + p * x)
+    else:
+        # p -> p + chi x and the (dchi/2) x^2 drive
+        xp, pp, drive = x, p + chi * x, (dchi / 2) * x ** 2
+    image = a * pp ** 2 + b * xp ** 2 + (c / 2) * (xp * pp + pp * xp) + drive
+    return nc_coefficients(image, x, p)
+
+
+@functools.cache
+def numeric_image(transform):
+    return sp.lambdify(PARAMS, symbolic_image(transform), "numpy")
+
+
+coefficient = st.floats(-2.0, 2.0)
+
+
+@settings(derandomize=True, database=None, deadline=2000, max_examples=60)
+@given(a=coefficient, b=coefficient, c=coefficient, eps=st.floats(-1.0, 1.0),
+       deps=coefficient, chi=coefficient, dchi=coefficient)
+def test_affine_laws_property(a, b, c, eps, deps, chi, dchi):
+    ham = QuadraticHamiltonian(a, b, c)
+    for transform, out in (("dilation", dilation_transform(ham, eps, deps)),
+                           ("phase", quadratic_phase_transform(ham, chi, dchi))):
+        expected = numeric_image(transform)(a, b, c, eps, deps, chi, dchi)
+        got = (out.a, out.b, out.c)
+        assert np.max(np.abs(np.subtract(got, expected))) < 1e-13 * (1.0 + np.max(np.abs(got)))
+
+
 class TestDilationTransform:
     def test_symbolic_oracle(self):
-        # substitute x -> e^eps x, p -> e^-eps p and add the -(deps/2){x,p} drive
-        x, p = sp.symbols("x p", commutative=False)
-        a, b, c, eps, deps = sp.symbols("a b c epsilon depsilon", real=True)
-        xp = sp.exp(eps) * x
-        pp = sp.exp(-eps) * p
-        image = (a * pp ** 2 + b * xp ** 2 + (c / 2) * (xp * pp + pp * xp)
-                 - (deps / 2) * (x * p + p * x))
-        ao, bo, co = nc_coefficients(image, x, p)
+        a, b, c, eps, deps, _, _ = PARAMS
+        ao, bo, co = symbolic_image("dilation")
         assert sp.simplify(ao - a * sp.exp(-2 * eps)) == 0
         assert sp.simplify(bo - b * sp.exp(2 * eps)) == 0
         assert sp.simplify(co - (c - deps)) == 0
@@ -80,13 +116,8 @@ class TestDilationTransform:
 
 class TestQuadraticPhaseTransform:
     def test_symbolic_oracle(self):
-        # substitute p -> p + chi x and add the (dchi/2) x^2 drive
-        x, p = sp.symbols("x p", commutative=False)
-        a, b, c, chi, dchi = sp.symbols("a b c chi dchi", real=True)
-        pp = p + chi * x
-        image = (a * pp ** 2 + b * x ** 2 + (c / 2) * (x * pp + pp * x)
-                 + (dchi / 2) * x ** 2)
-        ao, bo, co = nc_coefficients(image, x, p)
+        a, b, c, _, _, chi, dchi = PARAMS
+        ao, bo, co = symbolic_image("phase")
         assert sp.simplify(ao - a) == 0
         assert sp.simplify(bo - (b + a * chi ** 2 + c * chi + dchi / 2)) == 0
         assert sp.simplify(co - (c + 2 * a * chi)) == 0

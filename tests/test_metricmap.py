@@ -1,5 +1,7 @@
 """Tests for the free-particle <-> curved-metric correspondence."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -121,6 +123,18 @@ class TestGeneratorFromMetric:
         assert np.max(np.abs(fvals - shift / 0.5)) < 1e-10   # constant generator
         w = conjugation_factor(rec.generator, 0.5, xs)
         assert np.max(np.abs(np.asarray(w) ** -2.0 - 1.0)) < 1e-9
+
+    @pytest.mark.parametrize("value", [0.25, 1.0, 2.0, 4.0])
+    def test_flat_sweep_no_zero_width_piece(self, value):
+        # with g = 1 a junction of the anchor orbit can land within rounding
+        # of the generator's domain end; that must not leave an empty piece
+        for (lo, hi), eps in itertools.product([(-3.0, 3.0), (-4.0, 1.0)], [0.5, -0.5]):
+            for anchor in (lo, 0.5 * (lo + hi), hi):
+                rec = generator_from_metric(MetricProfile.constant(value), eps,
+                                            anchor=anchor, working_interval=(lo, hi))
+                xs = np.linspace(lo, hi, 9)
+                drift = rec.flow(xs) - np.sqrt(value) * xs - rec.flow(0.0)
+                assert np.max(np.abs(drift)) <= 1e-11
 
     def test_expdecay_recovers_true_flow(self):
         metric = metric_from_generator(EXP1, 0.4)
