@@ -202,10 +202,13 @@ def run_scenario(path, outdir=None):
     method = _require(prop, "method", str, "propagator")
     dt = _require(prop, "dt", float, "propagator")
     t_final = _require(prop, "t_final", float, "propagator")
-    stride = int(prop.get("output_stride", max(1, int(round(t_final / dt)) // 16)))
     if dt <= 0 or t_final <= 0:
         raise ScenarioError("propagator: dt and t_final must be positive")
     nsteps = max(1, int(round(t_final / dt)))
+    stride = (_require(prop, "output_stride", int, "propagator")
+              if "output_stride" in prop else max(1, nsteps // 16))
+    if stride < 1:
+        raise ScenarioError("propagator.output_stride: must be at least 1")
     t_grid = np.linspace(0.0, t_final, nsteps + 1)
 
     system = scenario["system"]

@@ -249,6 +249,26 @@ class TestErrorPaths:
         assert error["kind"] == "ValueError" and error["message"]
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("method,field,value", [
+        ("split_step", "dt", 0),
+        ("split_step", "output_stride", 0),
+        ("exact", "output_stride", -3),
+        ("split_step", "output_stride", -3),
+        ("split_step", "output_stride", 2.5),
+    ], ids=["dt-zero", "stride-zero", "stride-negative-exact",
+            "stride-negative-split-step", "stride-fractional"])
+    def test_bad_step_or_stride_exits_64(self, method, field, value, tmp_path, capsys):
+        path = ck_scenario(tmp_path, tmp_path / "out", method=method)
+        scenario = json.loads(path.read_text())
+        scenario["propagator"][field] = value
+        path.write_text(json.dumps(scenario))
+        code = main(["propagate", str(path)])
+        captured = capsys.readouterr()
+        assert code == 64
+        assert json.loads(captured.out)["error"]["kind"] == "ScenarioError"
+        assert "Traceback" not in captured.err
+        assert not (tmp_path / "out").exists()
+
     def test_error_kind_is_class_name(self):
         exported = [obj for obj in vars(canonflow).values()
                     if isinstance(obj, type) and issubclass(obj, canonflow.CanonflowError)]

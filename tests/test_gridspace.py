@@ -1,10 +1,11 @@
 """Tests for grid states, the point/phase unitaries, and observables."""
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from canonflow import gridspace
 from canonflow.errors import NotNormalized, SupportLeakage
@@ -217,6 +218,57 @@ def test_point_unitary_round_trip(kind, eps, a, center, momentum):
     back = apply_point_unitary(gen, -eps, there)
     assert abs(there.norm() - psi.norm()) < 1e-12
     assert np.max(np.abs(back.values - psi.values)) < 1e-11
+
+
+def dense_band_limited_values(psi, points):
+    """The trigonometric interpolant summed directly with an n x m phase matrix."""
+    grid = psi.grid
+    coeff = np.fft.fft(psi.values) / grid.n
+    phases = np.exp(1j * np.outer(np.asarray(points) - grid.x0, grid.k))
+    return phases @ coeff
+
+
+@settings(derandomize=True, database=None, deadline=2000, max_examples=50)
+@given(n=st.integers(8, 4096),
+       kind=st.sampled_from(["noise", "gaussian"]),
+       x0=st.floats(-10.0, 10.0),
+       length=st.floats(0.5, 50.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(n=4096, kind="noise", x0=-3.0, length=24.0, seed=1)
+@example(n=4095, kind="noise", x0=0.5, length=7.0, seed=2)
+@example(n=9, kind="gaussian", x0=-1.0, length=2.0, seed=3)
+def test_band_limited_values_match_dense_sum(n, kind, x0, length, seed):
+    # the NUFFT against the direct sum, for full-band and smooth states, at
+    # the grid's ends, inside it and in the wrapped cell [xmax, x0 + n dx)
+    rng = np.random.default_rng(seed)
+    grid = Grid.from_interval(x0, x0 + length, n)
+    if kind == "noise":
+        psi = WaveFunction(grid, rng.normal(size=n) + 1j * rng.normal(size=n))
+    else:
+        psi = GaussianState(a=1.0 / (rng.uniform(0.02, 0.2) * length) ** 2,
+                            center=x0 + rng.uniform(0.2, 0.8) * length,
+                            momentum=rng.uniform(-2.0, 2.0)).to_wavefunction(grid)
+    end = grid.x0 + n * grid.dx
+    points = np.concatenate([[grid.x0, grid.xmax],
+                             rng.uniform(grid.x0, end, 40),
+                             rng.uniform(grid.xmax, end, 8)])
+    coeff_l1 = np.sum(np.abs(np.fft.fft(psi.values))) / n
+    err = np.abs(gridspace.band_limited_values(psi, points)
+                 - dense_band_limited_values(psi, points))
+    assert np.max(err) <= 1e-12 * coeff_l1
+
+
+def test_band_limited_values_peak_memory():
+    # n = m = 2048; the dense phase matrix alone would take 64 MB
+    psi = EXP_STATE.to_wavefunction(EXP_GRID)
+    points = np.linspace(EXP_GRID.x0, EXP_GRID.xmax, EXP_GRID.n) + 0.3 * EXP_GRID.dx
+    tracemalloc.start()
+    try:
+        gridspace.band_limited_values(psi, points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 class TestQuadraticPhase:
