@@ -19,6 +19,7 @@ The environment variable CANONFLOW_OUT overrides the output directory of
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -40,6 +41,7 @@ from .propagators import (ExactSolvablePropagator, apply_curved_kinetic,
                           split_step_propagate)
 
 TRAJECTORY_HEADER = "t,norm,fidelity_vs_exact,x_mean,p_mean,energy"
+OUTPUT_FORMATS = ("csv", "json", "gnuplot")
 # ``verify.SUITES`` in order; spelled out so that the parser need not import
 # ``verify``, which loads scipy (tests pin the two to each other).
 SUITE_NAMES = ("canonicality", "closed_forms", "brackets", "reduction",
@@ -62,8 +64,14 @@ def _fmt(x):
 
 # -- scenario ingestion ---------------------------------------------------------
 
-def _require(mapping, key, kind, where):
+_MISSING = object()
+
+
+def _require(mapping, key, kind, where, default=_MISSING):
+    """mapping[key] checked against ``kind``; ``default`` if it is absent."""
     if key not in mapping:
+        if default is not _MISSING:
+            return default
         raise ScenarioError(f"{where}: missing required field {key!r}")
     val = mapping[key]
     if kind is float:
@@ -76,15 +84,10 @@ def _require(mapping, key, kind, where):
         if not isinstance(val, int) or isinstance(val, bool):
             raise ScenarioError(f"{where}.{key}: expected an integer")
         return val
-    if kind is str:
-        if not isinstance(val, str):
-            raise ScenarioError(f"{where}.{key}: expected a string")
-        return val
-    if kind is dict:
-        if not isinstance(val, dict):
-            raise ScenarioError(f"{where}.{key}: expected an object")
-        return val
-    raise AssertionError(kind)
+    names = {str: "a string", dict: "an object", list: "a list"}
+    if not isinstance(val, kind):
+        raise ScenarioError(f"{where}.{key}: expected {names[kind]}")
+    return val
 
 
 def _build_generator(spec, where):
@@ -157,10 +160,10 @@ def _build_state(spec, grid):
     kind = _require(spec, "kind", str, where)
     if kind == "gaussian":
         width = complex(_require(spec, "width_re", float, where),
-                        float(spec.get("width_im", 0.0)))
+                        _require(spec, "width_im", float, where, 0.0))
         state = GaussianState(a=width,
-                              center=float(spec.get("center", 0.0)),
-                              momentum=float(spec.get("momentum", 0.0)))
+                              center=_require(spec, "center", float, where, 0.0),
+                              momentum=_require(spec, "momentum", float, where, 0.0))
         psi = state.to_wavefunction(grid)
     elif kind == "csv":
         psi = wavefunction_from_csv(_require(spec, "path", str, where))
@@ -193,9 +196,24 @@ def load_scenario(path):
 
 # -- scenario execution ----------------------------------------------------------
 
+def _outputs(scenario, outdir):
+    """The output directory and formats, checked before anything runs."""
+    outputs = _require(scenario, "outputs", dict, "scenario", {})
+    directory = _require(outputs, "directory", str, "outputs", ".")
+    if not directory:
+        raise ScenarioError("outputs.directory: must not be empty")
+    formats = _require(outputs, "formats", list, "outputs", list(OUTPUT_FORMATS))
+    unknown = [f for f in formats if f not in OUTPUT_FORMATS]
+    if unknown:
+        raise ScenarioError(f"outputs.formats: unknown {unknown!r}; expected "
+                            f"names from {', '.join(OUTPUT_FORMATS)}")
+    return outdir or os.environ.get("CANONFLOW_OUT") or directory, formats
+
+
 def run_scenario(path, outdir=None):
     """Execute a scenario file; returns (report dict, output paths)."""
     scenario = load_scenario(path)
+    directory, formats = _outputs(scenario, outdir)
     grid = _build_grid(scenario["grid"])
     psi0 = _build_state(scenario["initial_state"], grid)
     prop = scenario["propagator"]
@@ -204,19 +222,16 @@ def run_scenario(path, outdir=None):
     t_final = _require(prop, "t_final", float, "propagator")
     if dt <= 0 or t_final <= 0:
         raise ScenarioError("propagator: dt and t_final must be positive")
-    nsteps = max(1, int(round(t_final / dt)))
-    stride = (_require(prop, "output_stride", int, "propagator")
-              if "output_stride" in prop else max(1, nsteps // 16))
-    if stride < 1:
+    stride = _require(prop, "output_stride", int, "propagator", None)
+    if stride is not None and stride < 1:
         raise ScenarioError("propagator.output_stride: must be at least 1")
-    t_grid = np.linspace(0.0, t_final, nsteps + 1)
+    t_grid = np.linspace(0.0, t_final, max(1, int(round(t_final / dt))) + 1)
 
     system = scenario["system"]
     sys_kind = _require(system, "kind", str, "system")
-    exact = None
-    rows = []
-
+    # each branch picks the trajectory, the reference fidelity and the energy
     if sys_kind == "oscillator":
+        exact = None
         if "family" in system:
             family = _build_family(_require(system, "family", dict, "system"),
                                    "system.family")
@@ -233,25 +248,19 @@ def run_scenario(path, outdir=None):
                 raise ScenarioError(
                     "propagator.method 'exact' needs system.family")
             traj = exact.trajectory(t_grid, stride)
+            fidelity = lambda t, state: state.fidelity(state)
         elif method == "split_step":
             traj = split_step_propagate(mass, freq, psi0, t_grid, stride=stride)
+            fidelity = (None if exact is None
+                        else lambda t, state: exact(float(t)).fidelity(state))
         else:
             raise ScenarioError(f"propagator.method {method!r} not valid "
                                 "for an oscillator system")
-        for t, state in zip(traj.times, traj.states):
-            m_t = float(mass.value(t))
-            w_t = float(freq.value(t))
-            ham = QuadraticHamiltonian.oscillator(m_t, w_t)
-            nrm = state.norm()
-            unit = state.normalized()
-            if exact is None:
-                fid = float("nan")
-            elif method == "exact":
-                fid = state.fidelity(state)
-            else:
-                fid = exact(float(t)).fidelity(state)
-            rows.append((t, nrm, fid, expectation("x", unit),
-                         expectation("p", unit), expectation(ham, unit)))
+
+        def energy(t, unit):
+            ham = QuadraticHamiltonian.oscillator(float(mass.value(t)),
+                                                  float(freq.value(t)))
+            return expectation(ham, unit)
     elif sys_kind == "curved":
         if method != "crank_nicolson":
             raise ScenarioError("curved systems propagate with method "
@@ -260,44 +269,33 @@ def run_scenario(path, outdir=None):
                                "system.metric")
         m = _require(system, "mass", float, "system")
         traj = crank_nicolson_curved(metric, m, psi0, t_grid, stride=stride)
-        kinetic = curved_kinetic_diagonals(metric.check_positive(grid.x),
-                                           m, grid.dx)
-        for t, state in zip(traj.times, traj.states):
-            nrm = state.norm()
-            unit = state.normalized()
+        kinetic = curved_kinetic_diagonals(metric.g(grid.x), m, grid.dx)
+        fidelity = None
+
+        def energy(t, unit):
             hv = apply_curved_kinetic(kinetic, unit.values)
-            energy = float((grid.dx * np.vdot(unit.values, hv)).real)
-            rows.append((t, nrm, float("nan"), expectation("x", unit),
-                         expectation("p", unit), energy))
+            return float((grid.dx * np.vdot(unit.values, hv)).real)
     else:
         raise ScenarioError(f"system.kind: unknown system {sys_kind!r}")
 
-    outputs = scenario.get("outputs", {})
-    directory = outdir or os.environ.get("CANONFLOW_OUT") \
-        or outputs.get("directory", ".")
-    os.makedirs(directory, exist_ok=True)
-    formats = outputs.get("formats", ["csv", "json", "gnuplot"])
-    paths = {}
+    lines = [TRAJECTORY_HEADER]
+    for t, state in zip(traj.times, traj.states):
+        unit = state.normalized()
+        fid = float("nan") if fidelity is None else fidelity(t, state)
+        row = (t, state.norm(), fid, expectation("x", unit),
+               expectation("p", unit), energy(t, unit))
+        lines.append(",".join(_fmt(v) for v in row))
 
+    os.makedirs(directory, exist_ok=True)
+    paths = {}
     if "csv" in formats:
         csv_path = os.path.join(directory, "trajectory.csv")
-        lines = [TRAJECTORY_HEADER]
-        for row in rows:
-            lines.append(",".join(_fmt(v) for v in row))
         with open(csv_path, "w", newline="") as fh:
             fh.write("\n".join(lines) + "\n")
         paths["csv"] = csv_path
 
-    report_dict = {
-        "library_version": __version__,
-        "scenario": scenario,
-        "report": {
-            "steps": traj.report.steps,
-            "max_norm_drift": traj.report.max_norm_drift,
-            "max_schrodinger_residual": traj.report.max_schrodinger_residual,
-            "wall_time_s": traj.report.wall_time_s,
-        },
-    }
+    report_dict = {"library_version": __version__, "scenario": scenario,
+                   "report": dataclasses.asdict(traj.report)}
     if "json" in formats:
         json_path = os.path.join(directory, "report.json")
         with open(json_path, "w") as fh:

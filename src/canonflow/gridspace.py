@@ -36,7 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainBlowup, NotNormalized, SupportLeakage
-from .flowcore import GeneratorSpec, flow_evaluate
+from .flowcore import GeneratorSpec, bracket_generator, flow_evaluate
 
 EDGE_FRACTION = 0.02     # outer fraction of points used by the edge-decay check
 LEAK_TOL = 1e-10         # default relative amplitude threshold
@@ -392,7 +392,7 @@ def verify_bracket_identities(f1, f2, grid, probes):
     x = grid.x
     f1v, df1v = f1.f(x), f1.df(x)
     f2v, df2v = f2.f(x), f2.df(x)
-    hv = 2.0 * (f1v * df2v - f2v * df1v)
+    hv = bracket_generator(f1, f2)(x)
     dhv = _h_derivative(f1, f2, x)
 
     res1 = res2 = 0.0

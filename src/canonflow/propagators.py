@@ -23,9 +23,10 @@ Three routes to psi(t) are built here and cross-validated against each other:
   methods do not factor once the mass depends on position).
 
 Both fixed-step integrators are thin callers of one driver, ``_drive``: it
-takes the step's update and its H psi apply, and owns the output stride,
-the 16 sampled steps at which norm drift and the Schrodinger residual are
-recorded, and the resulting ``StepperReport`` and ``Trajectory``.
+takes the step's update and its H psi apply, and owns the 16 sampled steps
+at which norm drift and the Schrodinger residual are recorded and the
+resulting ``StepperReport`` and ``Trajectory``.  ``_stored_steps`` alone
+decides which states a run keeps, for both and for the exact chain.
 
 ``gaussian_exact_propagate`` pushes a closed-form Gaussian through the same
 transform chain (dilation: a -> e^(2 eps) a; quadratic phase: a -> a + i chi;
@@ -44,8 +45,8 @@ import numpy as np
 # scipy.linalg is imported inside the two functions that call it, so the
 # oscillator propagators load numpy only.
 
-from .errors import (LinearSolveFailure, ResolutionError, SingularMetric,
-                     SupportLeakage, TruncationError)
+from .errors import (LinearSolveFailure, MassZeroCrossing, ResolutionError,
+                     SingularMetric, SupportLeakage, TruncationError)
 from .gridspace import GaussianState, WaveFunction, apply_momentum
 from .hamiltonians import epsilon_from_mass
 
@@ -98,27 +99,36 @@ def _check_resolution(psi):
         raise ResolutionError("spectral tail above threshold; refine dx")
 
 
+def _stored_steps(nsteps, stride=None):
+    """Indices of the nsteps + 1 states a run keeps: every ``stride``-th, the
+    first and the last (default stride: a sixteenth of the steps)."""
+    if stride is None:
+        stride = max(1, nsteps // 16)
+    if stride < 1:
+        raise ValueError("stride must be at least 1")
+    keep = np.arange(0, nsteps + 1, stride)
+    return keep if keep[-1] == nsteps else np.append(keep, nsteps)
+
+
 def _drive(psi0, t, dt, stride, update, apply_h):
     """Step psi0 across the uniform time grid t; the loop every integrator shares.
 
     ``update(i, values)`` returns the values after step i and
-    ``apply_h(i, values)`` applies step i's Hamiltonian.  Every ``stride``-th
-    state is kept (first and last always; default: about 16 of them).  At 16
-    evenly spaced steps the norm drift and the residual of
-    i dpsi/dt = H psi at the step midpoint, relative to the initial norm,
-    go into the report.
+    ``apply_h(i, values)`` applies step i's Hamiltonian.  The states
+    ``_stored_steps`` picks are kept.  At 16 evenly spaced steps the norm
+    drift and the residual of i dpsi/dt = H psi at the step midpoint,
+    relative to the initial norm, go into the report.
     """
     grid = psi0.grid
     nsteps = t.size - 1
-    if stride is None:
-        stride = max(1, nsteps // 16)
+    keep = _stored_steps(nsteps, stride)
+    kept = set(keep.tolist())
     sample_every = max(1, nsteps // 16)
     report = StepperReport(steps=nsteps)
     wall0 = time.perf_counter()
     norm0 = psi0.norm()
     values = psi0.values.copy()
     states = [WaveFunction(grid, values)]
-    stored_t = [t[0]]
 
     for i in range(nsteps):
         prev = values
@@ -131,12 +141,11 @@ def _drive(psi0, t, dt, stride, update, apply_h):
             report.max_schrodinger_residual = max(
                 report.max_schrodinger_residual,
                 float(np.sqrt(grid.dx * np.sum(np.abs(resid) ** 2))) / norm0)
-        if (i + 1) % stride == 0 or i == nsteps - 1:
+        if i + 1 in kept:
             states.append(WaveFunction(grid, values))
-            stored_t.append(t[i + 1])
 
     report.wall_time_s = time.perf_counter() - wall0
-    return Trajectory(np.asarray(stored_t), states, report)
+    return Trajectory(t[keep], states, report)
 
 
 # -- Hermite eigenbasis of the static oscillator --------------------------------
@@ -205,7 +214,8 @@ def hermite_propagate(psi, basis, t):
 def split_step_propagate(mass, omega, psi0, t_grid, *, stride=None):
     """Strang-split evolution of p^2/(2 m(t)) + (1/2) m(t) w(t)^2 x^2.
 
-    Coefficients are sampled at each step's midpoint, giving global second
+    Coefficients are sampled at the step midpoints (one vector call each;
+    a mass <= 0 there raises ``MassZeroCrossing``), giving global second
     order in dt (verified by the Richardson self-test in the suite).  The
     step itself is exactly unitary, so norm drift is at rounding level.
     """
@@ -215,18 +225,20 @@ def split_step_propagate(mass, omega, psi0, t_grid, *, stride=None):
     x2 = grid.x ** 2
     k2 = grid.k ** 2
 
-    def coefficients(i):
-        tm = 0.5 * (t[i] + t[i + 1])
-        return float(mass.value(tm)), float(omega.value(tm))
+    mid = 0.5 * (t[:-1] + t[1:])
+    masses = mass.value(mid)
+    if not np.all(masses > 0):
+        raise MassZeroCrossing("mass profile is not positive at a step midpoint")
+    coeffs = list(zip(masses.tolist(), omega.value(mid).tolist()))
 
     def update(i, values):
-        m, w = coefficients(i)
+        m, w = coeffs[i]
         half_v = np.exp(-0.25j * dt * m * w * w * x2)
         kin = np.exp(-0.5j * dt * k2 / m)
         return half_v * np.fft.ifft(kin * np.fft.fft(half_v * values))
 
     def apply_h(i, values):
-        m, w = coefficients(i)
+        m, w = coeffs[i]
         return (apply_momentum(values, grid, 2) / (2.0 * m)
                 + 0.5 * m * w * w * x2 * values)
 
@@ -278,13 +290,11 @@ class ExactSolvablePropagator:
             raise SupportLeakage("evolved support reaches the grid edge")
         return out
 
-    def trajectory(self, t_grid, stride):
+    def trajectory(self, t_grid, stride=None):
         """The exact states at the times a stepped run over t_grid would keep."""
         wall0 = time.perf_counter()
         t = np.asarray(t_grid, dtype=float)
-        times = t[::stride]
-        if times[-1] != t[-1]:
-            times = np.append(times, t[-1])
+        times = t[_stored_steps(t.size - 1, stride)]
         states = [self(float(t)) for t in times]
         report = StepperReport(steps=len(times) - 1,
                                wall_time_s=time.perf_counter() - wall0)

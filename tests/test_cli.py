@@ -189,6 +189,33 @@ class TestScenarios:
         assert (forced / "trajectory.csv").exists()
         assert not ignored.exists()
 
+    def test_default_stride_keeps_the_stored_rows(self, tmp_path):
+        # 500 steps, which 16 does not divide: every 31st state and the last
+        kept = list(range(0, 501, 31)) + [500]
+        expected = np.linspace(0.0, 0.5, 501)[kept]
+        for method in ("exact", "split_step"):
+            outdir = tmp_path / method
+            path = ck_scenario(tmp_path, outdir, method=method)
+            scenario = json.loads(path.read_text())
+            del scenario["propagator"]["output_stride"]
+            path.write_text(json.dumps(scenario))
+            run_scenario(path)
+            lines = (outdir / "trajectory.csv").read_text().splitlines()[1:]
+            times = [float(line.split(",")[0]) for line in lines]
+            assert times == expected.tolist(), method
+
+    def test_report_block_keys(self, tmp_path):
+        for kind in ("split_step", "exact", "curved"):
+            outdir = tmp_path / kind
+            if kind == "curved":
+                path = curved_scenario(tmp_path, outdir)
+            else:
+                path = ck_scenario(tmp_path, outdir, method=kind)
+            run_scenario(path)
+            report = json.loads((outdir / "report.json").read_text())["report"]
+            assert set(report) == {"steps", "max_norm_drift",
+                                   "max_schrodinger_residual", "wall_time_s"}, kind
+
     def test_curved_scenario(self, tmp_path, capsys):
         outdir = tmp_path / "curved"
         path = curved_scenario(tmp_path, outdir)
@@ -249,6 +276,22 @@ class TestErrorPaths:
         assert error["kind"] == "ValueError" and error["message"]
         assert "Traceback" not in captured.err
 
+    @staticmethod
+    def propagate_edited(tmp_path, capsys, method, keys, value):
+        """Run ck_scenario with scenario[keys[0]]...[keys[-1]] set to value."""
+        path = ck_scenario(tmp_path, tmp_path / "out", method=method)
+        scenario = json.loads(path.read_text())
+        parent = scenario
+        for key in keys[:-1]:
+            parent = parent[key]
+        parent[keys[-1]] = value
+        path.write_text(json.dumps(scenario))
+        code = main(["propagate", str(path)])
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert not (tmp_path / "out").exists()
+        return code, json.loads(captured.out)["error"]["kind"]
+
     @pytest.mark.parametrize("method,field,value", [
         ("split_step", "dt", 0),
         ("split_step", "output_stride", 0),
@@ -258,16 +301,37 @@ class TestErrorPaths:
     ], ids=["dt-zero", "stride-zero", "stride-negative-exact",
             "stride-negative-split-step", "stride-fractional"])
     def test_bad_step_or_stride_exits_64(self, method, field, value, tmp_path, capsys):
-        path = ck_scenario(tmp_path, tmp_path / "out", method=method)
-        scenario = json.loads(path.read_text())
-        scenario["propagator"][field] = value
-        path.write_text(json.dumps(scenario))
-        code = main(["propagate", str(path)])
-        captured = capsys.readouterr()
-        assert code == 64
-        assert json.loads(captured.out)["error"]["kind"] == "ScenarioError"
-        assert "Traceback" not in captured.err
-        assert not (tmp_path / "out").exists()
+        assert self.propagate_edited(tmp_path, capsys, method, ("propagator", field),
+                                     value) == (64, "ScenarioError")
+
+    @pytest.mark.parametrize("keys,value", [
+        (("initial_state", "center"), [1.0]),
+        (("initial_state", "center"), "x"),
+        (("initial_state", "center"), True),
+        (("initial_state", "momentum"), None),
+        (("initial_state", "width_im"), "0.5"),
+        (("outputs",), ["csv"]),
+        (("outputs", "formats"), ["CSV"]),
+        (("outputs", "formats"), "json"),
+        (("outputs", "directory"), 3),
+        (("outputs", "directory"), ""),
+    ], ids=["center-list", "center-string", "center-bool", "momentum-null",
+            "width-im-string", "outputs-list", "formats-unknown-name",
+            "formats-string", "directory-number", "directory-empty"])
+    def test_bad_scenario_field_exits_64(self, keys, value, tmp_path, capsys):
+        assert self.propagate_edited(tmp_path, capsys, "split_step", keys,
+                                     value) == (64, "ScenarioError")
+
+    @pytest.mark.parametrize("mass", [
+        {"type": "constant", "value": 0.0},
+        {"type": "constant", "value": -1.0},
+        {"type": "exponential", "m0": -1.0, "rate": 0.2},
+    ], ids=["constant-zero", "constant-negative", "exponential-negative"])
+    def test_nonpositive_split_step_mass_exits_2(self, mass, tmp_path, capsys):
+        system = {"kind": "oscillator", "mass": mass,
+                  "frequency": {"type": "constant", "value": 1.0}}
+        assert self.propagate_edited(tmp_path, capsys, "split_step", ("system",),
+                                     system) == (2, "MassZeroCrossing")
 
     def test_error_kind_is_class_name(self):
         exported = [obj for obj in vars(canonflow).values()

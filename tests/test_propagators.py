@@ -14,7 +14,8 @@ from canonflow.gridspace import (GaussianState, Grid, WaveFunction,
                                  apply_point_unitary, apply_quadratic_phase,
                                  expectation)
 from canonflow.hamiltonians import (QuadraticHamiltonian, SolvableFamily,
-                                    TimeProfile, epsilon_from_mass)
+                                    TimeProfile, epsilon_from_mass,
+                                    omega_from_mass)
 from canonflow.metricmap import MetricProfile, metric_from_generator
 from canonflow.propagators import (ExactSolvablePropagator, HermiteBasis,
                                    crank_nicolson_curved,
@@ -116,6 +117,32 @@ class TestSplitStep:
             split_step_propagate(TimeProfile.constant(1.0),
                                  TimeProfile.constant(1.0), psi,
                                  np.linspace(0, 0.1, 11))
+
+    EXP_MASS = TimeProfile.exponential(1.0, 0.2)
+
+    @pytest.mark.parametrize("profile", [
+        SolvableFamily(1.0, 1.0, 0.0, 0.1, 1.0).mass_profile(),
+        SolvableFamily(1.0, 1.0, 0.0, 0.1, 1.0).frequency_profile(),
+        EXP_MASS,
+        TimeProfile.from_callable(lambda t: omega_from_mass(
+            TestSplitStep.EXP_MASS, 1.0, t)),
+    ], ids=["family-mass", "family-frequency", "exponential", "matched"])
+    def test_vector_coefficients_equal_scalar_calls(self, profile):
+        # split-step samples each profile once, on the vector of midpoints
+        t = np.linspace(0.0, 5.0, 5001)
+        mid = 0.5 * (t[:-1] + t[1:])
+        assert np.array_equal(profile.value(mid),
+                              [float(profile.value(tm)) for tm in mid])
+
+    @pytest.mark.parametrize("stride", [0, -2])
+    def test_stride_below_one_is_value_error(self, stride):
+        psi = GaussianState(a=1.0).to_wavefunction(GRID)
+        t = np.linspace(0.0, 0.1, 11)
+        with pytest.raises(ValueError):
+            split_step_propagate(TimeProfile.constant(1.0),
+                                 TimeProfile.constant(1.0), psi, t, stride=stride)
+        with pytest.raises(ValueError):
+            ExactSolvablePropagator(CK, psi).trajectory(t, stride)
 
     def test_time_reversal(self):
         psi = GaussianState(a=1.0, center=1.0).to_wavefunction(GRID)
