@@ -74,6 +74,9 @@ def _require(mapping, key, kind, where, default=_MISSING):
             return default
         raise ScenarioError(f"{where}: missing required field {key!r}")
     val = mapping[key]
+    if (kind in (int, float) and isinstance(val, int)
+            and not -2 ** 63 <= val < 2 ** 63):
+        raise ScenarioError(f"{where}.{key}: integer does not fit in 64 bits")
     if kind is float:
         if not isinstance(val, (int, float)) or isinstance(val, bool):
             raise ScenarioError(f"{where}.{key}: expected a number")
@@ -88,6 +91,15 @@ def _require(mapping, key, kind, where, default=_MISSING):
     if not isinstance(val, kind):
         raise ScenarioError(f"{where}.{key}: expected {names[kind]}")
     return val
+
+
+def _read_path(spec, where, read):
+    """read(path) of the file ``spec["path"]`` names; OS errors are schema errors."""
+    path = _require(spec, "path", str, where)
+    try:
+        return read(path)
+    except OSError as exc:
+        raise ScenarioError(f"{where}.path: {exc}")
 
 
 def _build_generator(spec, where):
@@ -138,8 +150,8 @@ def _build_metric(spec, where):
         gen = _build_generator(_require(spec, "generator", dict, where), where + ".generator")
         return metric_from_generator(gen, _require(spec, "eps", float, where))
     if kind == "csv":
-        data = np.genfromtxt(_require(spec, "path", str, where),
-                             delimiter=",", names=True)
+        data = _read_path(spec, where, lambda path: np.genfromtxt(
+            path, delimiter=",", names=True))
         return MetricProfile.from_samples(np.atleast_1d(data["x"]),
                                           np.atleast_1d(data["g"]))
     raise ScenarioError(f"{where}.type: unknown metric {kind!r}")
@@ -166,7 +178,7 @@ def _build_state(spec, grid):
                               momentum=_require(spec, "momentum", float, where, 0.0))
         psi = state.to_wavefunction(grid)
     elif kind == "csv":
-        psi = wavefunction_from_csv(_require(spec, "path", str, where))
+        psi = _read_path(spec, where, wavefunction_from_csv)
         # the written grid is rebuilt to within a few ulps of its extent
         ulp = np.spacing(max(abs(grid.x0), abs(grid.xmax)))
         if psi.grid.n != grid.n or np.max(np.abs(psi.grid.x - grid.x)) > 4 * ulp:
@@ -207,7 +219,16 @@ def _outputs(scenario, outdir):
     if unknown:
         raise ScenarioError(f"outputs.formats: unknown {unknown!r}; expected "
                             f"names from {', '.join(OUTPUT_FORMATS)}")
-    return outdir or os.environ.get("CANONFLOW_OUT") or directory, formats
+    directory = outdir or os.environ.get("CANONFLOW_OUT") or directory
+    # makedirs runs after propagation: its nearest existing ancestor must be
+    # a directory
+    probe = os.path.abspath(directory)
+    while not os.path.exists(probe):
+        probe = os.path.dirname(probe)
+    if not os.path.isdir(probe):
+        raise ScenarioError(f"output directory {directory!r}: {probe!r} "
+                            "exists and is not a directory")
+    return directory, formats
 
 
 def run_scenario(path, outdir=None):

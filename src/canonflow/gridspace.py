@@ -45,6 +45,11 @@ _OVERSAMPLE = 2          # R: band_limited_values grids on M = R*n nodes
 _HALF_WIDTH = 14         # W: each point sums the Gaussian over 2W nodes
 
 
+def _check_points(n):
+    if n < 8:
+        raise ValueError("grid needs at least 8 points")
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform spatial grid x_k = x0 + k*dx, k = 0..n-1."""
@@ -54,14 +59,14 @@ class Grid:
     n: int
 
     def __post_init__(self):
-        if self.n < 8:
-            raise ValueError("grid needs at least 8 points")
+        _check_points(self.n)
         if not self.dx > 0:
             raise ValueError("grid spacing must be positive")
 
     @classmethod
     def from_interval(cls, xmin, xmax, n):
         """Grid covering [xmin, xmax) with n points (endpoint excluded)."""
+        _check_points(n)
         return cls(float(xmin), (float(xmax) - float(xmin)) / n, int(n))
 
     @cached_property

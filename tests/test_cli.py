@@ -264,11 +264,14 @@ class TestErrorPaths:
         ["solvable", "--m0", "1", "--mu", "0", "--nu", "0", "--alpha", "0.1",
          "--Omega0", "1"],
         ["propagate", "SCENARIO_N4"],
+        ["propagate", "SCENARIO_N0"],
     ], ids=["anchor-outside", "zero-eps", "empty-interval", "mu-nu-zero",
-            "grid-n4"])
+            "grid-n4", "grid-n0"])
     def test_invalid_argument_value_exits_64(self, argv, tmp_path, capsys):
-        scenario = ck_scenario(tmp_path, tmp_path / "out", n=4)
-        argv = [str(scenario) if a == "SCENARIO_N4" else a for a in argv]
+        # "SCENARIO_N<n>" stands for ck_scenario on an n-point grid
+        argv = [str(ck_scenario(tmp_path, tmp_path / "out",
+                                n=int(a.removeprefix("SCENARIO_N"))))
+                if a.startswith("SCENARIO_N") else a for a in argv]
         code = main(argv)
         captured = capsys.readouterr()
         assert code == 64
@@ -277,9 +280,9 @@ class TestErrorPaths:
         assert "Traceback" not in captured.err
 
     @staticmethod
-    def propagate_edited(tmp_path, capsys, method, keys, value):
+    def propagate_edited(tmp_path, capsys, method, keys, value, **ck_args):
         """Run ck_scenario with scenario[keys[0]]...[keys[-1]] set to value."""
-        path = ck_scenario(tmp_path, tmp_path / "out", method=method)
+        path = ck_scenario(tmp_path, tmp_path / "out", method=method, **ck_args)
         scenario = json.loads(path.read_text())
         parent = scenario
         for key in keys[:-1]:
@@ -288,7 +291,7 @@ class TestErrorPaths:
         path.write_text(json.dumps(scenario))
         code = main(["propagate", str(path)])
         captured = capsys.readouterr()
-        assert "Traceback" not in captured.err
+        assert captured.err == ""
         assert not (tmp_path / "out").exists()
         return code, json.loads(captured.out)["error"]["kind"]
 
@@ -315,9 +318,14 @@ class TestErrorPaths:
         (("outputs", "formats"), "json"),
         (("outputs", "directory"), 3),
         (("outputs", "directory"), ""),
+        (("propagator", "t_final"), 10 ** 20),
+        (("propagator", "dt"), -10 ** 20),
+        (("propagator", "output_stride"), 10 ** 20),
     ], ids=["center-list", "center-string", "center-bool", "momentum-null",
             "width-im-string", "outputs-list", "formats-unknown-name",
-            "formats-string", "directory-number", "directory-empty"])
+            "formats-string", "directory-number", "directory-empty",
+            "t-final-integer-past-int64", "dt-integer-past-int64",
+            "stride-integer-past-int64"])
     def test_bad_scenario_field_exits_64(self, keys, value, tmp_path, capsys):
         assert self.propagate_edited(tmp_path, capsys, "split_step", keys,
                                      value) == (64, "ScenarioError")
@@ -332,6 +340,32 @@ class TestErrorPaths:
                   "frequency": {"type": "constant", "value": 1.0}}
         assert self.propagate_edited(tmp_path, capsys, "split_step", ("system",),
                                      system) == (2, "MassZeroCrossing")
+
+    def test_wrapped_split_step_exits_2(self, tmp_path, capsys):
+        # anti-damped m = 1.3 e^(-0.3 t): the state spreads to the edge of
+        # [-12, 12) near t = 2.8 and the FFT wraps it through the boundary
+        system = {"kind": "oscillator",
+                  "mass": {"type": "exponential", "m0": 1.3, "rate": -0.3},
+                  "frequency": {"type": "constant", "value": 1.0}}
+        assert self.propagate_edited(tmp_path, capsys, "split_step", ("system",),
+                                     system, t_final=5.0,
+                                     n=2048) == (2, "SupportLeakage")
+
+    @pytest.mark.parametrize("method,keys,value", [
+        ("split_step", ("initial_state",), {"kind": "csv", "path": "missing.csv"}),
+        ("crank_nicolson", ("system",),
+         {"kind": "curved", "mass": 1.0,
+          "metric": {"type": "csv", "path": "missing.csv"}}),
+        ("split_step", ("outputs", "directory"), "a-file"),
+        ("split_step", ("outputs", "directory"), "a-file/sub"),
+    ], ids=["state-csv-missing", "metric-csv-missing", "directory-is-a-file",
+            "directory-under-a-file"])
+    def test_bad_scenario_path_exits_64(self, method, keys, value, tmp_path,
+                                        capsys, monkeypatch):
+        (tmp_path / "a-file").write_text("")
+        monkeypatch.chdir(tmp_path)
+        assert self.propagate_edited(tmp_path, capsys, method, keys,
+                                     value) == (64, "ScenarioError")
 
     def test_error_kind_is_class_name(self):
         exported = [obj for obj in vars(canonflow).values()

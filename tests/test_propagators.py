@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from canonflow import gridspace, propagators
 from canonflow.errors import (LinearSolveFailure, ResolutionError,
@@ -144,6 +144,17 @@ class TestSplitStep:
         with pytest.raises(ValueError):
             ExactSolvablePropagator(CK, psi).trajectory(t, stride)
 
+    def test_stride_past_the_last_step_keeps_both_ends(self):
+        # a stride past the int64 range still indexes the time grid
+        psi = GaussianState(a=1.0).to_wavefunction(GRID)
+        t = np.linspace(0.0, 0.1, 11)
+        for traj in (split_step_propagate(TimeProfile.constant(1.0),
+                                          TimeProfile.constant(1.0), psi, t,
+                                          stride=10 ** 20),
+                     ExactSolvablePropagator(CK, psi).trajectory(t, 10 ** 20)):
+            assert np.array_equal(traj.times, [0.0, 0.1])
+            assert len(traj.states) == 2
+
     def test_time_reversal(self):
         psi = GaussianState(a=1.0, center=1.0).to_wavefunction(GRID)
         mass, omega = CK.mass_profile(), CK.frequency_profile()
@@ -151,6 +162,38 @@ class TestSplitStep:
         back = split_step_propagate(mass, omega, fwd.final,
                                     np.linspace(2.0, 0.0, 2001))
         assert back.final.fidelity(psi) > 1.0 - 1e-6
+
+
+def full_array_step(grid, dt, m, w, values):
+    """The Strang step with both phases evaluated at every grid point."""
+    x2, k2 = grid.x ** 2, grid.k ** 2
+    half_v = np.exp(-0.25j * dt * m * w * w * x2)
+    kin = np.exp(-0.5j * dt * k2 / m)
+    return half_v * np.fft.ifft(kin * np.fft.fft(half_v * values))
+
+
+# the step split_step_propagate drives evaluates each phase once per distinct
+# x^2 and k^2; on any grid, symmetric or shifted, n odd or even, it must be
+# bit-identical to the full-array step
+@settings(derandomize=True, database=None, deadline=2000, max_examples=60)
+@given(n=st.integers(8, 4097), shift=st.one_of(st.just(0.0), st.floats(-20.0, 20.0)),
+       half_length=st.floats(1.0, 40.0), m=st.floats(0.01, 100.0),
+       w=st.floats(-10.0, 10.0), dt=st.floats(1e-5, 0.1),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(n=2048, shift=0.0, half_length=12.0, m=1.3, w=1.0, dt=1e-3, seed=1)
+@example(n=1024, shift=0.0, half_length=10.0, m=0.7, w=2.0, dt=1e-3, seed=2)
+@example(n=2048, shift=8.0, half_length=12.0, m=1.0, w=1.0, dt=1e-3, seed=3)
+@example(n=4097, shift=0.0, half_length=12.0, m=2.0, w=0.5, dt=1e-2, seed=4)
+def test_strang_step_is_bit_identical_to_full_array_step(n, shift, half_length,
+                                                         m, w, dt, seed):
+    grid = Grid.from_interval(shift - half_length, shift + half_length, n)
+    rng = np.random.default_rng(seed)
+    want = got = rng.normal(size=n) + 1j * rng.normal(size=n)
+    step = propagators._strang_step(grid, dt)
+    for _ in range(20):
+        want = full_array_step(grid, dt, m, w, want)
+        got = step(m, w, got)
+    assert np.array_equal(got, want)
 
 
 class TestExactChain:
