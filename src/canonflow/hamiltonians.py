@@ -201,13 +201,16 @@ def effective_frequency(mass, omega, t, m0=None):
 def omega_from_mass(mass, omega0, t):
     """The unique w(t) pairing with m(t) to an Omega0 static oscillator.
 
-    w = sqrt(Omega0^2 + ddm/(2m) - (dm/(2m))^2).
+    w = sqrt(Omega0^2 + ddm/(2m) - (dm/(2m))^2).  A radicand that is
+    negative or not finite (say Omega0 = 1e300) raises ``NegativeRadicand``.
     """
     t = np.asarray(t, dtype=float)
     m = _positive_mass(mass, t)
-    rad = float(omega0) ** 2 + mass.d2(t) / (2.0 * m) - (mass.d1(t) / (2.0 * m)) ** 2
-    if np.any(rad < 0):
-        raise NegativeRadicand("no real frequency pairs with this mass profile")
+    with np.errstate(over="ignore", invalid="ignore"):
+        rad = (np.float64(omega0) ** 2 + mass.d2(t) / (2.0 * m)
+               - (mass.d1(t) / (2.0 * m)) ** 2)
+    if not np.all((rad >= 0) & (rad < np.inf)):
+        raise NegativeRadicand("no finite real frequency pairs with this mass profile")
     out = np.sqrt(rad)
     return float(out) if out.ndim == 0 else out
 

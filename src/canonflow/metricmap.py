@@ -22,12 +22,15 @@ produces it - splits into two stages:
    a flow whose generator decays somewhere, this recovers the original map;
    in degenerate cases such as g = 1 a default positive shift is used, and
    any member reproduces the metric exactly).
-2. a generator with that time-eps map: the Abel equation u(phi(x)) = u(x) +
-   eps is seeded linearly on the fundamental domain [anchor, phi(anchor))
-   and extended by the recursion; f = 1/u' follows without numerical
-   differentiation from f(phi(x)) = f(x) phi'(x), i.e. pullback products of
-   sqrt(g) along the orbit.  f is not unique given phi, so acceptance is on
-   phi and on the round-tripped metric, not on f pointwise.
+2. a generator with that time-eps map: f = 1/u' for an Abel function with
+   u(phi(x)) = u(x) + eps.  log|f| is seeded on the fundamental domain
+   [anchor, phi(anchor)) as a quintic whose value, slope and curvature
+   continue across phi(anchor), and extended without numerical
+   differentiation by f(phi(x)) = f(x) phi'(x), i.e. pullback products of
+   sqrt(g) along the orbit; f is C^2 and is compiled into one cubic spline.
+   f is not unique given phi, so acceptance is on phi and on the
+   round-tripped metric, not on f pointwise (though an exp-decay metric
+   gives back f = e^(-x)).
 """
 
 from __future__ import annotations
@@ -167,19 +170,18 @@ class FlowTable:
             x = x - (self(x) - y) / self._sqrt_g(x)
         return x
 
-    def derivative(self, x):
-        """phi'(x) = sqrt(g(x)), the tabulating spline."""
-        return self._sqrt_g(x)
+    def derivative(self, x, order=1):
+        """phi^(order)(x); order 1 is sqrt(g(x)), the tabulating spline."""
+        return self._sqrt_g(x, order - 1)
 
 
 @dataclass
 class ReconstructedGenerator:
     """Output of ``generator_from_metric``: the flow map and one generator for it.
 
-    The generator is only piecewise C^1 (the linear Abel seed leaves jumps
-    at the anchor-orbit junctions), so its flow map and conjugation factor
-    are meaningful but the variational flow Jacobian is not; use the
-    conjugation factor (exactly 1/phi' for any generator) instead.
+    The generator is a C^2 cubic spline, so its flow map, its conjugation
+    factor and its variational flow Jacobian (the reciprocal of the
+    conjugation factor) are all meaningful.
     """
 
     generator: GeneratorSpec
@@ -278,27 +280,73 @@ def _orbit(step, start, end, edge, sign):
     return points
 
 
+def _log_seed(flow, anchor, eps):
+    """The Abel seed: l = log|f| on the fundamental domain, and sign(f).
+
+    f(phi(x)) = f(x) phi'(x) reads l(phi(x)) = l(x) + psi(x) with
+    psi = log phi'.  l is the quintic Hermite polynomial between a = anchor
+    and b = phi(a) whose value, slope and curvature at b continue those of
+    l + psi at a, so the recursion extends it to a C^2 function:
+
+        l(b) = l(a) + psi(a)
+        l'(b) phi' = l'(a) + psi'(a)
+        l''(b) phi'^2 + l'(b) phi'' = l''(a) + psi''(a)
+
+    with phi' and phi'' taken at a.  The free end data l'(a) and l''(a)
+    minimise the integral of (l''')^2 (least squares on Gauss-Legendre
+    points, exact for a quintic), and the additive constant makes the
+    integral of 1/f from a to b equal eps, so that u = int 1/f satisfies
+    the Abel equation u(phi(x)) = u(x) + eps.  A flat metric gives a
+    constant f; an exp-decay metric gives a linear l, so f = e^(-x) is
+    recovered.
+    """
+    from scipy.interpolate import BPoly
+
+    a = float(anchor)
+    b = float(flow(a))
+    d1, d2, d3 = (float(flow.derivative(a, k)) for k in (1, 2, 3))
+    psi = (np.log(d1), d2 / d1, d3 / d1 - (d2 / d1) ** 2)
+    # end data (value, slope, curvature), affine in (1, l'(a), l''(a))
+    at_a = np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    slope_b = np.array([psi[1], 1.0, 0.0]) / d1
+    curve_b = (np.array([psi[2], 0.0, 1.0]) - d2 * slope_b) / d1 ** 2
+    at_b = np.array([[psi[0], 0.0, 0.0], slope_b, curve_b])
+    lo, hi = min(a, b), max(a, b)
+    ends = (at_a, at_b) if b > a else (at_b, at_a)
+
+    def hermite(coef):
+        return BPoly.from_derivatives([lo, hi], [ends[0] @ coef, ends[1] @ coef])
+
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    xq = lo + 0.5 * (hi - lo) * (nodes + 1.0)
+    wq = 0.5 * (hi - lo) * weights
+    third = np.array([hermite(col)(xq, 3) for col in np.eye(3)]) * np.sqrt(wq)
+    free = np.linalg.lstsq(third[1:].T, -third[0], rcond=None)[0]
+    ell = hermite(np.concatenate([[1.0], free]))
+    const = np.log(np.dot(wq, np.exp(-ell(xq))) / abs(eps))
+    return BPoly(ell.c + const, ell.x), np.sign((b - a) / eps)
+
+
 def _abel_generator(flow, eps, anchor, working, extended):
     """Generator construction through the Abel recursion.
 
-    On the fundamental domain between anchor and phi(anchor) the Abel
-    function is seeded linearly, making f = (phi(anchor) - anchor)/eps
-    there; elsewhere f follows from transporting the point into the
-    fundamental domain with phi or its inverse and multiplying the chain of
-    flow derivatives (f o phi = f * phi'), all of which are sqrt(g) values.
-
-    f is smooth between consecutive points of the anchor's orbit (where the
-    transport count changes it jumps, the price of the linear seed), so it
-    is evaluated exactly on a junction-aware node set once and compiled
-    into a piecewise cubic whose evaluation and derivative are cheap and
-    never difference across a junction.
+    On the fundamental domain between anchor and phi(anchor), log|f| is the
+    C^2 seed of ``_log_seed``; elsewhere f follows from transporting the
+    point into the fundamental domain with phi or its inverse and
+    multiplying the chain of flow derivatives (f o phi = f * phi'), all of
+    which are sqrt(g) values.  f is then C^2 everywhere, so it is evaluated
+    exactly on a node set and compiled into one cubic spline, whose
+    evaluation and derivative are cheap.  Each piece between consecutive
+    points of the anchor's orbit (the junctions) gets nodes about
+    ``NODE_SPACING`` apart, at least seven, so the nodes follow the orbit
+    where it piles up; they stay strictly inside the pieces, because a
+    point on a junction can bounce between phi and its inverse.
     """
-    from scipy.interpolate import CubicSpline, PPoly
+    from scipy.interpolate import CubicSpline
 
     a = float(anchor)
     fa = float(flow(a))
     lo_dom, hi_dom = min(a, fa), max(a, fa)
-    c0 = (fa - a) / eps          # positive: sign(fa - a) = sign(eps * f)
     upward = fa > a
     elo, ehi = extended
     lo, hi = working
@@ -338,14 +386,14 @@ def _abel_generator(flow, eps, anchor, working, extended):
         raise NonMonotoneFlow("anchor orbit is not monotone")
 
     def transport_log(x):
-        """L with f(x) = c0 exp(L(x)), by moves toward the fundamental domain."""
+        """(y, L): y in the fundamental domain with f(x) = f(y) exp(L)."""
         cur = np.array(x, dtype=float)
         logmul = np.zeros(cur.shape)
         for _ in range(len(junctions) + 4):
             above = cur >= hi_dom
             below = cur < lo_dom
             if not np.any(above | below):
-                return logmul
+                return cur, logmul
             inv_move = above if upward else below
             fwd_move = below if upward else above
             idx = np.flatnonzero(inv_move)
@@ -361,41 +409,27 @@ def _abel_generator(flow, eps, anchor, working, extended):
         raise FixedPointInInterval(
             "Abel recursion did not reach the fundamental domain")
 
-    # junction-aware nodes, kept strictly inside each piece by a setback that
-    # must exceed the residual forward/inverse fuzz.  Round-off can put a
-    # junction within a setback of a domain end; it is dropped, so that no
-    # piece is narrower than twice its setback.
+    # Round-off can put a junction within reach of a domain end; it is
+    # dropped, so that no piece is too narrow to hold its nodes.
     reach = 2e-9 * (1.0 + max(abs(dlo), abs(dhi)))
     pieces = np.concatenate([[dlo], junctions[(junctions > dlo + reach)
                                               & (junctions < dhi - reach)], [dhi]])
     node_blocks = []
     for left, right in zip(pieces[:-1], pieces[1:]):
-        width = right - left
-        m = max(7, int(np.ceil(width / NODE_SPACING)) + 1)
-        shrink = max(1e-9 * (1.0 + max(abs(left), abs(right))), 1e-7 * width)
-        node_blocks.append(np.linspace(left + shrink, right - shrink, m))
+        m = max(7, int(np.ceil((right - left) / NODE_SPACING)) + 1)
+        node_blocks.append(np.linspace(left, right, m + 2)[1:-1])
     nodes = np.concatenate(node_blocks)
-    fvals = c0 * np.exp(transport_log(nodes))
-
-    # compile one global piecewise cubic (discontinuous at junctions)
-    coeff_blocks = []
-    break_blocks = []
-    start = 0
-    for block in node_blocks:
-        spl = CubicSpline(block, fvals[start:start + block.size])
-        coeff_blocks.append(spl.c)
-        break_blocks.append(spl.x[:-1])
-        start += block.size
-    breaks = np.append(np.concatenate(break_blocks), nodes[-1])
-    poly = PPoly(np.concatenate(coeff_blocks, axis=1), breaks)
-    dpoly = poly.derivative()
+    ell, sign = _log_seed(flow, a, eps)
+    y, logmul = transport_log(nodes)
+    spline = CubicSpline(nodes, sign * np.exp(ell(y) + logmul))
+    dspline = spline.derivative()
 
     def f(x):
-        out = poly(np.asarray(x, dtype=float))
+        out = spline(np.asarray(x, dtype=float))
         return out if out.ndim else float(out)
 
     def df(x):
-        out = dpoly(np.asarray(x, dtype=float))
+        out = dspline(np.asarray(x, dtype=float))
         return out if out.ndim else float(out)
 
     return GeneratorSpec.custom(f, dfunc=df, domain=(float(dlo), float(dhi)),

@@ -351,6 +351,14 @@ class TestErrorPaths:
                                      system, t_final=5.0,
                                      n=2048) == (2, "SupportLeakage")
 
+    def test_overflowing_matched_frequency_exits_2(self, tmp_path, capsys):
+        # Omega0^2 overflows: no finite frequency pairs with the mass
+        system = {"kind": "oscillator",
+                  "mass": {"type": "exponential", "m0": 1.0, "rate": 0.2},
+                  "frequency": {"type": "matched", "Omega0": -1e300}}
+        assert self.propagate_edited(tmp_path, capsys, "split_step", ("system",),
+                                     system) == (2, "NegativeRadicand")
+
     @pytest.mark.parametrize("method,keys,value", [
         ("split_step", ("initial_state",), {"kind": "csv", "path": "missing.csv"}),
         ("crank_nicolson", ("system",),

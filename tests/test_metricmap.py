@@ -1,9 +1,11 @@
 """Tests for the free-particle <-> curved-metric correspondence."""
 
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from canonflow.errors import SingularMetric
 from canonflow.flowcore import GeneratorSpec, conjugation_factor, flow_evaluate
@@ -147,12 +149,41 @@ class TestGeneratorFromMetric:
         metric = metric_from_generator(EXP1, 0.4)
         rec = generator_from_metric(metric, 0.4, anchor=0.0,
                                     working_interval=(-4.0, 4.0))
+        calls = []
+
+        def counted(x):
+            calls.append(1)
+            return rec.generator.func(x)
+
         xs = np.linspace(-4.0, 4.0, 17)
-        ev = flow_evaluate(rec.generator, 0.4, xs, with_jacobian=False,
-                           rtol=1e-12, atol=1e-14)
+        ev = flow_evaluate(dataclasses.replace(rec.generator, func=counted), 0.4, xs,
+                           with_jacobian=False, rtol=1e-12, atol=1e-14)
         g_rt = np.asarray(ev.f2) ** -2.0
         assert np.max(np.abs(g_rt - metric.g(xs)) / metric.g(xs)) < 1e-6
         assert np.max(np.abs(ev.x_out - rec.flow(xs))) < 1e-6
+        # cost guard: a smooth generator needs no rejected steps at the
+        # ~300 anchor-orbit junctions the adaptive flow crosses
+        assert len(calls) <= 1000
+
+    @pytest.mark.parametrize("eps", [0.4, 0.8])
+    def test_expdecay_recovers_generator(self, eps):
+        # an exp-decay metric seeds a linear log|f|: f = e^(-x) itself
+        metric = metric_from_generator(EXP1, eps)
+        rec = generator_from_metric(metric, eps, anchor=0.0,
+                                    working_interval=(-4.0, 4.0))
+        xs = np.linspace(-4.0, 4.0, 161)
+        assert np.max(np.abs(rec.generator.f(xs) * np.exp(xs) - 1.0)) < 1e-4
+
+    def test_variational_jacobian_meaningful(self):
+        # jacobian (variational equation, reads f') times w = f(x)/f(phi) is 1
+        for gen, metric_eps, eps, interval in [(EXP1, 0.4, 0.4, (-4.0, 4.0)),
+                                               (QUAD, 0.2, 0.2, (-3.0, 3.0)),
+                                               (EXP1, 0.4, -0.3, (-2.0, 2.0))]:
+            rec = generator_from_metric(metric_from_generator(gen, metric_eps), eps,
+                                        anchor=0.0, working_interval=interval)
+            ev = flow_evaluate(rec.generator, eps, np.linspace(*interval, 13),
+                               with_jacobian=True, rtol=1e-12, atol=1e-14)
+            assert np.max(np.abs(ev.jacobian * ev.f2 - 1.0)) <= 1e-6
 
     def test_quadratic_round_trip(self):
         metric = metric_from_generator(QUAD, 0.2)
@@ -183,6 +214,24 @@ class TestGeneratorFromMetric:
         metric = MetricProfile.from_samples(xs, gs)
         probe = np.linspace(-3.0, 3.0, 11)
         assert np.max(np.abs(metric.g(probe) - (1.0 + 0.4 * np.exp(-probe)) ** -2)) < 1e-8
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=10)
+@given(eps=st.floats(0.25, 0.8), interval=st.sampled_from([(-4.0, 4.0), (-2.0, 3.0)]))
+def test_expdecay_inverse_property(eps, interval):
+    metric = metric_from_generator(EXP1, eps)
+    rec = generator_from_metric(metric, eps, anchor=0.0, working_interval=interval)
+    xs = np.linspace(*interval, 17)
+    ev = flow_evaluate(rec.generator, eps, xs, with_jacobian=True,
+                       rtol=1e-12, atol=1e-14)
+    g_ref = metric.g(xs)
+    assert np.max(np.abs(ev.f2 ** -2.0 - g_ref) / g_ref) <= 1e-6
+    assert np.max(np.abs(ev.jacobian * ev.f2 - 1.0)) <= 1e-6
+    # the Abel relation f(phi(x)) = f(x) phi'(x), densely on the interval
+    dense = np.linspace(*interval, 401)
+    f = rec.generator.f
+    assert np.max(np.abs(f(rec.flow(dense)) / (f(dense) * rec.flow.derivative(dense))
+                         - 1.0)) <= 1e-6
 
 
 class TestEquivalence:
