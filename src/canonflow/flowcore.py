@@ -178,10 +178,11 @@ def _closed_flow(gen, eps, x):
         return phi, jac, w
     # exp decay
     lam = gen.lam
-    arg = np.exp(lam * x) + eps * lam
-    _check(arg > 0.0, "exp-decay generator requires exp(lam*x) + eps*lam > 0")
-    phi = np.log(arg) / lam
-    w = 1.0 + eps * lam * np.exp(-lam * x)
+    with np.errstate(over="ignore"):      # a steep rate: infinite phi or w
+        arg = np.exp(lam * x) + eps * lam
+        _check(arg > 0.0, "exp-decay generator requires exp(lam*x) + eps*lam > 0")
+        phi = np.log(arg) / lam
+        w = 1.0 + eps * lam * np.exp(-lam * x)
     jac = 1.0 / w
     return phi, jac, w
 

@@ -151,8 +151,11 @@ class GaussianState:
     def to_wavefunction(self, grid):
         u = grid.x - self.center
         amp = (complex(self.a).real / np.pi) ** 0.25
-        vals = amp * np.exp(-0.5 * self.a * u * u
-                            + 1j * self.momentum * u + 1j * self.phase)
+        # a center or momentum far beyond the grid overflows the exponent;
+        # the state is then zero or NaN, which normalization rejects
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = amp * np.exp(-0.5 * self.a * u * u
+                                + 1j * self.momentum * u + 1j * self.phase)
         return WaveFunction(grid, vals)
 
     # closed-form moments (|psi|^2 is a real Gaussian of variance 1/(2 Re a))

@@ -65,12 +65,18 @@ class TimeProfile:
 
     @classmethod
     def exponential(cls, c0, rate):
-        """c0 * exp(rate * t)."""
-        c0, rate = float(c0), float(rate)
-        return cls(lambda t: c0 * np.exp(rate * np.asarray(t, dtype=float)),
-                   lambda t: c0 * rate * np.exp(rate * np.asarray(t, dtype=float)),
-                   lambda t: c0 * rate ** 2 * np.exp(rate * np.asarray(t, dtype=float)),
-                   name=f"{c0}*exp({rate}t)")
+        """c0 * exp(rate * t); a steep rate overflows to inf, which mass checks reject."""
+        name = f"{float(c0)}*exp({float(rate)}t)"
+        c0, rate = np.float64(c0), np.float64(rate)
+
+        def term(scale):
+            def fn(t):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    return scale * np.exp(rate * np.asarray(t, dtype=float))
+            return fn
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            return cls(term(c0), term(c0 * rate), term(c0 * rate ** 2), name=name)
 
     @classmethod
     def from_callable(cls, fn, timescale=1.0, name="numeric"):
@@ -125,8 +131,9 @@ def epsilon_from_mass(mass, m0):
 
 def _positive_mass(mass, t):
     m = np.asarray(mass.value(t), dtype=float)
-    if np.any(m <= 0):
-        raise MassZeroCrossing("mass profile is not positive at the requested time")
+    if not np.all((m > 0) & (m < np.inf)):
+        raise MassZeroCrossing("mass profile is not positive and finite at the "
+                               "requested time")
     return m
 
 
@@ -266,10 +273,17 @@ class SolvableFamily:
 
     @property
     def omega(self):
-        """The constant lab frequency solving the constancy condition."""
-        if self.trigonometric:
-            return float(np.sqrt(self.Omega0 ** 2 - self.alpha ** 2))
-        return float(np.sqrt(self.Omega0 ** 2 + self.alpha ** 2))
+        """The constant lab frequency solving the constancy condition.
+
+        A square that overflows (say Omega0 = 1e300) raises
+        ``NegativeRadicand``, as in ``omega_from_mass``.
+        """
+        sign = -1.0 if self.trigonometric else 1.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            rad = np.float64(self.Omega0) ** 2 + sign * np.float64(self.alpha) ** 2
+        if not rad < np.inf:
+            raise NegativeRadicand("no finite frequency pairs with this family")
+        return float(np.sqrt(rad))
 
     def _s(self, t):
         t = np.asarray(t, dtype=float)
@@ -286,13 +300,15 @@ class SolvableFamily:
         return s, ds, dds
 
     def mass_with_derivatives(self, t):
-        """(m, dm, ddm) at t, closed form; raises on a zero crossing."""
-        s, ds, dds = self._s(t)
-        if np.any(s * s <= 0) or np.any(~np.isfinite(s)):
-            raise MassZeroCrossing("mu e^(at) + nu e^(-at) vanishes at the requested time")
-        m = self.m0 * s * s
-        dm = 2.0 * self.m0 * s * ds
-        ddm = 2.0 * self.m0 * (ds * ds + s * dds)
+        """(m, dm, ddm) at t, closed form; raises on a zero crossing or overflow."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            s, ds, dds = self._s(t)
+            m = self.m0 * s * s
+            dm = 2.0 * self.m0 * s * ds
+            ddm = 2.0 * self.m0 * (ds * ds + s * dds)
+        if not np.all((m > 0) & np.isfinite(m) & np.isfinite(dm) & np.isfinite(ddm)):
+            raise MassZeroCrossing("mu e^(at) + nu e^(-at) vanishes, or the mass "
+                                   "overflows, at the requested time")
         return m, dm, ddm
 
     def mass_profile(self):

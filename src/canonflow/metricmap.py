@@ -26,8 +26,10 @@ produces it - splits into two stages:
    u(phi(x)) = u(x) + eps.  log|f| is seeded on the fundamental domain
    [anchor, phi(anchor)) as a quintic whose value, slope and curvature
    continue across phi(anchor), and extended without numerical
-   differentiation by f(phi(x)) = f(x) phi'(x), i.e. pullback products of
-   sqrt(g) along the orbit; f is C^2 and is compiled into one cubic spline.
+   differentiation by f(phi(x)) = f(x) phi'(x), i.e. products of sqrt(g)
+   along the orbit; f is C^2 and is compiled into one cubic spline whose
+   nodes are the orbit images of one seed set (one map call per node), with
+   evenly spaced fill nodes where the pieces stretch.
    f is not unique given phi, so acceptance is on phi and on the
    round-tripped metric, not on f pointwise (though an exp-decay metric
    gives back f = e^(-x)).
@@ -141,8 +143,8 @@ class FlowTable:
     antiderivative shifted by ``offset``, so ``derivative`` is the spline
     itself.  The inverse refines a spline guess with Newton steps on the
     forward map, dividing by that same spline, so forward and inverse agree
-    to rounding; the Abel construction iterates the pair hundreds of times,
-    and any forward/inverse mismatch would shift the reconstructed
+    to rounding; the Abel construction maps its nodes with both hundreds of
+    times, and a forward/inverse mismatch would shift the reconstructed
     generator's junction structure.
     """
 
@@ -265,21 +267,6 @@ def generator_from_metric(metric, eps, anchor, working_interval):
                                   anchor=anchor, seed_value=float(c_val))
 
 
-def _orbit(step, start, end, edge, sign):
-    """Points start, step(start), ... moving in direction ``sign``.
-
-    Stops once a point reaches ``end`` or lies past ``edge``, beyond which
-    ``step`` leaves the table.
-    """
-    points = [start]
-    while sign * points[-1] < sign * end and sign * points[-1] <= sign * edge:
-        points.append(float(step(points[-1])))
-        if len(points) > MAX_JUNCTIONS:
-            raise FixedPointInInterval(
-                "anchor orbit does not traverse the domain (displacement too small)")
-    return points
-
-
 def _log_seed(flow, anchor, eps):
     """The Abel seed: l = log|f| on the fundamental domain, and sign(f).
 
@@ -331,16 +318,15 @@ def _abel_generator(flow, eps, anchor, working, extended):
     """Generator construction through the Abel recursion.
 
     On the fundamental domain between anchor and phi(anchor), log|f| is the
-    C^2 seed of ``_log_seed``; elsewhere f follows from transporting the
-    point into the fundamental domain with phi or its inverse and
-    multiplying the chain of flow derivatives (f o phi = f * phi'), all of
-    which are sqrt(g) values.  f is then C^2 everywhere, so it is evaluated
-    exactly on a node set and compiled into one cubic spline, whose
-    evaluation and derivative are cheap.  Each piece between consecutive
-    points of the anchor's orbit (the junctions) gets nodes about
-    ``NODE_SPACING`` apart, at least seven, so the nodes follow the orbit
-    where it piles up; they stay strictly inside the pieces, because a
-    point on a junction can bounce between phi and its inverse.
+    C^2 seed of ``_log_seed``; f o phi = f * phi' carries it to the rest of
+    the line, so f is C^2 everywhere and is compiled into one cubic spline.
+    The spline nodes are the orbit images of one seed set strictly inside
+    the fundamental domain: each sweep maps the whole set one piece further
+    with phi or its inverse and adds log phi' (a sqrt(g) value) to each
+    image's log|f|, so a node costs one map call.  Where the pieces stretch
+    the images thin out, so every gap wider than ``NODE_SPACING``, the gaps
+    to the domain ends included, is filled with evenly spaced nodes that are
+    moved into the fundamental domain one piece per step.
     """
     from scipy.interpolate import CubicSpline
 
@@ -356,7 +342,7 @@ def _abel_generator(flow, eps, anchor, working, extended):
     # the domain may exceed the metric table by one displacement (a single
     # pullback re-enters the table) but never past the table's image under
     # the flow; when that cap binds, the borderline seed has an attracting
-    # fixed point at the table's edge where junctions pile up geometrically,
+    # fixed point at the table's edge where the pieces shrink geometrically,
     # so stop halfway between the deepest trajectory and the fixed point.
     span = hi - lo
     pad = 0.1 * span
@@ -371,57 +357,71 @@ def _abel_generator(flow, eps, anchor, working, extended):
         cap = float(flow(elo))
         dlo = bottom - pad if bottom - pad >= cap else 0.5 * (bottom + cap)
 
-    # Orbit of the anchor covering [dlo, dhi]: the junction set.  Forward
-    # applications stop at the table edge (monotonicity: no junction hides
-    # between there and the capped domain end); inverse applications stop at
-    # the edge of the flow's image, beyond which no point has a preimage and
-    # the remaining stretch is junction-free.
-    phi_lo, phi_hi = flow.phi_range
-    ups = _orbit(flow if upward else flow.inverse, a, dhi,
-                 ehi if upward else phi_hi, 1.0)
-    downs = _orbit(flow.inverse if upward else flow, a, dlo,
-                   phi_lo if upward else elo, -1.0)
-    junctions = np.concatenate([downs[::-1], ups[1:]])
-    if np.any(np.diff(junctions) <= 0):
-        raise NonMonotoneFlow("anchor orbit is not monotone")
+    ell, sign = _log_seed(flow, a, eps)
+    count = max(7, int(np.ceil((hi_dom - lo_dom) / NODE_SPACING)) + 1)
+    seeds = np.linspace(lo_dom, hi_dom, count + 2)[1:-1]
+
+    def push(x, logf):
+        return flow(x), logf + np.log(flow.derivative(x))
+
+    def pull(x, logf):
+        prev = flow.inverse(x)
+        return prev, logf - np.log(flow.derivative(prev))
+
+    # A step applies on its table only.  The images move monotonically away
+    # from the seeds, so an image past dlo or dhi is not moved on.
+    sweeps, sides = 0, []
+    for step, (t_lo, t_hi) in ((push, flow.x_range), (pull, flow.phi_range)):
+        side = [(seeds, ell(seeds))]
+        while True:
+            cur, logf = side[-1]
+            live = (cur > max(dlo, t_lo)) & (cur < min(dhi, t_hi))
+            if not np.any(live):
+                break
+            sweeps += 1
+            if sweeps > MAX_JUNCTIONS:
+                raise FixedPointInInterval(
+                    "anchor orbit does not traverse the domain (displacement too small)")
+            cur, logf = step(cur[live], logf[live])
+            inside = (cur > dlo) & (cur < dhi)
+            side.append((cur[inside], logf[inside]))
+        sides.append(side)
+    down, up = sides[::-1] if upward else sides
+    images, logs = (np.concatenate(parts) for parts in zip(*(down[::-1] + up[1:])))
 
     def transport_log(x):
-        """(y, L): y in the fundamental domain with f(x) = f(y) exp(L)."""
-        cur = np.array(x, dtype=float)
-        logmul = np.zeros(cur.shape)
-        for _ in range(len(junctions) + 4):
-            above = cur >= hi_dom
-            below = cur < lo_dom
+        """(y, L): y in the fundamental domain with log|f(x)| = log|f(y)| - L.
+
+        A point moves toward the domain only and stops once it crosses the
+        near end, so a point on a junction cannot bounce between phi and its
+        inverse.
+        """
+        cur, logmul = np.array(x, dtype=float), np.zeros(np.shape(x))
+        above, below = cur >= hi_dom, cur < lo_dom
+        for _ in range(sweeps + 4):
+            above &= cur >= hi_dom
+            below &= cur < lo_dom
             if not np.any(above | below):
                 return cur, logmul
-            inv_move = above if upward else below
-            fwd_move = below if upward else above
-            idx = np.flatnonzero(inv_move)
-            if idx.size:
-                prev = np.clip(flow.inverse(cur[idx]), elo, ehi)
-                logmul[idx] += np.log(flow.derivative(prev))
-                cur[idx] = prev
-            idx = np.flatnonzero(fwd_move)
-            if idx.size:
-                here = cur[idx]
-                logmul[idx] -= np.log(flow.derivative(here))
-                cur[idx] = np.clip(flow(here), elo, ehi)
+            for move, step in ((above, pull if upward else push),
+                               (below, push if upward else pull)):
+                if np.any(move):
+                    cur[move], logmul[move] = step(cur[move], logmul[move])
         raise FixedPointInInterval(
             "Abel recursion did not reach the fundamental domain")
 
-    # Round-off can put a junction within reach of a domain end; it is
-    # dropped, so that no piece is too narrow to hold its nodes.
-    reach = 2e-9 * (1.0 + max(abs(dlo), abs(dhi)))
-    pieces = np.concatenate([[dlo], junctions[(junctions > dlo + reach)
-                                              & (junctions < dhi - reach)], [dhi]])
-    node_blocks = []
-    for left, right in zip(pieces[:-1], pieces[1:]):
-        m = max(7, int(np.ceil((right - left) / NODE_SPACING)) + 1)
-        node_blocks.append(np.linspace(left, right, m + 2)[1:-1])
-    nodes = np.concatenate(node_blocks)
-    ell, sign = _log_seed(flow, a, eps)
-    y, logmul = transport_log(nodes)
-    spline = CubicSpline(nodes, sign * np.exp(ell(y) + logmul))
+    edges = np.concatenate([[dlo], images, [dhi]])
+    gaps = np.diff(edges)
+    wide = np.flatnonzero(gaps > NODE_SPACING)
+    per_gap = np.ceil(gaps[wide] / NODE_SPACING).astype(int) - 1
+    at = np.repeat(wide, per_gap)          # the gap of each fill node
+    rank = np.arange(at.size) + 1 - np.repeat(np.cumsum(per_gap) - per_gap, per_gap)
+    fill = edges[at] + gaps[at] * rank / np.repeat(per_gap + 1, per_gap)
+    nodes = np.insert(images, at, fill)
+    if np.any(np.diff(nodes) <= 0):
+        raise NonMonotoneFlow("Abel spline nodes are not strictly increasing")
+    y, logmul = transport_log(fill)
+    spline = CubicSpline(nodes, sign * np.exp(np.insert(logs, at, ell(y) - logmul)))
     dspline = spline.derivative()
 
     def f(x):

@@ -138,10 +138,12 @@ def _drive(psi0, t, dt, stride, update, apply_h):
             nrm = np.sqrt(grid.dx * np.sum(np.abs(values) ** 2))
             report.max_norm_drift = max(report.max_norm_drift, abs(nrm - norm0))
             mid = 0.5 * (prev + values)
-            resid = 1j * (values - prev) / dt - apply_h(i, mid)
+            resid = np.abs(1j * (values - prev) / dt - apply_h(i, mid))
+            # scaled by its peak: the square of a huge residual must not overflow
+            peak = max(float(np.max(resid)), np.finfo(float).tiny)
             report.max_schrodinger_residual = max(
                 report.max_schrodinger_residual,
-                float(np.sqrt(grid.dx * np.sum(np.abs(resid) ** 2))) / norm0)
+                peak * float(np.sqrt(grid.dx * np.sum((resid / peak) ** 2))) / norm0)
         if i + 1 in kept:
             states.append(WaveFunction(grid, values))
 
@@ -236,9 +238,10 @@ def split_step_propagate(mass, omega, psi0, t_grid, *, stride=None):
     """Strang-split evolution of p^2/(2 m(t)) + (1/2) m(t) w(t)^2 x^2.
 
     Coefficients are sampled at the step midpoints (one vector call each;
-    a mass <= 0 there raises ``MassZeroCrossing``), giving global second
-    order in dt (verified by the Richardson self-test in the suite).  The
-    step itself is exactly unitary, so norm drift is at rounding level.
+    a mass that is not positive and finite there raises
+    ``MassZeroCrossing``), giving global second order in dt (verified by
+    the Richardson self-test in the suite).  The step itself is exactly
+    unitary, so norm drift is at rounding level.
     Its potential and kinetic phases are evaluated once per distinct x^2
     and k^2 (``_strang_step``).  The FFT wraps through the periodic
     boundary, so a stored state that fails ``edge_decay_ok(tol=1e-9)``
@@ -251,8 +254,9 @@ def split_step_propagate(mass, omega, psi0, t_grid, *, stride=None):
 
     mid = 0.5 * (t[:-1] + t[1:])
     masses = mass.value(mid)
-    if not np.all(masses > 0):
-        raise MassZeroCrossing("mass profile is not positive at a step midpoint")
+    if not np.all((masses > 0) & (masses < np.inf)):
+        raise MassZeroCrossing("mass profile is not positive and finite at a "
+                               "step midpoint")
     coeffs = list(zip(masses.tolist(), omega.value(mid).tolist()))
     step = _strang_step(grid, dt)
 
@@ -408,6 +412,8 @@ def curved_kinetic_diagonals(gvals, m, dx):
     gvals = np.asarray(gvals, dtype=float)
     if np.any(gvals <= 0) or np.any(~np.isfinite(gvals)):
         raise SingularMetric("metric must be positive and finite on the grid")
+    if not m > 0:
+        raise MassZeroCrossing("the curved mass must be positive")
     n = gvals.size
     a = gvals ** -0.25
     mm = gvals ** -0.5

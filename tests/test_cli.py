@@ -1,12 +1,18 @@
 """Tests for the command line front end: formats, exit codes, reproducibility."""
 
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import canonflow
 from canonflow import verify
@@ -359,6 +365,47 @@ class TestErrorPaths:
         assert self.propagate_edited(tmp_path, capsys, "split_step", ("system",),
                                      system) == (2, "NegativeRadicand")
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("method,keys,value,outcome", [
+        ("split_step", ("system", "family", "Omega0"), 1e300, (2, "NegativeRadicand")),
+        ("split_step", ("system", "family", "mu"), 1e300, (2, "MassZeroCrossing")),
+        ("split_step", ("system",),
+         {"kind": "oscillator", "mass": {"type": "exponential", "m0": 1.0, "rate": 1e300},
+          "frequency": {"type": "constant", "value": 1.0}}, (2, "MassZeroCrossing")),
+        ("split_step", ("system",),
+         {"kind": "oscillator", "mass": {"type": "exponential", "m0": 0, "rate": 1e300},
+          "frequency": {"type": "constant", "value": 1.0}}, (2, "MassZeroCrossing")),
+        ("crank_nicolson", ("system",),
+         {"kind": "curved", "mass": 0, "metric": {"type": "constant", "value": 1.0}},
+         (2, "MassZeroCrossing")),
+        ("crank_nicolson", ("system",),
+         {"kind": "curved", "mass": 1.0,
+          "metric": {"type": "from_generator", "eps": 0.4,
+                     "generator": {"type": "exp_decay", "rate": 1e300}}},
+         (2, "SingularMetric")),
+        ("split_step", ("initial_state", "center"), 1e300, (64, "ValueError")),
+    ], ids=["family-frequency-overflows", "family-mass-overflows",
+            "mass-rate-overflows", "zero-mass-rate-overflows", "curved-mass-zero", "metric-rate-overflows",
+            "center-far-off-grid"])
+    def test_extreme_field_is_typed(self, method, keys, value, outcome, tmp_path,
+                                    capsys):
+        # each case was a traceback or a numpy warning on stderr
+        assert self.propagate_edited(tmp_path, capsys, method, keys, value) == outcome
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_mass_reports_finite_residual(self, tmp_path, capsys):
+        # the squared Schrodinger residual of m = 1e300 used to overflow
+        path = ck_scenario(tmp_path, tmp_path / "out", t_final=0.1)
+        scenario = json.loads(path.read_text())
+        scenario["system"] = {"kind": "oscillator",
+                              "mass": {"type": "exponential", "m0": 1e300, "rate": 0.2},
+                              "frequency": {"type": "constant", "value": 1.0}}
+        path.write_text(json.dumps(scenario))
+        code = main(["propagate", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        assert np.isfinite(json.loads(captured.out)["report"]["max_schrodinger_residual"])
+
     @pytest.mark.parametrize("method,keys,value", [
         ("split_step", ("initial_state",), {"kind": "csv", "path": "missing.csv"}),
         ("crank_nicolson", ("system",),
@@ -391,6 +438,75 @@ class TestErrorPaths:
         with pytest.raises(SystemExit) as err:
             main(["verify", "--suite", "bogus"])
         assert err.value.code == 64
+
+
+# Seeded scenario fuzz: one or two fields of a small base scenario take a
+# value from a fixed pool.  Sizes that would really allocate (a grid.n or a
+# step count of 1e8) stay out of the pool; 10**20 fails before allocating.
+FUZZ_BASES = (
+    {"system": {"kind": "oscillator",
+                "family": {"m0": 1.0, "mu": 1.0, "nu": 0.0, "alpha": 0.1, "Omega0": 1.0}},
+     "initial_state": {"kind": "gaussian", "width_re": 1.0, "center": 1.0},
+     "grid": {"x0": -10.0, "dx": 0.15625, "n": 128},
+     "propagator": {"method": "exact", "dt": 0.01, "t_final": 0.1, "output_stride": 5},
+     "outputs": {"directory": "out", "formats": ["csv", "json"]}},
+    {"system": {"kind": "oscillator",
+                "mass": {"type": "exponential", "m0": 1.0, "rate": 0.2},
+                "frequency": {"type": "matched", "Omega0": 1.0}},
+     "initial_state": {"kind": "gaussian", "width_re": 1.0, "width_im": 0.0,
+                       "momentum": 0.5},
+     "grid": {"xmin": -12.0, "xmax": 12.0, "n": 256},
+     "propagator": {"method": "split_step", "dt": 0.01, "t_final": 0.1},
+     "outputs": {"directory": "out"}},
+    {"system": {"kind": "curved", "mass": 1.0,
+                "metric": {"type": "from_generator", "eps": 0.4,
+                           "generator": {"type": "exp_decay", "rate": 1.0}}},
+     "initial_state": {"kind": "gaussian", "width_re": 1.0, "center": 4.0},
+     "grid": {"xmin": -4.0, "xmax": 16.0, "n": 128},
+     "propagator": {"method": "crank_nicolson", "dt": 0.01, "t_final": 0.1,
+                    "output_stride": 2},
+     "outputs": {"directory": "out", "formats": ["csv"]}},
+)
+FUZZ_POOL = (None, True, False, "", "x", [], [1.0], {}, 0, -1, -2.5, 1e300, -1e300,
+             10 ** 20)
+
+
+def field_paths(node, prefix=()):
+    for key, val in node.items():
+        yield prefix + (key,)
+        if isinstance(val, dict):
+            yield from field_paths(val, prefix + (key,))
+
+
+@st.composite
+def fuzzed_scenarios(draw):
+    scenario = copy.deepcopy(draw(st.sampled_from(FUZZ_BASES)))
+    for path in draw(st.lists(st.sampled_from(list(field_paths(scenario))),
+                              min_size=1, max_size=2)):
+        parent = scenario
+        for key in path[:-1]:       # an earlier mutation may have replaced it
+            parent = parent.get(key) if isinstance(parent, dict) else None
+        if isinstance(parent, dict):
+            parent[path[-1]] = copy.deepcopy(draw(st.sampled_from(FUZZ_POOL)))
+    return scenario
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=500)
+@given(scenario=fuzzed_scenarios())
+def test_scenario_fuzz_exits_cleanly(scenario):
+    # warnings raise, so a numpy warning that would reach stderr fails here
+    out, err = io.StringIO(), io.StringIO()
+    with (tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp),
+          warnings.catch_warnings(), contextlib.redirect_stdout(out),
+          contextlib.redirect_stderr(err)):
+        warnings.simplefilter("error")
+        with open("scenario.json", "w") as fh:
+            json.dump(scenario, fh)
+        code = main(["propagate", "scenario.json"])
+    assert err.getvalue() == ""
+    assert code in (0, 2, 64)
+    report = json.loads(out.getvalue())
+    assert ("error" in report) == (code != 0)
 
 
 # the README's Caldirola-Kanai scenario, run by the transform chain

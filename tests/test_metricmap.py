@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from canonflow.errors import SingularMetric
+from canonflow import metricmap
+from canonflow.errors import FixedPointInInterval, NonMonotoneFlow, SingularMetric
 from canonflow.flowcore import GeneratorSpec, conjugation_factor, flow_evaluate
 from canonflow.gridspace import (GaussianState, Grid, WaveFunction,
                                  apply_point_unitary)
-from canonflow.metricmap import (MetricProfile, curved_hamiltonian,
+from canonflow.metricmap import (FlowTable, MetricProfile, curved_hamiltonian,
                                  generator_from_metric, metric_from_generator,
                                  verify_metric_equivalence)
 from canonflow.propagators import apply_curved_kinetic, curved_kinetic_diagonals
@@ -164,6 +165,46 @@ class TestGeneratorFromMetric:
         # cost guard: a smooth generator needs no rejected steps at the
         # ~300 anchor-orbit junctions the adaptive flow crosses
         assert len(calls) <= 1000
+
+    def test_expdecay_node_cost(self, monkeypatch):
+        # cost guard: each spline node costs one map call, so the ~300
+        # pieces where the exp-decay orbit piles up cost no inverse calls
+        inverse = FlowTable.inverse
+        points = []
+
+        def counted(self, y):
+            points.append(np.size(y))
+            return inverse(self, y)
+
+        monkeypatch.setattr(FlowTable, "inverse", counted)
+        generator_from_metric(metric_from_generator(EXP1, 0.4), 0.4, anchor=0.0,
+                              working_interval=(-4.0, 4.0))
+        assert 0 < sum(points) <= 2000
+
+    def test_orbit_sweep_limit_raises(self, monkeypatch):
+        monkeypatch.setattr(metricmap, "MAX_JUNCTIONS", 3)
+        with pytest.raises(FixedPointInInterval):
+            generator_from_metric(metric_from_generator(EXP1, 0.4), 0.4, anchor=0.0,
+                                  working_interval=(-4.0, 4.0))
+
+    def test_unordered_nodes_raise_typed_error(self, monkeypatch):
+        # an inverse that does not keep the order of its arguments leaves
+        # nodes that CubicSpline would reject with a bare ValueError
+        inverse = FlowTable.inverse
+        monkeypatch.setattr(FlowTable, "inverse",
+                            lambda self, y: np.flip(inverse(self, y)))
+        with pytest.raises(NonMonotoneFlow):
+            generator_from_metric(metric_from_generator(EXP1, 0.4), 0.4, anchor=0.0,
+                                  working_interval=(-4.0, 4.0))
+
+    @pytest.mark.xfail(strict=True, reason="borderline displacement: phi(anchor) "
+                       "is read at the extension's outer edge, 2.2e-5 off here")
+    def test_borderline_displacement_recovers_true_flow(self):
+        metric = metric_from_generator(EXP1, 0.8)
+        rec = generator_from_metric(metric, 0.8, anchor=0.0,
+                                    working_interval=(-2.0, 3.0))
+        xs = np.linspace(-2.0, 3.0, 51)
+        assert np.max(np.abs(rec.flow(xs) - np.log(np.exp(xs) + 0.8))) < 1e-6
 
     @pytest.mark.parametrize("eps", [0.4, 0.8])
     def test_expdecay_recovers_generator(self, eps):
