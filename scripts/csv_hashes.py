@@ -1,10 +1,15 @@
-"""Print the sha256 of ``trajectory.csv`` for the four pinned scenarios.
+"""Check the sha256 of ``trajectory.csv`` for the four pinned scenarios.
 
 Each scenario is written to a temporary directory and run through
-``canonflow propagate``; one ``name sha256`` line is printed per scenario.
-Trajectory CSVs are byte-stable for identical inputs, so a change that
-keeps these four hashes keeps every row of every propagation method.  Run
-from any checkout; the script imports canonflow from that checkout's src/:
+``canonflow propagate``.  One ``name sha256 ok`` line is printed per
+scenario whose hash equals its entry in ``PINNED``, and ``name sha256
+changed`` (with the pinned value) per scenario whose hash does not; the
+script exits 1 if any changed.  Trajectory CSVs are byte-stable for
+identical inputs, so a change that keeps these four hashes keeps every row
+of every propagation method.  A commit that changes the bytes of one of
+these CSVs updates its ``PINNED`` entry in the same commit, and names the
+changed hash and the largest change per column in CHANGES.md.  Run from any
+checkout; the script imports canonflow from that checkout's src/:
 
     OPENBLAS_NUM_THREADS=1 python3 scripts/csv_hashes.py
 """
@@ -22,6 +27,13 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src"))
 
 from canonflow.cli import main  # noqa: E402
+
+PINNED = {
+    "family_exact": "05b0085a786c111c06e7af0bdc298f1b9c36613467d266a57657fd700bcbbec8",
+    "family_split_step": "76fc7fc298362e510110d8377cbb2dd0898124d4b6c648e852da834b3cbea071",
+    "profiles_split_step": "db8e357deb6cbaeb68043e5cd652aebfc3d538a49d70407505f53be26c06fcc3",
+    "curved_exp_decay": "fc6af2390235b7326cc02bba28d22577227d97f6c93b349152c4203486711916",
+}
 
 # the README's Caldirola-Kanai family, m = e^(0.2 t), at full size
 FAMILY = {
@@ -60,7 +72,9 @@ def _scenarios():
             "profiles_split_step": profiles, "curved_exp_decay": curved}
 
 
-def print_hashes():
+def check_hashes():
+    """Print one line per scenario; returns the number of changed hashes."""
+    changed = 0
     with tempfile.TemporaryDirectory() as tmp:
         for name, scenario in _scenarios().items():
             scenario["outputs"] = {"directory": os.path.join(tmp, name),
@@ -73,8 +87,14 @@ def print_hashes():
             if code != 0:
                 raise SystemExit(f"{name}: propagate exited {code}")
             with open(os.path.join(tmp, name, "trajectory.csv"), "rb") as fh:
-                print(name, hashlib.sha256(fh.read()).hexdigest())
+                digest = hashlib.sha256(fh.read()).hexdigest()
+            if digest == PINNED[name]:
+                print(name, digest, "ok")
+            else:
+                print(name, digest, f"changed (pinned {PINNED[name]})")
+                changed += 1
+    return changed
 
 
 if __name__ == "__main__":
-    print_hashes()
+    sys.exit(1 if check_hashes() else 0)

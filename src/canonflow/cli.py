@@ -231,6 +231,14 @@ def _outputs(scenario, outdir):
     return directory, formats
 
 
+def _row(t, state, fidelity, energy):
+    """The CSV line of one stored state: t, norm, fidelity, <x>, <p>, energy."""
+    unit = state.normalized()
+    fid = float("nan") if fidelity is None else fidelity(t, state)
+    return ",".join(_fmt(v) for v in (t, state.norm(), fid, expectation("x", unit),
+                                      expectation("p", unit), energy(t, unit)))
+
+
 def run_scenario(path, outdir=None):
     """Execute a scenario file; returns (report dict, output paths)."""
     scenario = load_scenario(path)
@@ -299,13 +307,8 @@ def run_scenario(path, outdir=None):
     else:
         raise ScenarioError(f"system.kind: unknown system {sys_kind!r}")
 
-    lines = [TRAJECTORY_HEADER]
-    for t, state in zip(traj.times, traj.states):
-        unit = state.normalized()
-        fid = float("nan") if fidelity is None else fidelity(t, state)
-        row = (t, state.norm(), fid, expectation("x", unit),
-               expectation("p", unit), energy(t, unit))
-        lines.append(",".join(_fmt(v) for v in row))
+    lines = [TRAJECTORY_HEADER] + [_row(t, state, fidelity, energy)
+                                   for t, state in zip(traj.times, traj.states)]
 
     os.makedirs(directory, exist_ok=True)
     paths = {}

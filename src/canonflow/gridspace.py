@@ -60,8 +60,9 @@ class Grid:
 
     def __post_init__(self):
         _check_points(self.n)
-        if not self.dx > 0:
-            raise ValueError("grid spacing must be positive")
+        if not (np.isfinite(self.xmax) and np.all(np.diff(self.x) > 0)):
+            raise ValueError(f"grid x0={self.x0!r}, dx={self.dx!r}, n={self.n}: "
+                             "points must be finite and strictly increasing")
 
     @classmethod
     def from_interval(cls, xmin, xmax, n):
@@ -84,7 +85,7 @@ class Grid:
 
 
 class WaveFunction:
-    """Complex state sampled on a :class:`Grid`.  Values are immutable."""
+    """Complex state on a :class:`Grid`; values immutable, norm kept once reduced."""
 
     def __init__(self, grid, values):
         values = np.asarray(values, dtype=complex)
@@ -96,6 +97,10 @@ class WaveFunction:
         self.values = values
 
     def norm(self):
+        return self._norm
+
+    @cached_property
+    def _norm(self):
         return float(np.sqrt(self.grid.dx * np.sum(np.abs(self.values) ** 2)))
 
     def normalized(self):
@@ -324,49 +329,48 @@ def apply_quadratic_phase(chi, psi):
 
 # -- observables --------------------------------------------------------------
 
-_SIMPLE_OBSERVABLES = ("x", "x2", "p", "p2", "xp_anticomm")
-
-
 def expectation(observable, psi):
     """<psi|O|psi> for O in {x, x2, p, p2, xp_anticomm, H(a,b,c)}.
 
     ``observable`` is one of the strings above or an object with fields
-    a, b, c meaning H = a p^2 + b x^2 + (c/2){x,p}.  Requires a normalized
-    state; the (tiny) imaginary residue of the Hermitian expectation is
+    a, b, c meaning H = a p^2 + b x^2 + (c/2){x,p}, whose {x,p} term is
+    evaluated only when c != 0.  Requires a normalized state, checked once
+    per call; the (tiny) imaginary residue of each Hermitian expectation is
     checked and a warning is emitted above 1e-10.
     """
     if abs(psi.norm() - 1.0) > NORM_TOL:
         raise NotNormalized(f"state norm is {psi.norm():.6g}, expected 1")
-    grid = psi.grid
-    x = grid.x
-    v = psi.values
+    if isinstance(observable, str):
+        return _moment(observable, psi)
+    val = observable.a * _moment("p2", psi) + observable.b * _moment("x2", psi)
+    if observable.c != 0:
+        val += 0.5 * observable.c * _moment("xp_anticomm", psi)
+    return float(val)
+
+
+def _moment(name, psi):
+    """Re <psi|O|psi> for the O named x, x2, p, p2 or xp_anticomm."""
+    grid, v, x = psi.grid, psi.values, psi.grid.x
 
     def mean_of(wvals):
         return complex(grid.dx * np.vdot(v, wvals))
 
-    if isinstance(observable, str):
-        if observable not in _SIMPLE_OBSERVABLES:
-            raise ValueError(f"unknown observable {observable!r}")
-        if observable == "x":
-            val = mean_of(x * v)
-        elif observable == "x2":
-            val = mean_of(x * x * v)
-        elif observable == "p":
-            val = mean_of(apply_momentum(v, grid, 1))
-        elif observable == "p2":
-            val = mean_of(apply_momentum(v, grid, 2))
-        else:  # (1/2)<{x,p}> + (1/2)<{p,x}> = <x p> + <p x> = 2 Re <x p>
-            pv = apply_momentum(v, grid, 1)
-            val = mean_of(x * pv) + mean_of(apply_momentum(x * v, grid, 1))
+    if name == "x":
+        val = mean_of(x * v)
+    elif name == "x2":
+        val = mean_of(x * x * v)
+    elif name == "p":
+        val = mean_of(apply_momentum(v, grid, 1))
+    elif name == "p2":
+        val = mean_of(apply_momentum(v, grid, 2))
+    elif name == "xp_anticomm":  # (1/2)<{x,p}> + (1/2)<{p,x}> = 2 Re <x p>
+        pv = apply_momentum(v, grid, 1)
+        val = mean_of(x * pv) + mean_of(apply_momentum(x * v, grid, 1))
     else:
-        a, b, c = observable.a, observable.b, observable.c
-        val = (a * expectation("p2", psi) + b * expectation("x2", psi)
-               + 0.5 * c * expectation("xp_anticomm", psi))
-        return float(val)
-
+        raise ValueError(f"unknown observable {name!r}")
     if abs(val.imag) > 1e-10 * max(1.0, abs(val.real)):
-        warnings.warn(f"imaginary residue {val.imag:.3e} in <{observable}>",
-                      stacklevel=2)
+        warnings.warn(f"imaginary residue {val.imag:.3e} in <{name}>",
+                      stacklevel=3)
     return float(val.real)
 
 

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List
 
 import numpy as np
@@ -156,9 +157,9 @@ def _drive(psi0, t, dt, stride, update, apply_h):
 class HermiteBasis:
     """First M eigenfunctions of p^2/(2 m0) + (1/2) m0 Omega0^2 x^2 on a grid.
 
-    Built by the stable normalized recurrence; eigenvalues (n + 1/2) Omega0.
-    The grid must extend past the classical turning point of the highest
-    basis function, else orthonormality degrades (see ``gram_residual``).
+    Built by the stable normalized recurrence (on the grid, on first use);
+    eigenvalues (n + 1/2) Omega0.  Orthonormality degrades unless the grid
+    extends past the highest function's turning point (``gram_residual``).
     """
 
     def __init__(self, size, m0, omega0, grid):
@@ -167,18 +168,20 @@ class HermiteBasis:
         self.omega0 = float(omega0)
         self.grid = grid
         self.length_scale = 1.0 / np.sqrt(self.m0 * self.omega0)
-        self.functions = self.at(grid.x)
+
+    functions = cached_property(lambda self: self.at(self.grid.x))
 
     def at(self, points):
-        """The basis functions at arbitrary points, shape (size, len(points))."""
+        """The basis at arbitrary points, shape (size, len(points)), rows in place."""
         xi = np.asarray(points, dtype=float) / self.length_scale
         funcs = np.empty((self.size, xi.size))
         funcs[0] = (self.m0 * self.omega0 / np.pi) ** 0.25 * np.exp(-0.5 * xi * xi)
         if self.size > 1:
             funcs[1] = np.sqrt(2.0) * xi * funcs[0]
         for n in range(1, self.size - 1):
-            funcs[n + 1] = (np.sqrt(2.0 / (n + 1)) * xi * funcs[n]
-                            - np.sqrt(n / (n + 1.0)) * funcs[n - 1])
+            row = np.multiply(np.sqrt(2.0 / (n + 1)), xi, out=funcs[n + 1])
+            row *= funcs[n]
+            row -= np.sqrt(n / (n + 1.0)) * funcs[n - 1]
         return funcs
 
     def energies(self):

@@ -12,12 +12,16 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import canonflow
 from canonflow import verify
-from canonflow.cli import SUITE_NAMES, TRAJECTORY_HEADER, build_parser, main, run_scenario
-from canonflow.gridspace import GaussianState, Grid, wavefunction_to_csv
+from canonflow.cli import (SUITE_NAMES, TRAJECTORY_HEADER, _row, build_parser, main,
+                           run_scenario)
+from canonflow.gridspace import (GaussianState, Grid, WaveFunction, expectation,
+                                 wavefunction_to_csv)
+from canonflow.hamiltonians import QuadraticHamiltonian
+from canonflow.propagators import HermiteBasis
 
 
 def invoke(capsys, *argv):
@@ -392,6 +396,17 @@ class TestErrorPaths:
         # each case was a traceback or a numpy warning on stderr
         assert self.propagate_edited(tmp_path, capsys, method, keys, value) == outcome
 
+    def test_grid_with_coincident_points_names_the_grid(self, tmp_path, capsys):
+        # every point of x0 = 1e300, dx = 0.1 rounds to 1e300
+        path = ck_scenario(tmp_path, tmp_path / "out")
+        scenario = json.loads(path.read_text())
+        scenario["grid"] = {"x0": 1e300, "dx": 0.1, "n": 128}
+        path.write_text(json.dumps(scenario))
+        code, out = invoke(capsys, "propagate", str(path))
+        error = json.loads(out)["error"]
+        assert (code, error["kind"]) == (64, "ValueError")
+        assert "grid x0=1e+300, dx=0.1, n=128" in error["message"]
+
     @pytest.mark.filterwarnings("error")
     def test_huge_mass_reports_finite_residual(self, tmp_path, capsys):
         # the squared Schrodinger residual of m = 1e300 used to overflow
@@ -507,6 +522,84 @@ def test_scenario_fuzz_exits_cleanly(scenario):
     assert code in (0, 2, 64)
     report = json.loads(out.getvalue())
     assert ("error" in report) == (code != 0)
+
+
+# The stored-row arithmetic as it was before each state's norm was kept and
+# the energy skipped its c = 0 {x,p} term, kept as the oracle of the row
+# below: every expectation reduced the norm again, and H summed
+# a p2 + b x2 + (c/2) xp.
+def oracle_norm(values, dx):
+    return float(np.sqrt(dx * np.sum(np.abs(values) ** 2)))
+
+
+def oracle_expectation(observable, values, grid):
+    x, v = grid.x, values
+
+    def mean_of(wvals):
+        return complex(grid.dx * np.vdot(v, wvals))
+
+    def momentum(vals, power):
+        return np.fft.ifft(grid.k ** power * np.fft.fft(vals))
+
+    if not isinstance(observable, str):
+        a, b, c = observable.a, observable.b, observable.c
+        return float(a * oracle_expectation("p2", v, grid)
+                     + b * oracle_expectation("x2", v, grid)
+                     + 0.5 * c * oracle_expectation("xp_anticomm", v, grid))
+    val = {"x": lambda: mean_of(x * v), "p": lambda: mean_of(momentum(v, 1)),
+           "x2": lambda: mean_of(x * x * v), "p2": lambda: mean_of(momentum(v, 2)),
+           "xp_anticomm": lambda: (mean_of(x * momentum(v, 1))
+                                   + mean_of(momentum(x * v, 1)))}[observable]()
+    return float(val.real)
+
+
+def oracle_row(t, state, ham):
+    """The values of one row, the old way; fidelity is the state's with itself."""
+    grid, v = state.grid, state.values
+    nrm = oracle_norm(v, grid.dx)
+    unit = v / nrm
+    fid = min(1.0, float(abs(complex(grid.dx * np.vdot(v, v))) / (nrm * nrm)))
+    return (t, nrm, fid, oracle_expectation("x", unit, grid),
+            oracle_expectation("p", unit, grid), oracle_expectation(ham, unit, grid))
+
+
+def oracle_hermite(size, m0, omega0, points):
+    """The Hermite recurrence in its original order, one new array per row."""
+    xi = np.asarray(points, dtype=float) / (1.0 / np.sqrt(m0 * omega0))
+    funcs = np.empty((size, xi.size))
+    funcs[0] = (m0 * omega0 / np.pi) ** 0.25 * np.exp(-0.5 * xi * xi)
+    funcs[1] = np.sqrt(2.0) * xi * funcs[0]
+    for n in range(1, size - 1):
+        funcs[n + 1] = (np.sqrt(2.0 / (n + 1)) * xi * funcs[n]
+                        - np.sqrt(n / (n + 1.0)) * funcs[n - 1])
+    return funcs
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(n=st.integers(64, 2048), shift=st.one_of(st.just(0.0), st.floats(-5.0, 5.0)),
+       half_length=st.floats(6.0, 20.0), width_re=st.floats(0.3, 3.0),
+       width_im=st.floats(-1.0, 1.0), center=st.floats(-2.0, 2.0),
+       momentum=st.floats(-2.0, 2.0), scale=st.floats(0.5, 2.0),
+       m=st.floats(0.1, 10.0), w=st.floats(0.1, 10.0), t=st.floats(0.0, 5.0),
+       eps=st.floats(-1.0, 1.0))
+@example(n=2048, shift=0.0, half_length=12.0, width_re=1.0, width_im=0.0,
+         center=1.0, momentum=0.0, scale=1.0, m=1.0, w=1.0, t=0.0, eps=0.0)
+def test_stored_row_is_bit_identical_to_the_expectation_row(
+        n, shift, half_length, width_re, width_im, center, momentum, scale, m, w,
+        t, eps):
+    grid = Grid.from_interval(shift - half_length, shift + half_length, n)
+    gauss = GaussianState(complex(width_re, width_im), center + shift, momentum)
+    state = WaveFunction(grid, scale * gauss.to_wavefunction(grid).values)
+    ham = QuadraticHamiltonian.oscillator(m, w)
+    want = ",".join(format(v, ".17g") for v in oracle_row(t, state, ham))
+    assert _row(t, state, lambda t, s: s.fidelity(s),
+                lambda t, unit: expectation(ham, unit)) == want
+
+    # the chain's frames: the basis at dilated points, and on the grid
+    basis = HermiteBasis(40, m, w, grid)
+    points = np.exp(-eps) * grid.x
+    assert np.array_equal(basis.at(points), oracle_hermite(40, m, w, points))
+    assert np.array_equal(basis.functions, oracle_hermite(40, m, w, grid.x))
 
 
 # the README's Caldirola-Kanai scenario, run by the transform chain

@@ -1,5 +1,6 @@
 """Tests for grid states, the point/phase unitaries, and observables."""
 
+import re
 import time
 import tracemalloc
 
@@ -43,6 +44,16 @@ class TestStates:
         assert psi.norm() == pytest.approx(1.0, abs=1e-12)
         scaled = WaveFunction(GRID, 3.0 * psi.values)
         assert scaled.normalized().norm() == pytest.approx(1.0, abs=1e-13)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("x0,dx", [(1e300, 0.1), (0.0, 0.0), (0.0, -0.1),
+                                       (0.0, float("nan")), (float("inf"), 1.0),
+                                       (0.0, 1e308)],
+                             ids=["points-coincide", "zero-spacing", "decreasing",
+                                  "nan-spacing", "infinite-origin", "spacing-overflows"])
+    def test_grid_points_must_be_finite_and_increasing(self, x0, dx):
+        with pytest.raises(ValueError, match=re.escape(f"grid x0={x0!r}, dx={dx!r}, n=16")):
+            Grid(x0, dx, 16)
 
     def test_values_immutable(self):
         psi = ground()
@@ -313,6 +324,35 @@ class TestExpectation:
         from canonflow.hamiltonians import QuadraticHamiltonian
         ham = QuadraticHamiltonian.oscillator(1.0, 1.0)
         assert expectation(ham, ground()) == pytest.approx(0.5, abs=1e-10)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(width_re=st.floats(0.7, 2.0), width_im=st.floats(-1.0, 1.0),
+           center=st.floats(-1.5, 1.5), momentum=st.floats(-2.0, 2.0),
+           a=st.floats(-2.0, 2.0), b=st.floats(-2.0, 2.0), c=st.floats(-2.0, 2.0))
+    def test_quadratic_hamiltonian_matches_gaussian_closed_form(
+            self, width_re, width_im, center, momentum, a, b, c):
+        from canonflow.hamiltonians import QuadraticHamiltonian
+        g = GaussianState(complex(width_re, width_im), center, momentum)
+        psi = g.to_wavefunction(GRID).normalized()
+        # (c/2)<{x,p}> = c (<x><p> + cov_xp)
+        closed = (a * g.mean_p2() + b * g.mean_x2()
+                  + c * (g.mean_x() * g.mean_p() + g.cov_xp()))
+        assert abs(expectation(QuadraticHamiltonian(a, b, c), psi) - closed) <= 1e-10
+        assert (expectation(QuadraticHamiltonian(a, b, 0.0), psi)
+                == a * expectation("p2", psi) + b * expectation("x2", psi))
+
+    def test_zero_c_skips_the_anticommutator(self, monkeypatch):
+        from canonflow.hamiltonians import QuadraticHamiltonian
+        powers = []
+        apply = gridspace.apply_momentum
+        monkeypatch.setattr(gridspace, "apply_momentum",
+                            lambda values, grid, power=1: powers.append(power)
+                            or apply(values, grid, power))
+        expectation(QuadraticHamiltonian.oscillator(1.0, 1.0), ground())
+        assert powers == [2]
+        powers.clear()
+        expectation(QuadraticHamiltonian(0.5, 0.5, 0.3), ground())
+        assert powers == [2, 1, 1]
 
     def test_unknown_observable(self):
         with pytest.raises(ValueError):
