@@ -32,7 +32,7 @@ PINNED = {
     "family_exact": "05b0085a786c111c06e7af0bdc298f1b9c36613467d266a57657fd700bcbbec8",
     "family_split_step": "76fc7fc298362e510110d8377cbb2dd0898124d4b6c648e852da834b3cbea071",
     "profiles_split_step": "db8e357deb6cbaeb68043e5cd652aebfc3d538a49d70407505f53be26c06fcc3",
-    "curved_exp_decay": "fc6af2390235b7326cc02bba28d22577227d97f6c93b349152c4203486711916",
+    "curved_exp_decay": "13e860d2bedf2ed7e2ebbe123de264dfce8257c3c5eda949b9c4d7400814ed7a",
 }
 
 # the README's Caldirola-Kanai family, m = e^(0.2 t), at full size

@@ -20,7 +20,10 @@ Three routes to psi(t) are built here and cross-validated against each other:
   position-dependent-mass (curved-metric) Hamiltonian
   (1/2m) g^(-1/4) p g^(-1/2) p g^(-1/4), discretized as a manifestly
   Hermitian banded product with the central-difference momentum (splitting
-  methods do not factor once the mass depends on position).
+  methods do not factor once the mass depends on position).  The product
+  couples only j and j +- 2, so in even|odd order 1 + i H dt/2 is one
+  tridiagonal matrix, factored once; each step is one solve and
+  psi' = 2 chi - psi (chi the solution), with no right-hand-side apply.
 
 Both fixed-step integrators are thin callers of one driver, ``_drive``: it
 takes the step's update and its H psi apply, and owns the 16 sampled steps
@@ -224,14 +227,20 @@ def _strang_step(grid, dt):
     per distinct value (``np.unique``) and spread back over the grid with
     ``take``: bit-identical to evaluating it at every point, with about
     half the exponentials on symmetric grids (k^2 from ``fftfreq`` always
-    has n//2 + 1 distinct values).
+    has n//2 + 1 distinct values).  The two phase arrays of the last (m, w)
+    are kept, so a step with the previous step's coefficients evaluates no
+    exponential.
     """
     x2, x2_at = np.unique(grid.x ** 2, return_inverse=True)
     k2, k2_at = np.unique(grid.k ** 2, return_inverse=True)
+    kin_arg = -0.5j * dt * k2
+    last = [None, None, None]          # (m, w) and its two phase arrays
 
     def step(m, w, values):
-        half_v = np.exp(-0.25j * dt * m * w * w * x2).take(x2_at)
-        kin = np.exp(-0.5j * dt * k2 / m).take(k2_at)
+        if last[0] != (m, w):
+            last[:] = [(m, w), np.exp(-0.25j * dt * m * w * w * x2).take(x2_at),
+                       np.exp(kin_arg / m).take(k2_at)]
+        _, half_v, kin = last
         return half_v * np.fft.ifft(kin * np.fft.fft(half_v * values))
 
     return step
@@ -246,7 +255,8 @@ def split_step_propagate(mass, omega, psi0, t_grid, *, stride=None):
     the Richardson self-test in the suite).  The step itself is exactly
     unitary, so norm drift is at rounding level.
     Its potential and kinetic phases are evaluated once per distinct x^2
-    and k^2 (``_strang_step``).  The FFT wraps through the periodic
+    and k^2, and again only when (m, w) changes from the previous step
+    (``_strang_step``).  The FFT wraps through the periodic
     boundary, so a stored state that fails ``edge_decay_ok(tol=1e-9)``
     raises ``SupportLeakage``.
     """
@@ -294,29 +304,35 @@ class ExactSolvablePropagator:
 
     def __init__(self, family, psi0, *, static_mass=None):
         self.grid = psi0.grid
+        self.family = family
         self.m0_static = (family.static_mass() if static_mass is None
                           else float(static_mass))
-        self.eps = epsilon_from_mass(family.mass_profile(), self.m0_static)
         self.basis = HermiteBasis(BASIS_SIZE, self.m0_static, family.Omega0,
                                   psi0.grid)
-        if float(self.eps.value(0.0)) != 0.0 and not psi0.edge_decay_ok():
+        e0, frame0 = self._frame(0.0)
+        if e0 != 0.0 and not psi0.edge_decay_ok():
             raise SupportLeakage("initial state does not decay at the grid edge")
-        self.coeffs = self.grid.dx * (self._frame(0.0).conj() @ psi0.values)
+        self.coeffs = self.grid.dx * (frame0.conj() @ psi0.values)
         captured = float(np.sum(np.abs(self.coeffs) ** 2)) / psi0.norm() ** 2
         if captured < MIN_CAPTURE:
             raise TruncationError(
                 f"basis of size {BASIS_SIZE} captures only {captured:.12f}")
 
     def _frame(self, t):
-        """Rows e^(-e/2) e^(i chi e^(-2e) x^2/2) phi_n(e^(-e) x), e = eps(t)."""
-        e, x = float(self.eps.value(t)), self.grid.x
-        chi = self.m0_static * float(self.eps.d1(t))
+        """e = eps(t) and the rows e^(-e/2) e^(i chi e^(-2e) x^2/2) phi_n(e^(-e) x).
+
+        eps and chi = m0 eps' are those of ``epsilon_from_mass``, from one
+        evaluation of the family's mass and its rate.
+        """
+        m, dm, _ = self.family.mass_with_derivatives(float(t))
+        e, x = float(0.5 * np.log(self.m0_static / m)), self.grid.x
+        chi = self.m0_static * float(-dm / (2.0 * m))
         envelope = np.exp(-0.5 * e + 0.5j * chi * np.exp(-2.0 * e) * x * x)
-        return envelope * self.basis.at(np.exp(-e) * x)
+        return e, envelope * self.basis.at(np.exp(-e) * x)
 
     def __call__(self, t):
         phases = np.exp(-1j * self.basis.energies() * float(t))
-        out = WaveFunction(self.grid, (self.coeffs * phases) @ self._frame(t))
+        out = WaveFunction(self.grid, (self.coeffs * phases) @ self._frame(t)[1])
         if not out.edge_decay_ok(tol=1e-9):
             raise SupportLeakage("evolved support reaches the grid edge")
         return out
@@ -432,7 +448,7 @@ def curved_kinetic_diagonals(gvals, m, dx):
 
 def apply_curved_kinetic(diagonals, values):
     """A psi for a symmetric band pair (main, second) with offsets 0 and +-2,
-    such as H from ``curved_kinetic_diagonals`` or 1 - i H dt/2."""
+    such as H from ``curved_kinetic_diagonals``."""
     main, second = diagonals
     hv = main * values
     hv[:-2] += second * values[2:]
@@ -446,8 +462,17 @@ def crank_nicolson_curved(metric, m, psi0, t_grid, *, stride=None):
     (1 + i H dt/2) psi_{n+1} = (1 - i H dt/2) psi_n with H Hermitian banded,
     hence exactly norm-preserving up to the linear-solve tolerance.  The
     metric is sampled once (time-independent evolution); Dirichlet ends.
-    H couples only j and j +- 2, so the even- and odd-indexed unknowns form
-    two tridiagonal systems, each LU-factored once by LAPACK (zgttrf).
+
+    H couples only j and j +- 2, so with the even-indexed unknowns listed
+    before the odd-indexed ones 1 + i H dt/2 is a single tridiagonal matrix
+    whose coupling at the junction of the two halves is zero.  It is
+    LU-factored once by LAPACK (zgttrf), and each step is one contiguous
+    solve (zgttrs) through psi_{n+1} = 2 chi - psi_n with
+    (1 + i H dt/2) chi = psi_n, which equals the Cayley step because
+    1 - i H dt/2 = 2 - (1 + i H dt/2): no right-hand-side band apply.  The
+    run steps the permuted state; ``apply_curved_kinetic`` sees it in grid
+    order at the sampled steps, and the stored states are returned in grid
+    order.
     """
     from scipy.linalg.lapack import zgttrf, zgttrs
 
@@ -456,26 +481,24 @@ def crank_nicolson_curved(metric, m, psi0, t_grid, *, stride=None):
     diagonals = curved_kinetic_diagonals(metric.g(grid.x), float(m), grid.dx)
     main, second = diagonals
     half = 0.5j * dt
-    minus = (1.0 - half * main, -half * second)
-    factors = []
-    for p in (0, 1):
-        off = half * second[p::2]
-        *lu, info = zgttrf(off, 1.0 + half * main[p::2], off)
-        if info != 0:
-            raise LinearSolveFailure(f"Cayley factorization failed (info {info})")
-        factors.append(lu)
+    order = np.r_[0:grid.n:2, 1:grid.n:2]          # even | odd
+    back = np.argsort(order)
+    off = np.concatenate([half * second[0::2], [0.0], half * second[1::2]])
+    *lu, info = zgttrf(off, 1.0 + half * main[order], off)
+    if info != 0:
+        raise LinearSolveFailure(f"Cayley factorization failed (info {info})")
 
     def update(i, values):
-        rhs = apply_curved_kinetic(minus, values)
-        out = np.empty_like(rhs)
-        for p, lu in enumerate(factors):
-            out[p::2] = zgttrs(*lu, rhs[p::2])[0]
+        out = 2.0 * zgttrs(*lu, values)[0]
+        out -= values
         if not np.all(np.isfinite(out)):
             raise LinearSolveFailure("Crank-Nicolson solve produced non-finite values")
         return out
 
-    return _drive(psi0, t, dt, stride, update,
-                  lambda i, values: apply_curved_kinetic(diagonals, values))
+    traj = _drive(WaveFunction(grid, psi0.values[order]), t, dt, stride, update,
+                  lambda i, values: apply_curved_kinetic(diagonals, values[back])[order])
+    traj.states = [WaveFunction(grid, state.values[back]) for state in traj.states]
+    return traj
 
 
 # -- banded assembly of quadratic Hamiltonians (spectrum checks) -----------------

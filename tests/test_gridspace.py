@@ -1,7 +1,7 @@
 """Tests for grid states, the point/phase unitaries, and observables."""
 
+import dataclasses
 import re
-import time
 import tracemalloc
 
 import numpy as np
@@ -161,12 +161,20 @@ class TestPointUnitary:
             calls.append(args)
             return original(*args, **kwargs)
 
+        f_calls = []
+        if gen.kind == "custom":
+            def f(t, func=gen.func):
+                f_calls.append(np.size(t))
+                return func(t)
+            gen = dataclasses.replace(gen, func=f)
         monkeypatch.setattr(gridspace, "flow_evaluate", counted)
         psi = state.to_wavefunction(grid)
-        start = time.perf_counter()
         out = apply_point_unitary(gen, eps, psi)
-        assert time.perf_counter() - start < 0.5
         assert len(calls) <= 3
+        # the adaptive vector pass calls f 4305 times at eps = +-0.2; the
+        # bound leaves 40% for other integrator paths, while integrating
+        # the 1024 points one by one calls it far more often
+        assert len(f_calls) <= 6000
         assert abs(out.norm() - 1.0) < 1e-9
 
     @pytest.mark.parametrize("eps", [0.2, -0.2])

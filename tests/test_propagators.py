@@ -196,7 +196,61 @@ def test_strang_step_is_bit_identical_to_full_array_step(n, shift, half_length,
     assert np.array_equal(got, want)
 
 
+class CountingNumpy:
+    """numpy, with its calls of ``exp`` counted."""
+
+    def __init__(self):
+        self.exp_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def exp(self, z):
+        self.exp_calls += 1
+        return np.exp(z)
+
+
+# a run evaluates its two phases again only when (m, w) changes from the
+# previous step, and every stored state still equals the full-array step
+@pytest.mark.parametrize("mass,exp_calls", [(TimeProfile.constant(1.3), 2),
+                                            (TimeProfile.exponential(1.0, 0.2), 40)],
+                         ids=["constant", "time-dependent"])
+def test_split_step_phases_once_per_coefficient_pair(monkeypatch, mass, exp_calls):
+    grid = Grid.from_interval(-10.0, 10.0, 256)
+    psi = GaussianState(a=1.0, center=0.5).to_wavefunction(grid)
+    t = np.linspace(0.0, 0.2, 21)
+    omega = TimeProfile.constant(1.0)
+    numpy = CountingNumpy()
+    monkeypatch.setattr(propagators, "np", numpy)
+    traj = split_step_propagate(mass, omega, psi, t, stride=1)
+    monkeypatch.undo()
+    assert numpy.exp_calls == exp_calls
+    mid = 0.5 * (t[:-1] + t[1:])
+    want = psi.values
+    for state, m, w in zip(traj.states[1:], mass.value(mid).tolist(),
+                           omega.value(mid).tolist()):
+        want = full_array_step(grid, float(t[1] - t[0]), m, w, want)
+        assert np.array_equal(state.values, want)
+
+
 class TestExactChain:
+    def test_one_mass_evaluation_per_frame(self, monkeypatch):
+        # eps and its rate come from one call of the family's mass
+        calls = []
+        original = SolvableFamily.mass_with_derivatives
+
+        def counted(family, t):
+            calls.append(t)
+            return original(family, t)
+
+        monkeypatch.setattr(SolvableFamily, "mass_with_derivatives", counted)
+        psi = GaussianState(a=1.0, center=1.0).to_wavefunction(GRID)
+        prop = ExactSolvablePropagator(CK, psi)
+        assert len(calls) == 2          # the static mass and the frame at t = 0
+        traj = prop.trajectory(np.linspace(0.0, 5.0, 5001), 250)
+        assert len(traj.states) == 21
+        assert len(calls) == 2 + 21
+
     def test_zero_time_identity(self):
         psi = GaussianState(a=1.0, center=1.0).to_wavefunction(GRID)
         out = exact_solvable_propagate(CK, psi, 0.0)
@@ -442,6 +496,38 @@ def test_cn_norm_over_fifty_steps(n, c1, k, phase, c2, x0, m, dt, seed):
                                  stride=1)
     norms = np.array([state.norm() for state in traj.states])
     assert np.max(np.abs(norms - psi.norm())) <= 1e-12 * psi.norm()
+
+
+# every stored state, in grid order, against dense Cayley solves; an odd n
+# makes the even-indexed half one longer than the odd-indexed one
+@pytest.mark.parametrize("n", [127, 128])
+def test_cn_steps_match_dense_cayley_solves(n):
+    grid, metric, psi = random_cn_case(n, 0.6, 0.4, 1.0, -0.5, 1.5, seed=n)
+    m, dt, k = 1.3, 0.02, 12
+    ham = dense_curved_kinetic(metric.g(grid.x), m, grid.dx)
+    eye = np.eye(n)
+    traj = crank_nicolson_curved(metric, m, psi, np.linspace(0.0, k * dt, k + 1),
+                                 stride=1)
+    assert len(traj.states) == k + 1
+    assert np.array_equal(traj.states[0].values, psi.values)
+    want = psi.values
+    for state in traj.states[1:]:
+        want = np.linalg.solve(eye + 0.5j * dt * ham, (eye - 0.5j * dt * ham) @ want)
+        assert np.linalg.norm(state.values - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_cn_one_factorization_and_one_solve_per_step(monkeypatch):
+    from scipy.linalg import lapack
+
+    counts = {"zgttrf": 0, "zgttrs": 0}
+    for name in counts:
+        def counted(*args, name=name, original=getattr(lapack, name), **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(lapack, name, counted)
+    grid, metric, psi = random_cn_case(96, 0.3, 0.5, 0.0, 0.2, 0.0, seed=3)
+    crank_nicolson_curved(metric, 1.0, psi, np.linspace(0.0, 0.1, 11))
+    assert counts == {"zgttrf": 1, "zgttrs": 10}
 
 
 def dense_oracle(ham, grid):
