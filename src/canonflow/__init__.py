@@ -28,7 +28,7 @@ from .gridspace import (
 from .hamiltonians import (
     TimeProfile, QuadraticHamiltonian, SolvableFamily, dilation_transform,
     quadratic_phase_transform, effective_frequency, omega_from_mass,
-    epsilon_from_mass, reduce_oscillator, general_f_transform,
+    mass_epsilon, reduce_oscillator, general_f_transform,
 )
 from .propagators import (
     HermiteBasis, StepperReport, Trajectory, hermite_propagate,

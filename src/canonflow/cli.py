@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -424,6 +425,7 @@ def _cmd_verify(args):
     return 0 if ok else 1
 
 
+@functools.cache
 def build_parser():
     parser = _Parser(prog="canonflow",
                      description="Scaling-flow canonical transformations, "

@@ -95,9 +95,6 @@ class TimeProfile:
         return cls(lambda t: np.asarray(fn(np.asarray(t, dtype=float)), dtype=float),
                    d1, d2, name=name)
 
-    def __call__(self, t):
-        return self.value(t)
-
     def derivative_consistency(self, ts):
         """Max mismatch between stored and finite-difference derivatives."""
         ts = np.asarray(ts, dtype=float)
@@ -107,30 +104,20 @@ class TimeProfile:
                          np.max(np.abs(fd.d2(ts) - self.d2(ts)))) / scale)
 
 
-def epsilon_from_mass(mass, m0):
-    """eps(t) = (1/2) ln(m0 / m(t)) so that m e^(2 eps) = m0, with derivatives.
+def mass_epsilon(m, dm, ddm, m0):
+    """(eps, deps, ddeps) of eps = (1/2) ln(m0 / m), so that m e^(2 eps) = m0.
 
-    deps = -dm/(2m), ddeps = -ddm/(2m) + (dm)^2/(2 m^2).
+    deps = -r/2 and ddeps = (r^2 - ddm/m)/2 with the rate r = dm/m: finite
+    for a mass near overflow, and independent of m0 and of the mass scale.
+    A mass that is not positive and finite raises ``MassZeroCrossing``.
     """
-    m0 = float(m0)
-
-    def eps(t):
-        m = _positive_mass(mass, t)
-        return 0.5 * np.log(m0 / m)
-
-    def deps(t):
-        m = _positive_mass(mass, t)
-        return -mass.d1(t) / (2.0 * m)
-
-    def ddeps(t):
-        m = _positive_mass(mass, t)
-        return -mass.d2(t) / (2.0 * m) + mass.d1(t) ** 2 / (2.0 * m * m)
-
-    return TimeProfile(eps, deps, ddeps, name=f"eps[m0={m0}]")
+    m = _positive_mass(m)
+    r = dm / m
+    return 0.5 * np.log(m0 / m), -0.5 * r, 0.5 * (r * r - ddm / m)
 
 
-def _positive_mass(mass, t):
-    m = np.asarray(mass.value(t), dtype=float)
+def _positive_mass(m):
+    m = np.asarray(m, dtype=float)
     if not np.all((m > 0) & (m < np.inf)):
         raise MassZeroCrossing("mass profile is not positive and finite at the "
                                "requested time")
@@ -151,9 +138,6 @@ class QuadraticHamiltonian:
     def oscillator(cls, m, omega):
         """Standard form p^2/(2m) + (1/2) m omega^2 x^2."""
         return cls(a=1.0 / (2.0 * m), b=0.5 * m * omega ** 2, c=0.0)
-
-    def mass(self):
-        return 1.0 / (2.0 * self.a)
 
 
 def dilation_transform(ham, eps, deps):
@@ -179,9 +163,9 @@ def reduce_oscillator(mass, omega, t, m0=None):
     """
     if m0 is None:
         m0 = float(mass.value(0.0))
-    epsp = epsilon_from_mass(mass, m0)
-    e, de, dde = float(epsp.value(t)), float(epsp.d1(t)), float(epsp.d2(t))
-    h0 = QuadraticHamiltonian.oscillator(float(mass.value(t)), float(omega.value(t)))
+    m = mass.value(t)
+    e, de, dde = map(float, mass_epsilon(m, mass.d1(t), mass.d2(t), m0))
+    h0 = QuadraticHamiltonian.oscillator(float(m), float(omega.value(t)))
     h1 = dilation_transform(h0, e, de)
     h2 = quadratic_phase_transform(h1, m0 * de, m0 * dde)
     return h2, e, m0 * de
@@ -194,11 +178,10 @@ def effective_frequency(mass, omega, t, m0=None):
     ``ImaginaryFrequency`` when the radicand is negative (inverted
     effective oscillator: reported, not computed).
     """
-    if m0 is None:
-        m0 = float(mass.value(0.0))
-    epsp = epsilon_from_mass(mass, m0)
     t = np.asarray(t, dtype=float)
-    rad = epsp.d2(t) - epsp.d1(t) ** 2 + np.asarray(omega.value(t)) ** 2
+    m = mass.value(t)
+    _, de, dde = mass_epsilon(m, mass.d1(t), mass.d2(t), m if m0 is None else m0)
+    rad = dde - de ** 2 + np.asarray(omega.value(t)) ** 2
     if np.any(rad < 0):
         raise ImaginaryFrequency("ddeps - deps^2 + w^2 < 0")
     out = np.sqrt(rad)
@@ -208,14 +191,14 @@ def effective_frequency(mass, omega, t, m0=None):
 def omega_from_mass(mass, omega0, t):
     """The unique w(t) pairing with m(t) to an Omega0 static oscillator.
 
-    w = sqrt(Omega0^2 + ddm/(2m) - (dm/(2m))^2).  A radicand that is
-    negative or not finite (say Omega0 = 1e300) raises ``NegativeRadicand``.
+    w = sqrt(Omega0^2 - ddeps + deps^2), eps from ``mass_epsilon``.  A
+    radicand that is negative or not finite (say Omega0 = 1e300) raises
+    ``NegativeRadicand``.
     """
     t = np.asarray(t, dtype=float)
-    m = _positive_mass(mass, t)
     with np.errstate(over="ignore", invalid="ignore"):
-        rad = (np.float64(omega0) ** 2 + mass.d2(t) / (2.0 * m)
-               - (mass.d1(t) / (2.0 * m)) ** 2)
+        _, de, dde = mass_epsilon(mass.value(t), mass.d1(t), mass.d2(t), 1.0)
+        rad = np.float64(omega0) ** 2 - dde + de ** 2
     if not np.all((rad >= 0) & (rad < np.inf)):
         raise NegativeRadicand("no finite real frequency pairs with this mass profile")
     out = np.sqrt(rad)
@@ -328,13 +311,11 @@ class SolvableFamily:
         """|ddeps - deps^2 + alpha^2| with eps from the closed-form mass.
 
         Vanishes identically for the exponential family (the defining
-        property); computed here from the generic eps formulas as a
-        self-check.
+        property); computed here from ``mass_epsilon`` as a self-check.
         """
-        epsp = epsilon_from_mass(self.mass_profile(), self.static_mass())
-        t = np.asarray(t, dtype=float)
+        _, de, dde = mass_epsilon(*self.mass_with_derivatives(t), self.m0)
         sign = -1.0 if self.trigonometric else 1.0
-        return np.abs(epsp.d2(t) - epsp.d1(t) ** 2 + sign * self.alpha ** 2)
+        return np.abs(dde - de ** 2 + sign * self.alpha ** 2)
 
 
 # -- general-generator transform of a standard Hamiltonian ---------------------

@@ -52,7 +52,7 @@ import numpy as np
 from .errors import (LinearSolveFailure, MassZeroCrossing, ResolutionError,
                      SingularMetric, SupportLeakage, TruncationError)
 from .gridspace import GaussianState, WaveFunction, apply_momentum
-from .hamiltonians import epsilon_from_mass
+from .hamiltonians import _positive_mass, mass_epsilon
 
 BASIS_SIZE = 40              # Hermite functions in the exact chain's frame
 MIN_CAPTURE = 1.0 - 1e-10    # least probability a basis expansion must hold
@@ -266,10 +266,7 @@ def split_step_propagate(mass, omega, psi0, t_grid, *, stride=None):
     x2 = grid.x ** 2
 
     mid = 0.5 * (t[:-1] + t[1:])
-    masses = mass.value(mid)
-    if not np.all((masses > 0) & (masses < np.inf)):
-        raise MassZeroCrossing("mass profile is not positive and finite at a "
-                               "step midpoint")
+    masses = _positive_mass(mass.value(mid))
     coeffs = list(zip(masses.tolist(), omega.value(mid).tolist()))
     step = _strang_step(grid, dt)
 
@@ -321,12 +318,12 @@ class ExactSolvablePropagator:
     def _frame(self, t):
         """e = eps(t) and the rows e^(-e/2) e^(i chi e^(-2e) x^2/2) phi_n(e^(-e) x).
 
-        eps and chi = m0 eps' are those of ``epsilon_from_mass``, from one
-        evaluation of the family's mass and its rate.
+        eps and chi = m0 eps' come from ``mass_epsilon`` at one evaluation
+        of the family's mass and its derivatives.
         """
-        m, dm, _ = self.family.mass_with_derivatives(float(t))
-        e, x = float(0.5 * np.log(self.m0_static / m)), self.grid.x
-        chi = self.m0_static * float(-dm / (2.0 * m))
+        e, de, _ = map(float, mass_epsilon(
+            *self.family.mass_with_derivatives(float(t)), self.m0_static))
+        x, chi = self.grid.x, self.m0_static * de
         envelope = np.exp(-0.5 * e + 0.5j * chi * np.exp(-2.0 * e) * x * x)
         return e, envelope * self.basis.at(np.exp(-e) * x)
 
@@ -409,14 +406,12 @@ def gaussian_oscillator_evolve(state, m, omega, t):
 def gaussian_exact_propagate(family, state, t, *, static_mass=None):
     """Closed-form Gaussian transport through the solvable-family chain."""
     m0s = (family.static_mass() if static_mass is None else float(static_mass))
-    eps = epsilon_from_mass(family.mass_profile(), m0s)
-    e0, et = float(eps.value(0.0)), float(eps.value(t))
-    chi0 = m0s * float(eps.d1(0.0))
-    chit = m0s * float(eps.d1(t))
+    e0, de0, _ = map(float, mass_epsilon(*family.mass_with_derivatives(0.0), m0s))
+    et, det, _ = map(float, mass_epsilon(*family.mass_with_derivatives(t), m0s))
 
-    staged = state.dilated(e0).quadratic_phased(chi0)
+    staged = state.dilated(e0).quadratic_phased(m0s * de0)
     evolved = gaussian_oscillator_evolve(staged, m0s, family.Omega0, t)
-    return evolved.quadratic_phased(-chit).dilated(-et)
+    return evolved.quadratic_phased(-m0s * det).dilated(-et)
 
 
 # -- Crank-Nicolson for the curved (position-dependent-mass) Hamiltonian --------

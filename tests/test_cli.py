@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import importlib.util
 import io
 import json
 import os
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import canonflow
-from canonflow import verify
+from canonflow import cli, verify
 from canonflow.cli import (SUITE_NAMES, TRAJECTORY_HEADER, _row, build_parser, main,
                            run_scenario)
 from canonflow.gridspace import (GaussianState, Grid, WaveFunction, expectation,
@@ -97,6 +98,17 @@ class TestSubcommands:
         assert lines[0] == "t,m,dm,ddm,omega,Omega"
         omegas = [float(line.split(",")[4]) for line in lines[1:]]
         assert np.allclose(omegas, np.sqrt(1.01), atol=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    def test_solvable_huge_mass_keeps_reduced_frequency(self, capsys):
+        # m'^2 overflowed at m0 = 1e300, and every Omega printed nan
+        code = main(["solvable", "--m0", "1e300", "--mu", "1", "--nu", "0",
+                     "--alpha", "0.1", "--Omega0", "1"])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        rows = captured.out.strip().splitlines()[1:]
+        big = np.array([float(line.split(",")[5]) for line in rows])
+        assert big.size == 11 and np.all(np.abs(big - 1.0) <= 1e-12)
 
     def test_metric_table(self, capsys):
         code, out = invoke(capsys, "metric", "--f", "quadratic", "--eps", "0.2",
@@ -652,7 +664,33 @@ class TestColdStart:
         loaded = scipy_modules_after("import canonflow.verify", tmp_path)
         assert {"scipy.integrate", "scipy.interpolate", "scipy.linalg"} <= set(loaded)
 
+    def test_parser_is_built_once(self, capsys, monkeypatch):
+        built = []
+        init = cli._Parser.__init__
+
+        def counting_init(parser, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+        build_parser.cache_clear()
+        for _ in range(2):
+            assert invoke(capsys, "flow", "--f", "linear", "--eps", "0.1",
+                          "--x", "1.0")[0] == 0
+        assert built.count("canonflow") == 1
+
     def test_parser_suite_names_match_verify(self):
         assert SUITE_NAMES == tuple(verify.SUITES)
         args = build_parser().parse_args(["verify", "--suite", *verify.SUITES])
         assert args.suite == list(verify.SUITES)
+
+
+def test_pinned_output_hashes(capsys):
+    # scripts/csv_hashes.py: four trajectory CSVs and two solvable tables,
+    # each against its pinned sha256
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "scripts", "csv_hashes.py")
+    spec = importlib.util.spec_from_file_location("csv_hashes", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.check_hashes() == 0, capsys.readouterr().out

@@ -1,5 +1,6 @@
 """Tests for the quadratic-coefficient algebra and the solvable mass family."""
 
+import dataclasses
 import functools
 
 import numpy as np
@@ -12,8 +13,8 @@ from canonflow.errors import (ImaginaryFrequency, MassZeroCrossing,
 from canonflow.flowcore import GeneratorSpec
 from canonflow.hamiltonians import (QuadraticHamiltonian, SolvableFamily,
                                     TimeProfile, dilation_transform,
-                                    effective_frequency, epsilon_from_mass,
-                                    general_f_transform, omega_from_mass,
+                                    effective_frequency, general_f_transform,
+                                    mass_epsilon, omega_from_mass,
                                     quadratic_phase_transform,
                                     reduce_oscillator)
 
@@ -285,10 +286,49 @@ class TestProfiles:
 
     def test_epsilon_from_mass_gauge(self):
         mass = TimeProfile.exponential(1.0, 0.2)
-        eps = epsilon_from_mass(mass, 1.0)
-        assert eps.value(0.0) == pytest.approx(0.0)
-        assert eps.d1(1.0) == pytest.approx(-0.1, abs=1e-14)
-        assert eps.d2(1.0) == pytest.approx(0.0, abs=1e-14)
+
+        def eps(t):
+            return mass_epsilon(mass.value(t), mass.d1(t), mass.d2(t), 1.0)
+
+        assert eps(0.0)[0] == pytest.approx(0.0)
+        assert eps(1.0)[1] == pytest.approx(-0.1, abs=1e-14)
+        assert eps(1.0)[2] == pytest.approx(0.0, abs=1e-14)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(k=st.integers(-900, 900), mu=st.floats(0.2, 1.0), nu=st.floats(0.2, 1.0),
+           alpha=st.floats(0.1, 0.5), trigonometric=st.booleans())
+    def test_mass_scale_leaves_reduction_bit_identical(self, k, mu, nu, alpha,
+                                                       trigonometric):
+        # m0 -> 2^k m0 scales m, dm and ddm exactly; the reduced frequency
+        # is gauge invariant, so deps, ddeps and Omega may not move a bit
+        ts = np.linspace(0.0, 3.0, 7)
+        base = SolvableFamily(m0=1.0, mu=mu, nu=nu, alpha=alpha, Omega0=1.0,
+                              trigonometric=trigonometric)
+        scaled = dataclasses.replace(base, m0=2.0 ** k)
+        derivs = [mass_epsilon(*fam.mass_with_derivatives(ts), 1.0)[1:]
+                  for fam in (base, scaled)]
+        assert all(np.array_equal(a, b) for a, b in zip(*derivs))
+        omegas = [effective_frequency(fam.mass_profile(), fam.frequency_profile(), ts)
+                  for fam in (base, scaled)]
+        assert np.array_equal(*omegas)
+
+    @pytest.mark.parametrize("trigonometric", [False, True])
+    def test_mass_epsilon_matches_symbolic_derivatives(self, trigonometric):
+        # independent route: sympy differentiates (1/2) ln(m0/m(t)) directly
+        t = sp.symbols("t", real=True)
+        fam = SolvableFamily(m0=1.7, mu=0.8, nu=0.3, alpha=0.4, Omega0=1.0,
+                             trigonometric=trigonometric)
+        if trigonometric:
+            s = fam.mu * sp.cos(fam.alpha * t) + fam.nu * sp.sin(fam.alpha * t)
+        else:
+            s = fam.mu * sp.exp(fam.alpha * t) + fam.nu * sp.exp(-fam.alpha * t)
+        gauge = 2.3
+        eps = sp.log(gauge / (fam.m0 * s ** 2)) / 2
+        ts = np.linspace(0.0, 3.0, 13)
+        got = mass_epsilon(*fam.mass_with_derivatives(ts), gauge)
+        for expr, value in zip((eps, eps.diff(t), eps.diff(t, 2)), got):
+            want = sp.lambdify(t, expr, "numpy")(ts)
+            assert np.max(np.abs(value - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestGeneralTransform:

@@ -14,7 +14,7 @@ from canonflow.gridspace import (GaussianState, Grid, WaveFunction,
                                  apply_point_unitary, apply_quadratic_phase,
                                  expectation)
 from canonflow.hamiltonians import (QuadraticHamiltonian, SolvableFamily,
-                                    TimeProfile, epsilon_from_mass,
+                                    TimeProfile, mass_epsilon,
                                     omega_from_mass)
 from canonflow.metricmap import MetricProfile, metric_from_generator
 from canonflow.propagators import (ExactSolvablePropagator, HermiteBasis,
@@ -283,13 +283,12 @@ class TestExactChain:
         # the staged state W(t) U(t) psi must equal the static evolution of
         # W(0) psi for every probe, with U(t) the independent split-step run
         t = 1.5
-        eps = epsilon_from_mass(CK.mass_profile(), CK.static_mass())
         lin = GeneratorSpec.linear()
         basis = HermiteBasis(40, CK.static_mass(), CK.Omega0, GRID)
 
         def stage(state, when):
-            e = float(eps.value(when))
-            chi = CK.static_mass() * float(eps.d1(when))
+            e, de, _ = mass_epsilon(*CK.mass_with_derivatives(when), CK.static_mass())
+            e, chi = float(e), CK.static_mass() * float(de)
             return apply_quadratic_phase(chi, apply_point_unitary(lin, e, state))
 
         probes = [GaussianState(a=1.0, center=1.0),
