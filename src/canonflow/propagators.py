@@ -14,7 +14,9 @@ Three routes to psi(t) are built here and cross-validated against each other:
 
 * ``split_step_propagate`` - a second-order Strang splitting of
   H(t) = p^2/(2 m(t)) + (1/2) m(t) w(t)^2 x^2 with midpoint coefficient
-  sampling; the independent reference for the chain above.
+  sampling; the independent reference for the chain above.  Its phases are
+  cos and sin of real arguments (no complex exponential), and its FFT pair
+  runs in place in one work buffer.
 
 * ``crank_nicolson_curved`` - Cayley-form Crank-Nicolson for the
   position-dependent-mass (curved-metric) Hamiltonian
@@ -22,8 +24,9 @@ Three routes to psi(t) are built here and cross-validated against each other:
   Hermitian banded product with the central-difference momentum (splitting
   methods do not factor once the mass depends on position).  The product
   couples only j and j +- 2, so in even|odd order 1 + i H dt/2 is one
-  tridiagonal matrix, factored once; each step is one solve and
-  psi' = 2 chi - psi (chi the solution), with no right-hand-side apply.
+  tridiagonal matrix; half of it is factored once, so that each step is one
+  solve returning 2 chi and psi' = 2 chi - psi, with no right-hand-side
+  apply.
 
 Both fixed-step integrators are thin callers of one driver, ``_drive``: it
 takes the step's update and its H psi apply, and owns the 16 sampled steps
@@ -118,7 +121,8 @@ def _stored_steps(nsteps, stride=None):
 def _drive(psi0, t, dt, stride, update, apply_h):
     """Step psi0 across the uniform time grid t; the loop every integrator shares.
 
-    ``update(i, values)`` returns the values after step i and
+    ``update(i, values)`` returns the values after step i in a new array
+    (the previous one is still read at a sampled step) and
     ``apply_h(i, values)`` applies step i's Hamiltonian.  The states
     ``_stored_steps`` picks are kept.  At 16 evenly spaced steps the norm
     drift and the residual of i dpsi/dt = H psi at the step midpoint,
@@ -220,28 +224,49 @@ def hermite_propagate(psi, basis, t):
 
 # -- split-step reference integrator -------------------------------------------
 
+def _cis(arg, out):
+    """e^(i arg) for real arg, written as cos and sin into out's real and
+    imaginary parts: the bits ``np.exp`` gives for the imaginary argument."""
+    np.cos(arg, out=out.real)
+    np.sin(arg, out=out.imag)
+    return out
+
+
 def _strang_step(grid, dt):
     """step(m, w, values): e^(-i V dt/2) e^(-i T dt) e^(-i V dt/2) values.
 
     Each phase is a function of x^2 or k^2 alone, so it is evaluated once
     per distinct value (``np.unique``) and spread back over the grid with
     ``take``: bit-identical to evaluating it at every point, with about
-    half the exponentials on symmetric grids (k^2 from ``fftfreq`` always
-    has n//2 + 1 distinct values).  The two phase arrays of the last (m, w)
-    are kept, so a step with the previous step's coefficients evaluates no
-    exponential.
+    half the work on symmetric grids (k^2 from ``fftfreq`` always has
+    n//2 + 1 distinct values).  A phase is ``_cis`` of the real argument
+    (-dt m w^2/4) x^2 or (-dt k^2/2) (1/m), the bits ``np.exp`` gives for
+    the same imaginary argument.  The two phase arrays of the last (m, w)
+    are kept, so a step with the previous step's coefficients evaluates
+    none.  Every array but the returned state is allocated once, and each
+    multiply keeps the full-array step's operand order (numpy's complex
+    product is not bitwise commutative under FMA).
     """
     x2, x2_at = np.unique(grid.x ** 2, return_inverse=True)
     k2, k2_at = np.unique(grid.k ** 2, return_inverse=True)
-    kin_arg = -0.5j * dt * k2
-    last = [None, None, None]          # (m, w) and its two phase arrays
+    kin_rate = -0.5 * dt * k2
+    arg_v, arg_k = np.empty_like(x2), np.empty_like(k2)
+    phase_v, phase_k = np.empty(x2.size, complex), np.empty(k2.size, complex)
+    half_v, kin, work = (np.empty(grid.n, complex) for _ in range(3))
+    last = [None]                      # the (m, w) the phase arrays hold
 
     def step(m, w, values):
         if last[0] != (m, w):
-            last[:] = [(m, w), np.exp(-0.25j * dt * m * w * w * x2).take(x2_at),
-                       np.exp(kin_arg / m).take(k2_at)]
-        _, half_v, kin = last
-        return half_v * np.fft.ifft(kin * np.fft.fft(half_v * values))
+            last[0] = (m, w)
+            np.multiply(-0.25 * dt * m * w * w, x2, out=arg_v)
+            _cis(arg_v, phase_v).take(x2_at, out=half_v)
+            np.multiply(kin_rate, 1.0 / m, out=arg_k)
+            _cis(arg_k, phase_k).take(k2_at, out=kin)
+        y = np.multiply(half_v, values, out=work)
+        np.fft.fft(y, out=y)
+        np.multiply(kin, y, out=y)
+        np.fft.ifft(y, out=y)
+        return half_v * y
 
     return step
 
@@ -255,8 +280,9 @@ def split_step_propagate(mass, omega, psi0, t_grid, *, stride=None):
     the Richardson self-test in the suite).  The step itself is exactly
     unitary, so norm drift is at rounding level.
     Its potential and kinetic phases are evaluated once per distinct x^2
-    and k^2, and again only when (m, w) changes from the previous step
-    (``_strang_step``).  The FFT wraps through the periodic
+    and k^2, as cos and sin of their real arguments, and again only when
+    (m, w) changes from the previous step; each step allocates only the
+    state it returns (``_strang_step``).  The FFT wraps through the periodic
     boundary, so a stored state that fails ``edge_decay_ok(tol=1e-9)``
     raises ``SupportLeakage``.
     """
@@ -460,14 +486,18 @@ def crank_nicolson_curved(metric, m, psi0, t_grid, *, stride=None):
 
     H couples only j and j +- 2, so with the even-indexed unknowns listed
     before the odd-indexed ones 1 + i H dt/2 is a single tridiagonal matrix
-    whose coupling at the junction of the two halves is zero.  It is
-    LU-factored once by LAPACK (zgttrf), and each step is one contiguous
-    solve (zgttrs) through psi_{n+1} = 2 chi - psi_n with
+    whose coupling at the junction of the two halves is zero.  Half of it,
+    (1 + i H dt/2)/2, is LU-factored once by LAPACK (zgttrf), and each step
+    is one contiguous solve (zgttrs) through psi_{n+1} = 2 chi - psi_n with
     (1 + i H dt/2) chi = psi_n, which equals the Cayley step because
-    1 - i H dt/2 = 2 - (1 + i H dt/2): no right-hand-side band apply.  The
-    run steps the permuted state; ``apply_curved_kinetic`` sees it in grid
-    order at the sampled steps, and the stored states are returned in grid
-    order.
+    1 - i H dt/2 = 2 - (1 + i H dt/2): no right-hand-side band apply.
+    Halving is exact in the factorization and in both substitutions, so the
+    solve returns 2 chi bit for bit, with no doubling pass.  The run steps
+    the permuted state; ``apply_curved_kinetic`` sees it in grid order at
+    the sampled steps, and the stored states are returned in grid order.
+    A non-finite value cannot become finite in a later solve against the
+    finite factor, so the stored states are checked once, after the run;
+    any non-finite one raises ``LinearSolveFailure``.
     """
     from scipy.linalg.lapack import zgttrf, zgttrs
 
@@ -475,23 +505,24 @@ def crank_nicolson_curved(metric, m, psi0, t_grid, *, stride=None):
     grid = psi0.grid
     diagonals = curved_kinetic_diagonals(metric.g(grid.x), float(m), grid.dx)
     main, second = diagonals
-    half = 0.5j * dt
+    quarter = 0.25j * dt
     order = np.r_[0:grid.n:2, 1:grid.n:2]          # even | odd
     back = np.argsort(order)
-    off = np.concatenate([half * second[0::2], [0.0], half * second[1::2]])
-    *lu, info = zgttrf(off, 1.0 + half * main[order], off)
+    # (1 + i H dt/2)/2, so that a solve returns 2 chi itself
+    off = np.concatenate([quarter * second[0::2], [0.0], quarter * second[1::2]])
+    *lu, info = zgttrf(off, 0.5 + quarter * main[order], off)
     if info != 0:
         raise LinearSolveFailure(f"Cayley factorization failed (info {info})")
 
     def update(i, values):
-        out = 2.0 * zgttrs(*lu, values)[0]
+        out = zgttrs(*lu, values)[0]
         out -= values
-        if not np.all(np.isfinite(out)):
-            raise LinearSolveFailure("Crank-Nicolson solve produced non-finite values")
         return out
 
     traj = _drive(WaveFunction(grid, psi0.values[order]), t, dt, stride, update,
                   lambda i, values: apply_curved_kinetic(diagonals, values[back])[order])
+    if not all(np.all(np.isfinite(state.values)) for state in traj.states):
+        raise LinearSolveFailure("Crank-Nicolson solve produced non-finite values")
     traj.states = [WaveFunction(grid, state.values[back]) for state in traj.states]
     return traj
 

@@ -647,9 +647,14 @@ class TestColdStart:
         "assert main(['flow', '--f', 'quadratic', '--eps', '0.25', '--x', '2.0']) == 0",
         "from canonflow.cli import main\n"
         "assert main(['propagate', 'scenario.json', '--out', 'run']) == 0",
-    ], ids=["parser", "flow-quadratic", "propagate-exact"])
+        "from canonflow.cli import main\n"
+        "assert main(['propagate', 'split_step.json', '--out', 'run']) == 0",
+    ], ids=["parser", "flow-quadratic", "propagate-exact", "propagate-split_step"])
     def test_no_scipy_loaded(self, code, tmp_path):
         (tmp_path / "scenario.json").write_text(json.dumps(README_SCENARIO))
+        split_step = dict(README_SCENARIO, propagator=dict(
+            README_SCENARIO["propagator"], method="split_step"))
+        (tmp_path / "split_step.json").write_text(json.dumps(split_step))
         assert scipy_modules_after(code, tmp_path) == []
 
     def test_metric_invert_loads_no_integrator(self, tmp_path):

@@ -197,25 +197,25 @@ def test_strang_step_is_bit_identical_to_full_array_step(n, shift, half_length,
 
 
 class CountingNumpy:
-    """numpy, with its calls of ``exp`` counted."""
+    """numpy, with its calls of ``cos`` counted (one per phase evaluation)."""
 
     def __init__(self):
-        self.exp_calls = 0
+        self.cos_calls = 0
 
     def __getattr__(self, name):
         return getattr(np, name)
 
-    def exp(self, z):
-        self.exp_calls += 1
-        return np.exp(z)
+    def cos(self, *args, **kwargs):
+        self.cos_calls += 1
+        return np.cos(*args, **kwargs)
 
 
 # a run evaluates its two phases again only when (m, w) changes from the
 # previous step, and every stored state still equals the full-array step
-@pytest.mark.parametrize("mass,exp_calls", [(TimeProfile.constant(1.3), 2),
+@pytest.mark.parametrize("mass,cos_calls", [(TimeProfile.constant(1.3), 2),
                                             (TimeProfile.exponential(1.0, 0.2), 40)],
                          ids=["constant", "time-dependent"])
-def test_split_step_phases_once_per_coefficient_pair(monkeypatch, mass, exp_calls):
+def test_split_step_phases_once_per_coefficient_pair(monkeypatch, mass, cos_calls):
     grid = Grid.from_interval(-10.0, 10.0, 256)
     psi = GaussianState(a=1.0, center=0.5).to_wavefunction(grid)
     t = np.linspace(0.0, 0.2, 21)
@@ -224,13 +224,44 @@ def test_split_step_phases_once_per_coefficient_pair(monkeypatch, mass, exp_call
     monkeypatch.setattr(propagators, "np", numpy)
     traj = split_step_propagate(mass, omega, psi, t, stride=1)
     monkeypatch.undo()
-    assert numpy.exp_calls == exp_calls
+    assert numpy.cos_calls == cos_calls
     mid = 0.5 * (t[:-1] + t[1:])
     want = psi.values
     for state, m, w in zip(traj.states[1:], mass.value(mid).tolist(),
                            omega.value(mid).tolist()):
         want = full_array_step(grid, float(t[1] - t[0]), m, w, want)
         assert np.array_equal(state.values, want)
+
+
+# every array a step hands the driver is its own: a step that returned a
+# reused work buffer would make the driver's previous state its current one
+@pytest.mark.parametrize("run", [
+    lambda psi, t: split_step_propagate(TimeProfile.exponential(1.0, 0.2),
+                                        TimeProfile.constant(1.0), psi, t, stride=1),
+    lambda psi, t: crank_nicolson_curved(MetricProfile.constant(1.0), 1.0, psi, t,
+                                         stride=1)],
+    ids=["split_step", "crank_nicolson"])
+def test_stepped_states_never_share_memory(monkeypatch, run):
+    handed = []
+    drive = propagators._drive
+
+    def recording_drive(psi0, t, dt, stride, update, apply_h):
+        def recorded(i, values):
+            handed.append(update(i, values))
+            return handed[-1]
+        return drive(psi0, t, dt, stride, recorded, apply_h)
+
+    monkeypatch.setattr(propagators, "_drive", recording_drive)
+    grid = Grid.from_interval(-8.0, 8.0, 256)
+    psi = GaussianState(a=1.0, center=0.5).to_wavefunction(grid)
+    before = psi.values.copy()
+    traj = run(psi, np.linspace(0.0, 0.01, 11))
+    assert len(handed) == 10 and len(traj.states) == 11
+    arrays = [psi.values, *handed, *(state.values for state in traj.states)]
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 1:]:
+            assert not np.shares_memory(a, b)
+    assert np.array_equal(psi.values, before)
 
 
 class TestExactChain:
@@ -432,14 +463,24 @@ class TestCrankNicolson:
         with pytest.raises(SingularMetric):
             crank_nicolson_curved(bad, 1.0, psi, np.linspace(0, 0.1, 11))
 
-    def test_non_finite_state_raises(self):
+    # the run's states are checked once, after the last step: a non-finite
+    # entry makes every later state non-finite, so the last state shows it
+    # even when it is the only one kept after the first
+    @pytest.mark.parametrize("entry,stride", [
+        (np.nan, None), (np.inf, None), (-np.inf, None), (np.nan, 10 ** 6),
+        # finite at the start: the first solve overflows, and the driver's
+        # norm and residual warn on the values before the check raises
+        pytest.param(1.5e308, 10 ** 6,
+                     marks=pytest.mark.filterwarnings("ignore::RuntimeWarning"))],
+        ids=["nan", "+inf", "-inf", "nan-first-and-last", "overflow-first-and-last"])
+    def test_non_finite_state_raises(self, entry, stride):
         grid = Grid.from_interval(-8.0, 8.0, 256)
         values = GaussianState(a=1.0).to_wavefunction(grid).values.copy()
-        values[100] = np.nan
+        values[100] = entry
         with pytest.raises(LinearSolveFailure):
             crank_nicolson_curved(MetricProfile.constant(1.0), 1.0,
                                   WaveFunction(grid, values),
-                                  np.linspace(0.0, 0.01, 3))
+                                  np.linspace(0.0, 0.01, 3), stride=stride)
 
 
 def test_library_has_no_sparse_matrices():
