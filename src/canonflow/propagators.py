@@ -495,13 +495,16 @@ def crank_nicolson_curved(metric, m, psi0, t_grid, *, stride=None):
     solve returns 2 chi bit for bit, with no doubling pass.  The run steps
     the permuted state; ``apply_curved_kinetic`` sees it in grid order at
     the sampled steps, and the stored states are returned in grid order.
-    A non-finite value cannot become finite in a later solve against the
-    finite factor, so the stored states are checked once, after the run;
-    any non-finite one raises ``LinearSolveFailure``.
+    A non-finite initial state raises ``LinearSolveFailure`` before any
+    step.  A value that overflows during the run cannot become finite in a
+    later solve against the finite factor, so the stored states are checked
+    once, after the run; any non-finite one raises the same error.
     """
     from scipy.linalg.lapack import zgttrf, zgttrs
 
     t, dt = _validate_time_grid(t_grid)
+    if not np.all(np.isfinite(psi0.values)):
+        raise LinearSolveFailure("Crank-Nicolson initial state has non-finite values")
     grid = psi0.grid
     diagonals = curved_kinetic_diagonals(metric.g(grid.x), float(m), grid.dx)
     main, second = diagonals

@@ -463,9 +463,10 @@ class TestCrankNicolson:
         with pytest.raises(SingularMetric):
             crank_nicolson_curved(bad, 1.0, psi, np.linspace(0, 0.1, 11))
 
-    # the run's states are checked once, after the last step: a non-finite
-    # entry makes every later state non-finite, so the last state shows it
-    # even when it is the only one kept after the first
+    # a non-finite initial state is refused before any step; one that
+    # overflows during the run is caught once, after the last step: a
+    # non-finite entry makes every later state non-finite, so the last state
+    # shows it even when it is the only one kept after the first
     @pytest.mark.parametrize("entry,stride", [
         (np.nan, None), (np.inf, None), (-np.inf, None), (np.nan, 10 ** 6),
         # finite at the start: the first solve overflows, and the driver's
@@ -473,7 +474,10 @@ class TestCrankNicolson:
         pytest.param(1.5e308, 10 ** 6,
                      marks=pytest.mark.filterwarnings("ignore::RuntimeWarning"))],
         ids=["nan", "+inf", "-inf", "nan-first-and-last", "overflow-first-and-last"])
-    def test_non_finite_state_raises(self, entry, stride):
+    def test_non_finite_state_raises(self, entry, stride, monkeypatch):
+        drive, runs = propagators._drive, []
+        monkeypatch.setattr(propagators, "_drive",
+                            lambda *args: runs.append(args) or drive(*args))
         grid = Grid.from_interval(-8.0, 8.0, 256)
         values = GaussianState(a=1.0).to_wavefunction(grid).values.copy()
         values[100] = entry
@@ -481,6 +485,7 @@ class TestCrankNicolson:
             crank_nicolson_curved(MetricProfile.constant(1.0), 1.0,
                                   WaveFunction(grid, values),
                                   np.linspace(0.0, 0.01, 3), stride=stride)
+        assert len(runs) == (1 if np.isfinite(entry) else 0)
 
 
 def test_library_has_no_sparse_matrices():
