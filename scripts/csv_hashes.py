@@ -35,7 +35,7 @@ PINNED = {
     "family_exact": "05b0085a786c111c06e7af0bdc298f1b9c36613467d266a57657fd700bcbbec8",
     "family_split_step": "76fc7fc298362e510110d8377cbb2dd0898124d4b6c648e852da834b3cbea071",
     "profiles_split_step": "db8e357deb6cbaeb68043e5cd652aebfc3d538a49d70407505f53be26c06fcc3",
-    "curved_exp_decay": "13e860d2bedf2ed7e2ebbe123de264dfce8257c3c5eda949b9c4d7400814ed7a",
+    "curved_exp_decay": "f279e5f30ed5b2cf93b4851b310655e36861dda3b2208e7022acabcbb10c540f",
     "solvable_readme": "f578d1c7090d70e7dbcb29020838d38b2df3da514055630ca1774bce1e46d64f",
     "solvable_family_21": "42a7777b56860d7f7f413c37e83982bca2daf7c2660b8949e8287b4356fb72aa",
 }

@@ -379,13 +379,12 @@ def _cmd_solvable(args):
                             alpha=args.alpha, Omega0=args.Omega0)
     ts = np.linspace(0.0, args.t_max, args.samples)
     mass = family.mass_profile()
-    freq = family.frequency_profile()
+    columns = (ts, *family.mass_with_derivatives(ts),
+               omega_from_mass(mass, family.Omega0, ts),
+               effective_frequency(mass, family.frequency_profile(), ts))
     print("t,m,dm,ddm,omega,Omega")
-    for t in ts:
-        m, dm, ddm = family.mass_with_derivatives(float(t))
-        omega = omega_from_mass(mass, family.Omega0, float(t))
-        big = effective_frequency(mass, freq, float(t))
-        print(",".join(_fmt(v) for v in (t, m, dm, ddm, omega, big)))
+    for row in zip(*columns):
+        print(",".join(_fmt(v) for v in row))
     return 0
 
 

@@ -127,8 +127,9 @@ def curved_hamiltonian(metric, m, grid):
 
     Returns a function taking grid values to H_g psi, with p applied
     spectrally (``apply_weighted_kinetic`` with w = g^(-1/2)); it reduces to
-    the flat kinetic term when g = 1.  The banded finite-difference form that
-    Crank-Nicolson integrates is ``propagators.curved_kinetic_diagonals``.
+    the flat kinetic term when g = 1.  The three-point finite-difference
+    form that Crank-Nicolson integrates is
+    ``propagators.curved_kinetic_diagonals``.
     """
     w = metric.check_positive(grid.x) ** -0.5
     return lambda values: apply_weighted_kinetic(values, grid, w, float(m))

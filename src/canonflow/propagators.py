@@ -21,12 +21,11 @@ Three routes to psi(t) are built here and cross-validated against each other:
 * ``crank_nicolson_curved`` - Cayley-form Crank-Nicolson for the
   position-dependent-mass (curved-metric) Hamiltonian
   (1/2m) g^(-1/4) p g^(-1/2) p g^(-1/4), discretized as a manifestly
-  Hermitian banded product with the central-difference momentum (splitting
-  methods do not factor once the mass depends on position).  The product
-  couples only j and j +- 2, so in even|odd order 1 + i H dt/2 is one
-  tridiagonal matrix; half of it is factored once, so that each step is one
-  solve returning 2 chi and psi' = 2 chi - psi, with no right-hand-side
-  apply.
+  Hermitian three-point product with forward differences between
+  neighbours (splitting methods do not factor once the mass depends on
+  position).  1 + i H dt/2 is tridiagonal in grid order; half of it is
+  factored once, so that each step is one solve returning 2 chi and
+  psi' = 2 chi - psi, with no right-hand-side apply.
 
 Both fixed-step integrators are thin callers of one driver, ``_drive``: it
 takes the step's update and its H psi apply, and owns the 16 sampled steps
@@ -443,62 +442,63 @@ def gaussian_exact_propagate(family, state, t, *, static_mass=None):
 # -- Crank-Nicolson for the curved (position-dependent-mass) Hamiltonian --------
 
 def curved_kinetic_diagonals(gvals, m, dx):
-    """Pentadiagonal kinetic operator (1/2m) A S^T M S A (offsets 0 and 2).
+    """Tridiagonal kinetic operator (1/2m) A D^T M D A (offsets 0 and 1).
 
-    A = diag(g^(-1/4)), M = diag(g^(-1/2)), S the antisymmetric central
-    difference; the product is real symmetric positive semidefinite by
-    construction.  Returns (main, second) with second[j] the (j, j+2) entry.
+    A = diag(g^(-1/4)), D the forward difference (v_{j+1} - v_j)/dx between
+    neighbours and M = diag(g^(-1/2) at x_{j+1/2}), taken as the mean of the
+    two neighbours' g^(-1/2): second order like the midpoint value, and it
+    needs the metric on the grid only.  This is the conservative three-point
+    ordering of position-dependent-mass Hamiltonians (BenDaniel & Duke,
+    Phys. Rev. 152:683, 1966).  Every grid point couples to both neighbours,
+    so the checkerboard mode (-1)^j carries the largest kinetic energy,
+    about 2/(m dx^2) on a flat metric.  D has no row past either end, so no
+    flux crosses them.  The product is real symmetric positive semidefinite
+    by construction.  Returns (main, off) with off[j] the (j, j+1) entry.
     """
     gvals = np.asarray(gvals, dtype=float)
     if np.any(gvals <= 0) or np.any(~np.isfinite(gvals)):
         raise SingularMetric("metric must be positive and finite on the grid")
     if not m > 0:
         raise MassZeroCrossing("the curved mass must be positive")
-    n = gvals.size
     a = gvals ** -0.25
-    mm = gvals ** -0.5
-    pref = 1.0 / (8.0 * m * dx * dx)
-    main = np.zeros(n)
-    # interior: A_j^2 (M_{j+1} + M_{j-1}); edges keep the one-sided term only
-    main[1:-1] = a[1:-1] ** 2 * (mm[2:] + mm[:-2])
-    main[0] = a[0] ** 2 * mm[1]
-    main[-1] = a[-1] ** 2 * mm[-2]
-    second = -a[:-2] * mm[1:-1] * a[2:]
-    return pref * main, pref * second
+    mm = a * a
+    mid = 0.5 * (mm[:-1] + mm[1:])
+    pref = 1.0 / (2.0 * m * dx * dx)
+    main = np.zeros(gvals.size)
+    main[:-1] += mid
+    main[1:] += mid
+    return pref * mm * main, -pref * a[:-1] * mid * a[1:]
 
 
 def apply_curved_kinetic(diagonals, values):
-    """A psi for a symmetric band pair (main, second) with offsets 0 and +-2,
+    """A psi for a symmetric band pair (main, off) with offsets 0 and +-1,
     such as H from ``curved_kinetic_diagonals``."""
-    main, second = diagonals
+    main, off = diagonals
     hv = main * values
-    hv[:-2] += second * values[2:]
-    hv[2:] += second * values[:-2]
+    hv[:-1] += off * values[1:]
+    hv[1:] += off * values[:-1]
     return hv
 
 
 def crank_nicolson_curved(metric, m, psi0, t_grid, *, stride=None):
     """Cayley-form Crank-Nicolson evolution under the curved Hamiltonian.
 
-    (1 + i H dt/2) psi_{n+1} = (1 - i H dt/2) psi_n with H Hermitian banded,
-    hence exactly norm-preserving up to the linear-solve tolerance.  The
-    metric is sampled once (time-independent evolution); Dirichlet ends.
+    (1 + i H dt/2) psi_{n+1} = (1 - i H dt/2) psi_n with H Hermitian and
+    tridiagonal (``curved_kinetic_diagonals``), hence exactly
+    norm-preserving up to the linear-solve tolerance.  The metric is
+    sampled once (time-independent evolution).
 
-    H couples only j and j +- 2, so with the even-indexed unknowns listed
-    before the odd-indexed ones 1 + i H dt/2 is a single tridiagonal matrix
-    whose coupling at the junction of the two halves is zero.  Half of it,
-    (1 + i H dt/2)/2, is LU-factored once by LAPACK (zgttrf), and each step
-    is one contiguous solve (zgttrs) through psi_{n+1} = 2 chi - psi_n with
-    (1 + i H dt/2) chi = psi_n, which equals the Cayley step because
-    1 - i H dt/2 = 2 - (1 + i H dt/2): no right-hand-side band apply.
-    Halving is exact in the factorization and in both substitutions, so the
-    solve returns 2 chi bit for bit, with no doubling pass.  The run steps
-    the permuted state; ``apply_curved_kinetic`` sees it in grid order at
-    the sampled steps, and the stored states are returned in grid order.
-    A non-finite initial state raises ``LinearSolveFailure`` before any
-    step.  A value that overflows during the run cannot become finite in a
-    later solve against the finite factor, so the stored states are checked
-    once, after the run; any non-finite one raises the same error.
+    Half of 1 + i H dt/2 is LU-factored once by LAPACK (zgttrf), in grid
+    order, and each step is one solve (zgttrs) through
+    psi_{n+1} = 2 chi - psi_n with (1 + i H dt/2) chi = psi_n, which equals
+    the Cayley step because 1 - i H dt/2 = 2 - (1 + i H dt/2): no
+    right-hand-side band apply.  Halving is exact in the factorization and
+    in both substitutions, so the solve returns 2 chi bit for bit, with no
+    doubling pass.  A non-finite initial state raises ``LinearSolveFailure``
+    before any step.  A value that overflows during the run cannot become
+    finite in a later solve against the finite factor, so the stored states
+    are checked once, after the run; any non-finite one raises the same
+    error.
     """
     from scipy.linalg.lapack import zgttrf, zgttrs
 
@@ -507,13 +507,10 @@ def crank_nicolson_curved(metric, m, psi0, t_grid, *, stride=None):
         raise LinearSolveFailure("Crank-Nicolson initial state has non-finite values")
     grid = psi0.grid
     diagonals = curved_kinetic_diagonals(metric.g(grid.x), float(m), grid.dx)
-    main, second = diagonals
+    main, off = diagonals
     quarter = 0.25j * dt
-    order = np.r_[0:grid.n:2, 1:grid.n:2]          # even | odd
-    back = np.argsort(order)
     # (1 + i H dt/2)/2, so that a solve returns 2 chi itself
-    off = np.concatenate([quarter * second[0::2], [0.0], quarter * second[1::2]])
-    *lu, info = zgttrf(off, 0.5 + quarter * main[order], off)
+    *lu, info = zgttrf(quarter * off, 0.5 + quarter * main, quarter * off)
     if info != 0:
         raise LinearSolveFailure(f"Cayley factorization failed (info {info})")
 
@@ -522,11 +519,10 @@ def crank_nicolson_curved(metric, m, psi0, t_grid, *, stride=None):
         out -= values
         return out
 
-    traj = _drive(WaveFunction(grid, psi0.values[order]), t, dt, stride, update,
-                  lambda i, values: apply_curved_kinetic(diagonals, values[back])[order])
+    traj = _drive(psi0, t, dt, stride, update,
+                  lambda i, values: apply_curved_kinetic(diagonals, values))
     if not all(np.all(np.isfinite(state.values)) for state in traj.states):
         raise LinearSolveFailure("Crank-Nicolson solve produced non-finite values")
-    traj.states = [WaveFunction(grid, state.values[back]) for state in traj.states]
     return traj
 
 

@@ -110,6 +110,27 @@ class TestSubcommands:
         big = np.array([float(line.split(",")[5]) for line in rows])
         assert big.size == 11 and np.all(np.abs(big - 1.0) <= 1e-12)
 
+    def test_solvable_domain_error_prints_only_the_error(self, capsys):
+        # the mass overflows from the third row on; no partial table is printed
+        code, out = invoke(capsys, "solvable", "--m0", "1e300", "--mu", "1",
+                           "--nu", "0", "--alpha", "10", "--Omega0", "1")
+        assert code == 2
+        assert list(json.loads(out)) == ["error"]
+        assert json.loads(out)["error"]["kind"] == "MassZeroCrossing"
+
+    def test_solvable_evaluates_the_family_once_per_column(self, capsys,
+                                                         monkeypatch):
+        from canonflow.hamiltonians import SolvableFamily
+
+        calls, original = [], SolvableFamily.mass_with_derivatives
+        monkeypatch.setattr(SolvableFamily, "mass_with_derivatives",
+                            lambda self, t: calls.append(t) or original(self, t))
+        code, out = invoke(capsys, "solvable", "--m0", "1", "--mu", "1",
+                           "--nu", "0", "--alpha", "0.1", "--Omega0", "1")
+        assert (code, len(out.splitlines())) == (0, 12)
+        # the table's m, dm, ddm; omega's and Omega's m, m', m''
+        assert len(calls) == 7
+
     def test_metric_table(self, capsys):
         code, out = invoke(capsys, "metric", "--f", "quadratic", "--eps", "0.2",
                            "--xmin", "-2", "--xmax", "2", "--samples", "3")

@@ -362,19 +362,17 @@ class TestGeneralTransform:
         for v in probes(grid):
             assert np.max(np.abs(tr.apply(v, grid) - curved(v))) < 1e-10
 
-        # finite differences: the banded pair is sqrt(w) p w p sqrt(w)/2
-        # with the central-difference p = -i S (Dirichlet ends)
-        def central(v):
-            out = np.zeros_like(v)
-            out[:-1] += v[1:]
-            out[1:] -= v[:-1]
-            return out / (2.0 * grid.dx)
-
+        # finite differences: the tridiagonal pair is (1/2) sqrt(w) D^T w_half
+        # D sqrt(w), with D the forward difference between neighbours and
+        # w_half the mean of neighbouring w
+        n = grid.n
+        fwd = (np.eye(n, k=1) - np.eye(n))[:-1] / grid.dx
+        mean = 0.5 * (np.eye(n, k=1) + np.eye(n))[:-1]
         w = np.asarray(tr.weight(grid.x))
-        root = np.sqrt(w)
+        root, w_half = np.sqrt(w), mean @ w
         kinetic = curved_kinetic_diagonals(metric.g(grid.x), 1.0, grid.dx)
         for v in probes(grid):
-            sandwich = -0.5 * root * central(w * central(root * v))
+            sandwich = 0.5 * root * (fwd.T @ (w_half * (fwd @ (root * v))))
             assert np.max(np.abs(apply_curved_kinetic(kinetic, v) - sandwich)) < 1e-12
 
     def test_assembled_hermitian_with_drive(self):

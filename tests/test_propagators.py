@@ -18,7 +18,8 @@ from canonflow.hamiltonians import (QuadraticHamiltonian, SolvableFamily,
                                     omega_from_mass)
 from canonflow.metricmap import MetricProfile, metric_from_generator
 from canonflow.propagators import (ExactSolvablePropagator, HermiteBasis,
-                                   crank_nicolson_curved,
+                                   apply_curved_kinetic, crank_nicolson_curved,
+                                   curved_kinetic_diagonals,
                                    exact_solvable_propagate, free_propagate,
                                    gaussian_exact_propagate,
                                    gaussian_oscillator_evolve,
@@ -442,6 +443,26 @@ class TestCrankNicolson:
                                      np.linspace(0.0, 1.0, 501))
         assert traj.report.max_norm_drift < 1e-10
 
+    # on g = v the curved Hamiltonian is p^2/(2 m v), so free evolution at
+    # mass v is exact; the error is spatial, and each bound is at most a
+    # third of what a central-difference stencil (decoupled sublattices)
+    # leaves here, 1.73e-4 and 4.90e-5
+    @pytest.mark.parametrize("v,bound", [(0.64, 5.5e-5), (2.25, 1.6e-5)])
+    def test_constant_metric_matches_free_evolution(self, v, bound):
+        grid = Grid.from_interval(-4.0, 20.0, 2048)
+        psi = GaussianState(a=1.0, center=4.0, momentum=0.5).to_wavefunction(grid)
+        traj = crank_nicolson_curved(MetricProfile.constant(v), 1.0, psi,
+                                     np.linspace(0.0, 1.0, 1001))
+        assert l2diff(traj.final, free_propagate(psi, 1.0, m=v)) <= bound
+
+    # a stencil that couples only j and j +- 2 gives (-1)^j no kinetic energy
+    def test_checkerboard_mode_has_kinetic_energy(self):
+        grid, m = Grid.from_interval(-8.0, 8.0, 256), 1.3
+        kinetic = curved_kinetic_diagonals(np.ones(grid.n), m, grid.dx)
+        mode = (-1.0) ** np.arange(grid.n)
+        rayleigh = mode @ apply_curved_kinetic(kinetic, mode) / (mode @ mode)
+        assert rayleigh >= 0.9 * 2.0 / (m * grid.dx ** 2)
+
     def test_richardson_order(self):
         gen = GeneratorSpec.exp_decay(1.0)
         grid = Grid.from_interval(-4.0, 20.0, 1024)
@@ -514,11 +535,13 @@ def random_cn_case(n, c1, k, phase, c2, x0, seed):
 
 
 def dense_curved_kinetic(gvals, m, dx):
-    """(1/2m) A S^T M S A with Dirichlet central differences S."""
+    """(1/2m) A D^T M D A with D the (n-1) x n forward difference between
+    neighbours and M the neighbours' mean of g^(-1/2)."""
     n = gvals.size
-    s = (np.eye(n, k=1) - np.eye(n, k=-1)) / (2.0 * dx)
+    d = (np.eye(n, k=1) - np.eye(n))[:-1] / dx
+    mean = 0.5 * (np.eye(n, k=1) + np.eye(n))[:-1]
     a = np.diag(gvals ** -0.25)
-    return a @ s.T @ np.diag(gvals ** -0.5) @ s @ a / (2.0 * m)
+    return a @ d.T @ np.diag(mean @ gvals ** -0.5) @ d @ a / (2.0 * m)
 
 
 @settings(derandomize=True, database=None, deadline=1000, max_examples=40)
@@ -543,8 +566,7 @@ def test_cn_norm_over_fifty_steps(n, c1, k, phase, c2, x0, m, dt, seed):
     assert np.max(np.abs(norms - psi.norm())) <= 1e-12 * psi.norm()
 
 
-# every stored state, in grid order, against dense Cayley solves; an odd n
-# makes the even-indexed half one longer than the odd-indexed one
+# every stored state against dense Cayley solves, at an odd and an even n
 @pytest.mark.parametrize("n", [127, 128])
 def test_cn_steps_match_dense_cayley_solves(n):
     grid, metric, psi = random_cn_case(n, 0.6, 0.4, 1.0, -0.5, 1.5, seed=n)
