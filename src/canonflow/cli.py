@@ -38,8 +38,7 @@ from .hamiltonians import (QuadraticHamiltonian, SolvableFamily, TimeProfile,
 from .metricmap import (MetricProfile, generator_from_metric,
                         metric_from_generator)
 from .propagators import (ExactSolvablePropagator, apply_curved_kinetic,
-                          crank_nicolson_curved, curved_kinetic_diagonals,
-                          split_step_propagate)
+                          crank_nicolson_curved, split_step_propagate)
 
 TRAJECTORY_HEADER = "t,norm,fidelity_vs_exact,x_mean,p_mean,energy"
 OUTPUT_FORMATS = ("csv", "json", "gnuplot")
@@ -299,11 +298,10 @@ def run_scenario(path, outdir=None):
                                "system.metric")
         m = _require(system, "mass", float, "system")
         traj = crank_nicolson_curved(metric, m, psi0, t_grid, stride=stride)
-        kinetic = curved_kinetic_diagonals(metric.g(grid.x), m, grid.dx)
         fidelity = None
 
         def energy(t, unit):
-            hv = apply_curved_kinetic(kinetic, unit.values)
+            hv = apply_curved_kinetic(traj.bands, unit.values)
             return float((grid.dx * np.vdot(unit.values, hv)).real)
     else:
         raise ScenarioError(f"system.kind: unknown system {sys_kind!r}")

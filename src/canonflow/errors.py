@@ -23,7 +23,8 @@ class DomainBlowup(CanonflowError):
 
 
 class StepFailure(CanonflowError):
-    """An adaptive integrator could not meet its tolerance."""
+    """An integrator could not go on: an adaptive one could not meet its
+    tolerance, or a split-step state's norm stopped being finite."""
 
 
 class SupportLeakage(CanonflowError):

@@ -30,7 +30,7 @@ oscillator, mu = 1, nu = 0, alpha = gamma/2.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -47,13 +47,15 @@ class TimeProfile:
 
     Closed-form constructors keep the derivatives exact; ``from_callable``
     fills them in with 4th-order central differences of step
-    h = 1e-4 * timescale.
+    h = 1e-4 * timescale.  ``joint``, when given, returns all three from one
+    evaluation (``with_derivatives`` uses it).
     """
 
     value: Callable
     d1: Callable
     d2: Callable
     name: str = ""
+    joint: Optional[Callable] = None
 
     @classmethod
     def constant(cls, v):
@@ -94,6 +96,12 @@ class TimeProfile:
 
         return cls(lambda t: np.asarray(fn(np.asarray(t, dtype=float)), dtype=float),
                    d1, d2, name=name)
+
+    def with_derivatives(self, t):
+        """(value, d1, d2) at t, from one ``joint`` call when there is one."""
+        if self.joint is not None:
+            return self.joint(t)
+        return self.value(t), self.d1(t), self.d2(t)
 
     def derivative_consistency(self, ts):
         """Max mismatch between stored and finite-difference derivatives."""
@@ -163,8 +171,8 @@ def reduce_oscillator(mass, omega, t, m0=None):
     """
     if m0 is None:
         m0 = float(mass.value(0.0))
-    m = mass.value(t)
-    e, de, dde = map(float, mass_epsilon(m, mass.d1(t), mass.d2(t), m0))
+    m, dm, ddm = mass.with_derivatives(t)
+    e, de, dde = map(float, mass_epsilon(m, dm, ddm, m0))
     h0 = QuadraticHamiltonian.oscillator(float(m), float(omega.value(t)))
     h1 = dilation_transform(h0, e, de)
     h2 = quadratic_phase_transform(h1, m0 * de, m0 * dde)
@@ -179,8 +187,8 @@ def effective_frequency(mass, omega, t, m0=None):
     effective oscillator: reported, not computed).
     """
     t = np.asarray(t, dtype=float)
-    m = mass.value(t)
-    _, de, dde = mass_epsilon(m, mass.d1(t), mass.d2(t), m if m0 is None else m0)
+    m, dm, ddm = mass.with_derivatives(t)
+    _, de, dde = mass_epsilon(m, dm, ddm, m if m0 is None else m0)
     rad = dde - de ** 2 + np.asarray(omega.value(t)) ** 2
     if np.any(rad < 0):
         raise ImaginaryFrequency("ddeps - deps^2 + w^2 < 0")
@@ -197,7 +205,7 @@ def omega_from_mass(mass, omega0, t):
     """
     t = np.asarray(t, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        _, de, dde = mass_epsilon(mass.value(t), mass.d1(t), mass.d2(t), 1.0)
+        _, de, dde = mass_epsilon(*mass.with_derivatives(t), 1.0)
         rad = np.float64(omega0) ** 2 - dde + de ** 2
     if not np.all((rad >= 0) & (rad < np.inf)):
         raise NegativeRadicand("no finite real frequency pairs with this mass profile")
@@ -298,7 +306,8 @@ class SolvableFamily:
         return TimeProfile(lambda t: self.mass_with_derivatives(t)[0],
                            lambda t: self.mass_with_derivatives(t)[1],
                            lambda t: self.mass_with_derivatives(t)[2],
-                           name="solvable-family mass")
+                           name="solvable-family mass",
+                           joint=self.mass_with_derivatives)
 
     def frequency_profile(self):
         return TimeProfile.constant(self.omega)

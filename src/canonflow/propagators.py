@@ -14,9 +14,10 @@ Three routes to psi(t) are built here and cross-validated against each other:
 
 * ``split_step_propagate`` - a second-order Strang splitting of
   H(t) = p^2/(2 m(t)) + (1/2) m(t) w(t)^2 x^2 with midpoint coefficient
-  sampling; the independent reference for the chain above.  Its phases are
-  cos and sin of real arguments (no complex exponential), and its FFT pair
-  runs in place in one work buffer.
+  sampling; the independent reference for the chain above.  Its phases
+  come from one ``np.tan`` of their half angles (cos = r - 1, sin = t r
+  with t = tan(theta/2), r = 2/(1 + t^2); no complex exponential), and its
+  FFT pair runs in place in one work buffer.
 
 * ``crank_nicolson_curved`` - Cayley-form Crank-Nicolson for the
   position-dependent-mass (curved-metric) Hamiltonian
@@ -29,9 +30,10 @@ Three routes to psi(t) are built here and cross-validated against each other:
 
 Both fixed-step integrators are thin callers of one driver, ``_drive``: it
 takes the step's update and its H psi apply, and owns the 16 sampled steps
-at which norm drift and the Schrodinger residual are recorded and the
-resulting ``StepperReport`` and ``Trajectory``.  ``_stored_steps`` alone
-decides which states a run keeps, for both and for the exact chain.
+(where norm drift and the Schrodinger residual are recorded, and a state
+whose norm is not finite stops the run) and the resulting ``StepperReport``
+and ``Trajectory``.  ``_stored_steps`` alone decides which states a run
+keeps, for both and for the exact chain.
 
 ``gaussian_exact_propagate`` pushes a closed-form Gaussian through the same
 transform chain (dilation: a -> e^(2 eps) a; quadratic phase: a -> a + i chi;
@@ -42,7 +44,7 @@ center, with the exact accumulated phase), giving an integrator-free oracle.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import List
 
@@ -52,7 +54,8 @@ import numpy as np
 # oscillator propagators load numpy only.
 
 from .errors import (LinearSolveFailure, MassZeroCrossing, ResolutionError,
-                     SingularMetric, SupportLeakage, TruncationError)
+                     SingularMetric, StepFailure, SupportLeakage,
+                     TruncationError)
 from .gridspace import GaussianState, WaveFunction, apply_momentum
 from .hamiltonians import _positive_mass, mass_epsilon
 
@@ -72,11 +75,17 @@ class StepperReport:
 
 @dataclass
 class Trajectory:
-    """States stored every ``stride`` steps (first and last always included)."""
+    """States stored every ``stride`` steps (first and last always included).
+
+    ``bands`` is the (main, off) pair of the time-independent Hamiltonian a
+    Crank-Nicolson run stepped with (``curved_kinetic_diagonals``), so that
+    observables of its states need not assemble it again; None otherwise.
+    """
 
     times: np.ndarray
     states: List[WaveFunction]
     report: StepperReport
+    bands: tuple = field(default=None, init=False)
 
     @property
     def final(self):
@@ -117,7 +126,7 @@ def _stored_steps(nsteps, stride=None):
     return keep if keep[-1] == nsteps else np.append(keep, nsteps)
 
 
-def _drive(psi0, t, dt, stride, update, apply_h):
+def _drive(psi0, t, dt, stride, update, apply_h, failure):
     """Step psi0 across the uniform time grid t; the loop every integrator shares.
 
     ``update(i, values)`` returns the values after step i in a new array
@@ -126,6 +135,13 @@ def _drive(psi0, t, dt, stride, update, apply_h):
     ``_stored_steps`` picks are kept.  At 16 evenly spaced steps the norm
     drift and the residual of i dpsi/dt = H psi at the step midpoint,
     relative to the initial norm, go into the report.
+
+    A sampled state whose norm is not finite raises ``failure``, the
+    integrator's error class.  Neither integrator can make a non-finite
+    value finite again, and the last step is always sampled, so checking
+    the sampled steps alone stops every such run; numpy's overflow and
+    invalid warnings are off inside the loop, since that check handles
+    what they report.
     """
     grid = psi0.grid
     nsteps = t.size - 1
@@ -134,25 +150,29 @@ def _drive(psi0, t, dt, stride, update, apply_h):
     sample_every = max(1, nsteps // 16)
     report = StepperReport(steps=nsteps)
     wall0 = time.perf_counter()
-    norm0 = psi0.norm()
     values = psi0.values.copy()
     states = [WaveFunction(grid, values)]
 
-    for i in range(nsteps):
-        prev = values
-        values = update(i, prev)
-        if (i + 1) % sample_every == 0 or i == nsteps - 1:
-            nrm = np.sqrt(grid.dx * np.sum(np.abs(values) ** 2))
-            report.max_norm_drift = max(report.max_norm_drift, abs(nrm - norm0))
-            mid = 0.5 * (prev + values)
-            resid = np.abs(1j * (values - prev) / dt - apply_h(i, mid))
-            # scaled by its peak: the square of a huge residual must not overflow
-            peak = max(float(np.max(resid)), np.finfo(float).tiny)
-            report.max_schrodinger_residual = max(
-                report.max_schrodinger_residual,
-                peak * float(np.sqrt(grid.dx * np.sum((resid / peak) ** 2))) / norm0)
-        if i + 1 in kept:
-            states.append(WaveFunction(grid, values))
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm0 = psi0.norm()
+        for i in range(nsteps):
+            prev = values
+            values = update(i, prev)
+            if (i + 1) % sample_every == 0 or i == nsteps - 1:
+                nrm = np.sqrt(grid.dx * np.sum(np.abs(values) ** 2))
+                if not np.isfinite(nrm):
+                    raise failure(f"the state's norm is not finite after step "
+                                  f"{i + 1} of {nsteps}")
+                report.max_norm_drift = max(report.max_norm_drift, abs(nrm - norm0))
+                mid = 0.5 * (prev + values)
+                resid = np.abs(1j * (values - prev) / dt - apply_h(i, mid))
+                # scaled by its peak: the square of a huge residual must not overflow
+                peak = max(float(np.max(resid)), np.finfo(float).tiny)
+                report.max_schrodinger_residual = max(
+                    report.max_schrodinger_residual,
+                    peak * float(np.sqrt(grid.dx * np.sum((resid / peak) ** 2))) / norm0)
+            if i + 1 in kept:
+                states.append(WaveFunction(grid, values))
 
     report.wall_time_s = time.perf_counter() - wall0
     return Trajectory(t[keep], states, report)
@@ -223,11 +243,21 @@ def hermite_propagate(psi, basis, t):
 
 # -- split-step reference integrator -------------------------------------------
 
-def _cis(arg, out):
-    """e^(i arg) for real arg, written as cos and sin into out's real and
-    imaginary parts: the bits ``np.exp`` gives for the imaginary argument."""
-    np.cos(arg, out=out.real)
-    np.sin(arg, out=out.imag)
+def _half_angle_cis(half, t, r, out):
+    """e^(2i half) for real half, written into out by the half-angle form.
+
+    With t = tan(half) and r = 2/(1 + t^2), cos = r - 1 and sin = t r: one
+    ``np.tan`` (vectorised, where numpy's float64 cos and sin are not) and
+    cheap ufuncs.  |r - 1 + i t r| = 1 for every real t, so tan's rounding
+    moves only the angle.  t and r are contiguous scratch arrays of half's
+    size.
+    """
+    np.tan(half, out=t)
+    np.multiply(t, t, out=r)
+    r += 1.0
+    np.divide(2.0, r, out=r)
+    np.subtract(r, 1.0, out=out.real)
+    np.multiply(t, r, out=out.imag)
     return out
 
 
@@ -235,32 +265,38 @@ def _strang_step(grid, dt):
     """step(m, w, values): e^(-i V dt/2) e^(-i T dt) e^(-i V dt/2) values.
 
     Each phase is a function of x^2 or k^2 alone, so it is evaluated once
-    per distinct value (``np.unique``) and spread back over the grid with
-    ``take``: bit-identical to evaluating it at every point, with about
-    half the work on symmetric grids (k^2 from ``fftfreq`` always has
-    n//2 + 1 distinct values).  A phase is ``_cis`` of the real argument
-    (-dt m w^2/4) x^2 or (-dt k^2/2) (1/m), the bits ``np.exp`` gives for
-    the same imaginary argument.  The two phase arrays of the last (m, w)
-    are kept, so a step with the previous step's coefficients evaluates
-    none.  Every array but the returned state is allocated once, and each
-    multiply keeps the full-array step's operand order (numpy's complex
-    product is not bitwise commutative under FMA).
+    per distinct value and spread back over the grid: bit-identical to
+    evaluating it at every point.  x^2 goes through ``np.unique`` and
+    ``take``, because a shifted grid is not symmetric.  k^2 from
+    ``fftfreq`` is mirror-symmetric for n odd or even, so the kinetic phase
+    is evaluated on k[:n//2 + 1]^2 and spread by two slice copies.  The
+    phases are ``_half_angle_cis`` of the half angles (-dt m w^2/8) x^2 and
+    (-dt k^2/4) (1/m), with the 1/2 folded into the rate constants (exact:
+    a power of two); both live in one buffer, so a (m, w) change costs one
+    ``np.tan``.  The phase arrays of the last (m, w) are kept, so a step
+    with the previous step's coefficients evaluates none.  Every array but
+    the returned state is allocated once, and each multiply keeps the
+    full-array step's operand order (numpy's complex product is not
+    bitwise commutative under FMA).
     """
+    n, nk = grid.n, grid.n // 2 + 1
     x2, x2_at = np.unique(grid.x ** 2, return_inverse=True)
-    k2, k2_at = np.unique(grid.k ** 2, return_inverse=True)
-    kin_rate = -0.5 * dt * k2
-    arg_v, arg_k = np.empty_like(x2), np.empty_like(k2)
-    phase_v, phase_k = np.empty(x2.size, complex), np.empty(k2.size, complex)
-    half_v, kin, work = (np.empty(grid.n, complex) for _ in range(3))
+    kin_rate = -0.25 * dt * grid.k[:nk] ** 2
+    nx = x2.size
+    angle, t, r = (np.empty(nx + nk) for _ in range(3))
+    phase = np.empty(nx + nk, complex)
+    half_v, kin, work = (np.empty(n, complex) for _ in range(3))
     last = [None]                      # the (m, w) the phase arrays hold
 
     def step(m, w, values):
         if last[0] != (m, w):
             last[0] = (m, w)
-            np.multiply(-0.25 * dt * m * w * w, x2, out=arg_v)
-            _cis(arg_v, phase_v).take(x2_at, out=half_v)
-            np.multiply(kin_rate, 1.0 / m, out=arg_k)
-            _cis(arg_k, phase_k).take(k2_at, out=kin)
+            np.multiply(-0.125 * dt * m * w * w, x2, out=angle[:nx])
+            np.multiply(kin_rate, 1.0 / m, out=angle[nx:])
+            _half_angle_cis(angle, t, r, phase)
+            phase[:nx].take(x2_at, out=half_v)
+            kin[:nk] = phase[nx:]
+            kin[nk:] = phase[nx + n - nk:nx:-1]
         y = np.multiply(half_v, values, out=work)
         np.fft.fft(y, out=y)
         np.multiply(kin, y, out=y)
@@ -279,11 +315,12 @@ def split_step_propagate(mass, omega, psi0, t_grid, *, stride=None):
     the Richardson self-test in the suite).  The step itself is exactly
     unitary, so norm drift is at rounding level.
     Its potential and kinetic phases are evaluated once per distinct x^2
-    and k^2, as cos and sin of their real arguments, and again only when
-    (m, w) changes from the previous step; each step allocates only the
-    state it returns (``_strang_step``).  The FFT wraps through the periodic
-    boundary, so a stored state that fails ``edge_decay_ok(tol=1e-9)``
-    raises ``SupportLeakage``.
+    and k^2, by the half-angle form with one ``np.tan`` for both, and again
+    only when (m, w) changes from the previous step; each step allocates
+    only the state it returns (``_strang_step``).  The FFT wraps through
+    the periodic boundary, so a stored state that fails
+    ``edge_decay_ok(tol=1e-9)`` raises ``SupportLeakage``; a state whose
+    norm is not finite raises ``StepFailure``.
     """
     t, dt = _validate_time_grid(t_grid)
     _check_resolution(psi0)
@@ -301,7 +338,7 @@ def split_step_propagate(mass, omega, psi0, t_grid, *, stride=None):
                 + 0.5 * m * w * w * x2 * values)
 
     traj = _drive(psi0, t, dt, stride,
-                  lambda i, values: step(*coeffs[i], values), apply_h)
+                  lambda i, values: step(*coeffs[i], values), apply_h, StepFailure)
     if not all(state.edge_decay_ok(tol=1e-9) for state in traj.states):
         raise SupportLeakage("split-step support reaches the grid edge, where "
                              "the FFT wraps it through the periodic boundary")
@@ -495,10 +532,10 @@ def crank_nicolson_curved(metric, m, psi0, t_grid, *, stride=None):
     right-hand-side band apply.  Halving is exact in the factorization and
     in both substitutions, so the solve returns 2 chi bit for bit, with no
     doubling pass.  A non-finite initial state raises ``LinearSolveFailure``
-    before any step.  A value that overflows during the run cannot become
-    finite in a later solve against the finite factor, so the stored states
-    are checked once, after the run; any non-finite one raises the same
-    error.
+    before any step, and a state that overflows during the run raises it at
+    the next of ``_drive``'s sampled steps: a solve against the finite
+    factor cannot make it finite again.  The returned trajectory carries
+    the stepped Hamiltonian's bands.
     """
     from scipy.linalg.lapack import zgttrf, zgttrs
 
@@ -520,9 +557,9 @@ def crank_nicolson_curved(metric, m, psi0, t_grid, *, stride=None):
         return out
 
     traj = _drive(psi0, t, dt, stride, update,
-                  lambda i, values: apply_curved_kinetic(diagonals, values))
-    if not all(np.all(np.isfinite(state.values)) for state in traj.states):
-        raise LinearSolveFailure("Crank-Nicolson solve produced non-finite values")
+                  lambda i, values: apply_curved_kinetic(diagonals, values),
+                  LinearSolveFailure)
+    traj.bands = diagonals
     return traj
 
 

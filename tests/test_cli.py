@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import dataclasses
 import importlib.util
 import io
 import json
@@ -128,8 +129,8 @@ class TestSubcommands:
         code, out = invoke(capsys, "solvable", "--m0", "1", "--mu", "1",
                            "--nu", "0", "--alpha", "0.1", "--Omega0", "1")
         assert (code, len(out.splitlines())) == (0, 12)
-        # the table's m, dm, ddm; omega's and Omega's m, m', m''
-        assert len(calls) == 7
+        # one evaluation each for the table's m, dm, ddm, for omega and for Omega
+        assert len(calls) == 3
 
     def test_metric_table(self, capsys):
         code, out = invoke(capsys, "metric", "--f", "quadratic", "--eps", "0.2",
@@ -268,6 +269,19 @@ class TestScenarios:
         assert lines[0] == TRAJECTORY_HEADER
         # curved runs have no exact reference: fidelity column is nan
         assert "nan" in lines[1].split(",")[2]
+
+    # the energy column reuses the stencil the run stepped with
+    def test_curved_run_evaluates_the_metric_once(self, tmp_path, monkeypatch):
+        calls, build = [], cli._build_metric
+
+        def counted(spec, where):
+            metric = build(spec, where)
+            return dataclasses.replace(
+                metric, g=lambda x: calls.append(np.size(x)) or metric.g(x))
+
+        monkeypatch.setattr(cli, "_build_metric", counted)
+        run_scenario(curved_scenario(tmp_path, tmp_path / "curved"))
+        assert calls == [512]
 
 
 class TestErrorPaths:

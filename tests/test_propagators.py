@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from canonflow import gridspace, propagators
-from canonflow.errors import (LinearSolveFailure, ResolutionError,
+from canonflow.errors import (LinearSolveFailure, ResolutionError, StepFailure,
                               SupportLeakage, TruncationError)
 from canonflow.flowcore import GeneratorSpec
 from canonflow.gridspace import (GaussianState, Grid, WaveFunction,
@@ -119,6 +119,19 @@ class TestSplitStep:
                                  TimeProfile.constant(1.0), psi,
                                  np.linspace(0, 0.1, 11))
 
+    # a NaN entry or an infinite frequency makes the state non-finite; the
+    # run stops at the next sampled step, before numpy warns on it
+    @pytest.mark.parametrize("entry,omega", [(np.nan, 1.0), (0.0, np.inf)],
+                             ids=["nan-entry", "infinite-frequency"])
+    def test_non_finite_state_raises(self, entry, omega):
+        grid = Grid.from_interval(-8.0, 8.0, 256)
+        values = GaussianState(a=1.0).to_wavefunction(grid).values.copy()
+        values[100] += entry
+        with pytest.raises(StepFailure, match="after step 6 of 100"):
+            split_step_propagate(TimeProfile.constant(1.0),
+                                 TimeProfile.constant(omega),
+                                 WaveFunction(grid, values), np.linspace(0, 0.1, 101))
+
     EXP_MASS = TimeProfile.exponential(1.0, 0.2)
 
     @pytest.mark.parametrize("profile", [
@@ -165,58 +178,114 @@ class TestSplitStep:
         assert back.final.fidelity(psi) > 1.0 - 1e-6
 
 
+def half_angle_cis(theta):
+    """e^(i theta) for real theta: cos = r - 1, sin = t r with t = tan(theta/2)
+    and r = 2/(1 + t^2)."""
+    t = np.tan(0.5 * theta)
+    r = 2.0 / (1.0 + t * t)
+    out = np.empty(t.shape, complex)
+    out.real, out.imag = r - 1.0, t * r
+    return out
+
+
 def full_array_step(grid, dt, m, w, values):
-    """The Strang step with both phases evaluated at every grid point."""
+    """The Strang step with both half-angle phases evaluated at every grid point."""
+    x2, k2 = grid.x ** 2, grid.k ** 2
+    half_v = half_angle_cis(-0.25 * dt * m * w * w * x2)
+    kin = half_angle_cis(-0.5 * dt * k2 * (1.0 / m))
+    return half_v * np.fft.ifft(kin * np.fft.fft(half_v * values))
+
+
+def exp_step(grid, dt, m, w, values):
+    """The Strang step with both phases from ``np.exp`` of imaginary arguments."""
     x2, k2 = grid.x ** 2, grid.k ** 2
     half_v = np.exp(-0.25j * dt * m * w * w * x2)
     kin = np.exp(-0.5j * dt * k2 / m)
     return half_v * np.fft.ifft(kin * np.fft.fft(half_v * values))
 
 
+# the phase against numpy's complex exponential, at zero, negative angles,
+# half angles at and next to the double nearest pi/2 (where tan is largest)
+# and |theta| up to 1e4
+def test_half_angle_phase_matches_exp():
+    near = [np.nextafter(np.pi / 2, 0.0), np.pi / 2, np.nextafter(np.pi / 2, 4.0)]
+    theta = np.concatenate([[0.0, -0.0, -1e-300, -1.0, -np.pi, 1e4, -1e4],
+                            2.0 * np.array(near), -2.0 * np.array(near),
+                            np.linspace(-40.0, 40.0, 100001),
+                            np.random.default_rng(5).uniform(-1e4, 1e4, 100000)])
+    half = 0.5 * theta
+    t, r = np.empty_like(half), np.empty_like(half)
+    got = propagators._half_angle_cis(half, t, r, np.empty(half.size, complex))
+    assert np.all(np.isfinite(got))
+    assert np.max(np.abs(got - np.exp(1j * theta))) <= 1e-15
+    assert np.max(np.abs(np.abs(got) - 1.0)) <= 1e-15
+    assert got[0] == 1.0
+
+
+# grids symmetric or shifted, n odd or even, and the step's coefficients
+STEP_CASES = given(
+    n=st.integers(8, 4097), shift=st.one_of(st.just(0.0), st.floats(-20.0, 20.0)),
+    half_length=st.floats(1.0, 40.0), m=st.floats(0.01, 100.0),
+    w=st.floats(-10.0, 10.0), dt=st.floats(1e-5, 0.1),
+    seed=st.integers(0, 2 ** 32 - 1))
+
+
+def twenty_steps(oracle, n, shift, half_length, m, w, dt, seed):
+    """(step's state, oracle's state) after 20 steps from one random state."""
+    grid = Grid.from_interval(shift - half_length, shift + half_length, n)
+    rng = np.random.default_rng(seed)
+    want = got = rng.normal(size=n) + 1j * rng.normal(size=n)
+    step = propagators._strang_step(grid, dt)
+    for _ in range(20):
+        want = oracle(grid, dt, m, w, want)
+        got = step(m, w, got)
+    return got, want
+
+
 # the step split_step_propagate drives evaluates each phase once per distinct
-# x^2 and k^2; on any grid, symmetric or shifted, n odd or even, it must be
-# bit-identical to the full-array step
+# x^2 and k^2; on any grid it must be bit-identical to the full-array step
 @settings(derandomize=True, database=None, deadline=2000, max_examples=60)
-@given(n=st.integers(8, 4097), shift=st.one_of(st.just(0.0), st.floats(-20.0, 20.0)),
-       half_length=st.floats(1.0, 40.0), m=st.floats(0.01, 100.0),
-       w=st.floats(-10.0, 10.0), dt=st.floats(1e-5, 0.1),
-       seed=st.integers(0, 2 ** 32 - 1))
+@STEP_CASES
 @example(n=2048, shift=0.0, half_length=12.0, m=1.3, w=1.0, dt=1e-3, seed=1)
 @example(n=1024, shift=0.0, half_length=10.0, m=0.7, w=2.0, dt=1e-3, seed=2)
 @example(n=2048, shift=8.0, half_length=12.0, m=1.0, w=1.0, dt=1e-3, seed=3)
 @example(n=4097, shift=0.0, half_length=12.0, m=2.0, w=0.5, dt=1e-2, seed=4)
 def test_strang_step_is_bit_identical_to_full_array_step(n, shift, half_length,
                                                          m, w, dt, seed):
-    grid = Grid.from_interval(shift - half_length, shift + half_length, n)
-    rng = np.random.default_rng(seed)
-    want = got = rng.normal(size=n) + 1j * rng.normal(size=n)
-    step = propagators._strang_step(grid, dt)
-    for _ in range(20):
-        want = full_array_step(grid, dt, m, w, want)
-        got = step(m, w, got)
+    got, want = twenty_steps(full_array_step, n, shift, half_length, m, w, dt, seed)
     assert np.array_equal(got, want)
 
 
+# the half-angle step agrees with the complex-exponential step to rounding
+@settings(derandomize=True, database=None, deadline=2000, max_examples=30)
+@STEP_CASES
+@example(n=2048, shift=0.0, half_length=12.0, m=1.3, w=1.0, dt=1e-3, seed=1)
+def test_strang_step_matches_exp_step(n, shift, half_length, m, w, dt, seed):
+    got, want = twenty_steps(exp_step, n, shift, half_length, m, w, dt, seed)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 class CountingNumpy:
-    """numpy, with its calls of ``cos`` counted (one per phase evaluation)."""
+    """numpy, with its calls of ``tan`` counted (one per phase evaluation)."""
 
     def __init__(self):
-        self.cos_calls = 0
+        self.tan_calls = 0
 
     def __getattr__(self, name):
         return getattr(np, name)
 
-    def cos(self, *args, **kwargs):
-        self.cos_calls += 1
-        return np.cos(*args, **kwargs)
+    def tan(self, *args, **kwargs):
+        self.tan_calls += 1
+        return np.tan(*args, **kwargs)
 
 
-# a run evaluates its two phases again only when (m, w) changes from the
-# previous step, and every stored state still equals the full-array step
-@pytest.mark.parametrize("mass,cos_calls", [(TimeProfile.constant(1.3), 2),
-                                            (TimeProfile.exponential(1.0, 0.2), 40)],
+# a run evaluates its two phases, in one buffer, again only when (m, w)
+# changes from the previous step, and every stored state still equals the
+# full-array step
+@pytest.mark.parametrize("mass,tan_calls", [(TimeProfile.constant(1.3), 1),
+                                            (TimeProfile.exponential(1.0, 0.2), 20)],
                          ids=["constant", "time-dependent"])
-def test_split_step_phases_once_per_coefficient_pair(monkeypatch, mass, cos_calls):
+def test_split_step_phases_once_per_coefficient_pair(monkeypatch, mass, tan_calls):
     grid = Grid.from_interval(-10.0, 10.0, 256)
     psi = GaussianState(a=1.0, center=0.5).to_wavefunction(grid)
     t = np.linspace(0.0, 0.2, 21)
@@ -225,7 +294,7 @@ def test_split_step_phases_once_per_coefficient_pair(monkeypatch, mass, cos_call
     monkeypatch.setattr(propagators, "np", numpy)
     traj = split_step_propagate(mass, omega, psi, t, stride=1)
     monkeypatch.undo()
-    assert numpy.cos_calls == cos_calls
+    assert numpy.tan_calls == tan_calls
     mid = 0.5 * (t[:-1] + t[1:])
     want = psi.values
     for state, m, w in zip(traj.states[1:], mass.value(mid).tolist(),
@@ -234,23 +303,38 @@ def test_split_step_phases_once_per_coefficient_pair(monkeypatch, mass, cos_call
         assert np.array_equal(state.values, want)
 
 
-# every array a step hands the driver is its own: a step that returned a
-# reused work buffer would make the driver's previous state its current one
-@pytest.mark.parametrize("run", [
+# both fixed-step integrators, keeping every state
+EVERY_STATE_RUNS = pytest.mark.parametrize("run", [
     lambda psi, t: split_step_propagate(TimeProfile.exponential(1.0, 0.2),
                                         TimeProfile.constant(1.0), psi, t, stride=1),
     lambda psi, t: crank_nicolson_curved(MetricProfile.constant(1.0), 1.0, psi, t,
                                          stride=1)],
     ids=["split_step", "crank_nicolson"])
+
+
+# with at most 16 steps every step is sampled, so the reported norm drift is
+# the largest drift of the stored states
+@EVERY_STATE_RUNS
+def test_norm_drift_is_the_largest_stored_drift(run):
+    grid = Grid.from_interval(-8.0, 8.0, 256)
+    psi = GaussianState(a=1.0, center=0.5).to_wavefunction(grid)
+    traj = run(psi, np.linspace(0.0, 0.16, 17))
+    drifts = [abs(state.norm() - psi.norm()) for state in traj.states]
+    assert traj.report.max_norm_drift == max(drifts) > 0.0
+
+
+# every array a step hands the driver is its own: a step that returned a
+# reused work buffer would make the driver's previous state its current one
+@EVERY_STATE_RUNS
 def test_stepped_states_never_share_memory(monkeypatch, run):
     handed = []
     drive = propagators._drive
 
-    def recording_drive(psi0, t, dt, stride, update, apply_h):
+    def recording_drive(psi0, t, dt, stride, update, *rest):
         def recorded(i, values):
             handed.append(update(i, values))
             return handed[-1]
-        return drive(psi0, t, dt, stride, recorded, apply_h)
+        return drive(psi0, t, dt, stride, recorded, *rest)
 
     monkeypatch.setattr(propagators, "_drive", recording_drive)
     grid = Grid.from_interval(-8.0, 8.0, 256)
@@ -485,15 +569,12 @@ class TestCrankNicolson:
             crank_nicolson_curved(bad, 1.0, psi, np.linspace(0, 0.1, 11))
 
     # a non-finite initial state is refused before any step; one that
-    # overflows during the run is caught once, after the last step: a
-    # non-finite entry makes every later state non-finite, so the last state
-    # shows it even when it is the only one kept after the first
+    # overflows during the run is caught at the next sampled step, before
+    # numpy can warn on it, even when only the first and last states are kept
     @pytest.mark.parametrize("entry,stride", [
         (np.nan, None), (np.inf, None), (-np.inf, None), (np.nan, 10 ** 6),
-        # finite at the start: the first solve overflows, and the driver's
-        # norm and residual warn on the values before the check raises
-        pytest.param(1.5e308, 10 ** 6,
-                     marks=pytest.mark.filterwarnings("ignore::RuntimeWarning"))],
+        # finite at the start: the first solve overflows
+        (1.5e308, 10 ** 6)],
         ids=["nan", "+inf", "-inf", "nan-first-and-last", "overflow-first-and-last"])
     def test_non_finite_state_raises(self, entry, stride, monkeypatch):
         drive, runs = propagators._drive, []
