@@ -15,8 +15,18 @@ Run from any checkout; the script imports canonflow from that checkout's
 src/:
 
     OPENBLAS_NUM_THREADS=1 python3 scripts/csv_hashes.py
+
+Those per-column numbers come from two more modes.  ``--save DIR`` writes
+the six outputs to DIR as ``<name>.csv``; ``--diff DIR`` runs them again
+and prints, per output, the largest absolute change of each column against
+the set saved in DIR (0 where the column is NaN in both, nan where it is
+NaN in one only):
+
+    python3 scripts/csv_hashes.py --save /tmp/before    # on the parent
+    python3 scripts/csv_hashes.py --diff /tmp/before    # on the change
 """
 
+import argparse
 import contextlib
 import copy
 import hashlib
@@ -26,16 +36,18 @@ import os
 import sys
 import tempfile
 
+import numpy as np
+
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src"))
 
 from canonflow.cli import main  # noqa: E402
 
 PINNED = {
-    "family_exact": "05b0085a786c111c06e7af0bdc298f1b9c36613467d266a57657fd700bcbbec8",
-    "family_split_step": "e43bc2c6977affd7a28b570a1f08b0d7888c44cffb319e2558fca5000feb5f8d",
-    "profiles_split_step": "3475154d0cde29e9ee28f34b502d217c020644577d771a672597011a4a40ff21",
-    "curved_exp_decay": "f279e5f30ed5b2cf93b4851b310655e36861dda3b2208e7022acabcbb10c540f",
+    "family_exact": "ef994d961920fbc7c87e0ab5f862ea1c0af5a4efbc71ce2db512ddb1e06707ed",
+    "family_split_step": "8c6cfb189fed202899b4e04420daf300ab4e05c87cece136d02c4855ca41ecc7",
+    "profiles_split_step": "ffd46fb183d00f20ef8c81eab3796742e0589da98a423a40132e1a0236fec06b",
+    "curved_exp_decay": "bdd87bc8ac2e079ab2531505a22dfd3cfc0b49e9298fbd400297f9260a0960f7",
     "solvable_readme": "f578d1c7090d70e7dbcb29020838d38b2df3da514055630ca1774bce1e46d64f",
     "solvable_family_21": "42a7777b56860d7f7f413c37e83982bca2daf7c2660b8949e8287b4356fb72aa",
 }
@@ -125,5 +137,48 @@ def check_hashes():
     return changed
 
 
+def save_outputs(directory):
+    """Write every pinned output to ``directory``/<name>.csv."""
+    os.makedirs(directory, exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, data in _outputs(tmp):
+            with open(os.path.join(directory, name + ".csv"), "wb") as fh:
+                fh.write(data)
+
+
+def _table(data):
+    """(header, rows) of a CSV whose cells are all numbers."""
+    header, *lines = data.decode().splitlines()
+    return header.split(","), np.array([line.split(",") for line in lines], dtype=float)
+
+
+def diff_outputs(directory):
+    """{name: {column: largest |change|}} against the outputs saved in
+    ``directory``; prints one line per output."""
+    changes = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, data in _outputs(tmp):
+            with open(os.path.join(directory, name + ".csv"), "rb") as fh:
+                saved_header, saved = _table(fh.read())
+            header, rows = _table(data)
+            if header != saved_header or rows.shape != saved.shape:
+                raise SystemExit(f"{name}: the header or the row count changed")
+            gap = np.where(np.isnan(rows) & np.isnan(saved), 0.0, np.abs(rows - saved))
+            changes[name] = dict(zip(header, np.max(gap, axis=0).tolist()))
+            print(name, " ".join(f"{col} {val:.2g}" for col, val in changes[name].items()))
+    return changes
+
+
 if __name__ == "__main__":
-    sys.exit(1 if check_hashes() else 0)
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--save", metavar="DIR", help="write the six outputs to DIR")
+    mode.add_argument("--diff", metavar="DIR",
+                      help="print the largest change per column against DIR")
+    args = parser.parse_args()
+    if args.save:
+        save_outputs(args.save)
+    elif args.diff:
+        diff_outputs(args.diff)
+    else:
+        sys.exit(1 if check_hashes() else 0)

@@ -24,7 +24,8 @@ class DomainBlowup(CanonflowError):
 
 class StepFailure(CanonflowError):
     """An integrator could not go on: an adaptive one could not meet its
-    tolerance, or a split-step state's norm stopped being finite."""
+    tolerance, or a split-step run met a non-finite initial state or
+    frequency sample, or a state whose norm stopped being finite."""
 
 
 class SupportLeakage(CanonflowError):

@@ -85,7 +85,8 @@ class Grid:
 
 
 class WaveFunction:
-    """Complex state on a :class:`Grid`; values immutable, norm kept once reduced."""
+    """Complex state on a :class:`Grid`; values immutable, so the norm and the
+    momentum density are kept once computed."""
 
     def __init__(self, grid, values):
         values = np.asarray(values, dtype=complex)
@@ -102,6 +103,13 @@ class WaveFunction:
     @cached_property
     def _norm(self):
         return float(np.sqrt(self.grid.dx * np.sum(np.abs(self.values) ** 2)))
+
+    @cached_property
+    def _momentum_density(self):
+        """P_j = (dx/n) |fft(psi)_j|^2 on numpy's k layout: by Parseval,
+        <psi|g(p)|psi> = sum_j g(k_j) P_j for the spectral g(p)."""
+        spec = np.fft.fft(self.values)
+        return (self.grid.dx / self.grid.n) * (spec.real ** 2 + spec.imag ** 2)
 
     def normalized(self):
         nrm = self.norm()
@@ -335,8 +343,10 @@ def expectation(observable, psi):
     ``observable`` is one of the strings above or an object with fields
     a, b, c meaning H = a p^2 + b x^2 + (c/2){x,p}, whose {x,p} term is
     evaluated only when c != 0.  Requires a normalized state, checked once
-    per call; the (tiny) imaginary residue of each Hermitian expectation is
-    checked and a warning is emitted above 1e-10.
+    per call.  <p> and <p^2> are sums over the state's momentum density,
+    which one FFT gives and the state keeps, so they are real by
+    construction; the (tiny) imaginary residue of the x p terms is checked
+    and a warning is emitted above 1e-10.
     """
     if abs(psi.norm() - 1.0) > NORM_TOL:
         raise NotNormalized(f"state norm is {psi.norm():.6g}, expected 1")
@@ -349,7 +359,13 @@ def expectation(observable, psi):
 
 
 def _moment(name, psi):
-    """Re <psi|O|psi> for the O named x, x2, p, p2 or xp_anticomm."""
+    """Re <psi|O|psi> for the O named x, x2, p, p2 or xp_anticomm.
+
+    p and p2 are sum_j k_j P_j and sum_j k_j^2 P_j over the momentum
+    density P (Parseval): the same discrete operator that
+    ``apply_momentum`` applies, Nyquist mode included, at one FFT per
+    state for both.  The {x,p} term applies p spectrally.
+    """
     grid, v, x = psi.grid, psi.values, psi.grid.x
 
     def mean_of(wvals):
@@ -360,9 +376,9 @@ def _moment(name, psi):
     elif name == "x2":
         val = mean_of(x * x * v)
     elif name == "p":
-        val = mean_of(apply_momentum(v, grid, 1))
+        return float(np.dot(grid.k, psi._momentum_density))
     elif name == "p2":
-        val = mean_of(apply_momentum(v, grid, 2))
+        return float(np.dot(grid.k * grid.k, psi._momentum_density))
     elif name == "xp_anticomm":  # (1/2)<{x,p}> + (1/2)<{p,x}> = 2 Re <x p>
         pv = apply_momentum(v, grid, 1)
         val = mean_of(x * pv) + mean_of(apply_momentum(x * v, grid, 1))

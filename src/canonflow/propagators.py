@@ -43,6 +43,7 @@ center, with the exact accumulated phase), giving an integrator-free oracle.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -194,6 +195,9 @@ class HermiteBasis:
         self.omega0 = float(omega0)
         self.grid = grid
         self.length_scale = 1.0 / np.sqrt(self.m0 * self.omega0)
+        # the recurrence's (sqrt(2/(n+1)), sqrt(n/(n+1))) for n = 1 .. size-2
+        self._steps = [(math.sqrt(2.0 / (n + 1)), math.sqrt(n / (n + 1.0)))
+                       for n in range(1, self.size - 1)]
 
     functions = cached_property(lambda self: self.at(self.grid.x))
 
@@ -204,10 +208,11 @@ class HermiteBasis:
         funcs[0] = (self.m0 * self.omega0 / np.pi) ** 0.25 * np.exp(-0.5 * xi * xi)
         if self.size > 1:
             funcs[1] = np.sqrt(2.0) * xi * funcs[0]
-        for n in range(1, self.size - 1):
-            row = np.multiply(np.sqrt(2.0 / (n + 1)), xi, out=funcs[n + 1])
+        scratch = np.empty(xi.size)
+        for n, (up, down) in enumerate(self._steps, start=1):
+            row = np.multiply(up, xi, out=funcs[n + 1])
             row *= funcs[n]
-            row -= np.sqrt(n / (n + 1.0)) * funcs[n - 1]
+            row -= np.multiply(down, funcs[n - 1], out=scratch)
         return funcs
 
     def energies(self):
@@ -219,12 +224,23 @@ class HermiteBasis:
 
     def expand(self, psi):
         """Coefficients c_n = <phi_n|psi> and the captured probability fraction."""
-        c = self.grid.dx * (self.functions @ psi.values)
+        c = self.grid.dx * _real_dot(self.functions, psi.values)
         captured = float(np.sum(np.abs(c) ** 2)) / psi.norm() ** 2
         return c, captured
 
     def synthesize(self, coeffs):
-        return WaveFunction(self.grid, coeffs @ self.functions)
+        return WaveFunction(self.grid, _real_dot(self.functions.T, coeffs))
+
+
+def _real_dot(real, z):
+    """real @ z for a real matrix and a complex vector, as one real product.
+
+    z's (re, im) pairs are read in place as an (n, 2) real matrix, and the
+    (m, 2) product is read back as m complex values, so the real matrix is
+    never upcast to complex.
+    """
+    pairs = np.ascontiguousarray(z, dtype=complex).view(float).reshape(-1, 2)
+    return (real @ pairs).view(complex).ravel()
 
 
 def hermite_propagate(psi, basis, t):
@@ -319,17 +335,24 @@ def split_step_propagate(mass, omega, psi0, t_grid, *, stride=None):
     only when (m, w) changes from the previous step; each step allocates
     only the state it returns (``_strang_step``).  The FFT wraps through
     the periodic boundary, so a stored state that fails
-    ``edge_decay_ok(tol=1e-9)`` raises ``SupportLeakage``; a state whose
-    norm is not finite raises ``StepFailure``.
+    ``edge_decay_ok(tol=1e-9)`` raises ``SupportLeakage``.  A non-finite
+    initial state or frequency sample raises ``StepFailure`` before any
+    step, and so does a state whose norm stops being finite, at the next
+    sampled step.
     """
     t, dt = _validate_time_grid(t_grid)
-    _check_resolution(psi0)
     grid = psi0.grid
     x2 = grid.x ** 2
 
     mid = 0.5 * (t[:-1] + t[1:])
     masses = _positive_mass(mass.value(mid))
-    coeffs = list(zip(masses.tolist(), omega.value(mid).tolist()))
+    omegas = np.asarray(omega.value(mid), dtype=float)
+    # every comparison with NaN is false, so _check_resolution would pass it
+    if not (np.all(np.isfinite(psi0.values)) and np.all(np.isfinite(omegas))):
+        raise StepFailure("split-step initial state or frequency samples "
+                          "have non-finite values")
+    _check_resolution(psi0)
+    coeffs = list(zip(masses.tolist(), omegas.tolist()))
     step = _strang_step(grid, dt)
 
     def apply_h(i, values):
@@ -356,9 +379,12 @@ def free_propagate(psi, t, m=1.0):
 class ExactSolvablePropagator:
     """Precomputed transform-chain propagator for a solvable mass family.
 
-    psi(t) = sum_n c_n e^(-i E_n t) h_n(t), with h_n(t) the Hermite functions
-    carried back through the phase and the dilation in closed form
-    (``_frame``); evaluation at any t costs one Hermite recurrence.
+    psi(t, x) = e^(-e/2) e^(i chi e^(-2e) x^2/2) sum_n c_n e^(-i E_n t)
+    phi_n(e^(-e) x), with e = eps(t): the Hermite functions carried back
+    through the dilation and the phase in closed form (``_frame``).  The
+    envelope in front of the sum is diagonal in x, so it is applied once to
+    the summed state; evaluation at any t costs one Hermite recurrence, one
+    real (n x M)(M x 2) product and one envelope multiply.
     """
 
     def __init__(self, family, psi0, *, static_mass=None):
@@ -368,17 +394,19 @@ class ExactSolvablePropagator:
                           else float(static_mass))
         self.basis = HermiteBasis(BASIS_SIZE, self.m0_static, family.Omega0,
                                   psi0.grid)
-        e0, frame0 = self._frame(0.0)
+        e0, envelope0, funcs0 = self._frame(0.0)
         if e0 != 0.0 and not psi0.edge_decay_ok():
             raise SupportLeakage("initial state does not decay at the grid edge")
-        self.coeffs = self.grid.dx * (frame0.conj() @ psi0.values)
+        self.coeffs = self.grid.dx * _real_dot(funcs0,
+                                               envelope0.conj() * psi0.values)
         captured = float(np.sum(np.abs(self.coeffs) ** 2)) / psi0.norm() ** 2
         if captured < MIN_CAPTURE:
             raise TruncationError(
                 f"basis of size {BASIS_SIZE} captures only {captured:.12f}")
 
     def _frame(self, t):
-        """e = eps(t) and the rows e^(-e/2) e^(i chi e^(-2e) x^2/2) phi_n(e^(-e) x).
+        """e = eps(t), the envelope e^(-e/2) e^(i chi e^(-2e) x^2/2) on the
+        grid, and the real basis phi_n(e^(-e) x), shape (M, n).
 
         eps and chi = m0 eps' come from ``mass_epsilon`` at one evaluation
         of the family's mass and its derivatives.
@@ -387,11 +415,13 @@ class ExactSolvablePropagator:
             *self.family.mass_with_derivatives(float(t)), self.m0_static))
         x, chi = self.grid.x, self.m0_static * de
         envelope = np.exp(-0.5 * e + 0.5j * chi * np.exp(-2.0 * e) * x * x)
-        return e, envelope * self.basis.at(np.exp(-e) * x)
+        return e, envelope, self.basis.at(np.exp(-e) * x)
 
     def __call__(self, t):
-        phases = np.exp(-1j * self.basis.energies() * float(t))
-        out = WaveFunction(self.grid, (self.coeffs * phases) @ self._frame(t)[1])
+        _, envelope, funcs = self._frame(t)
+        phased = self.coeffs * np.exp(-1j * self.basis.energies() * float(t))
+        envelope *= _real_dot(funcs.T, phased)
+        out = WaveFunction(self.grid, envelope)
         if not out.edge_decay_ok(tol=1e-9):
             raise SupportLeakage("evolved support reaches the grid edge")
         return out

@@ -574,7 +574,9 @@ def test_scenario_fuzz_exits_cleanly(scenario):
 # The stored-row arithmetic as it was before each state's norm was kept and
 # the energy skipped its c = 0 {x,p} term, kept as the oracle of the row
 # below: every expectation reduced the norm again, and H summed
-# a p2 + b x2 + (c/2) xp.
+# a p2 + b x2 + (c/2) xp.  <p> and <p^2> are written from Parseval's
+# identity: with V = fft(v), dx sum_j conj(v_j) ifft(k^s V)_j equals
+# (dx/n) sum_j k_j^s |V_j|^2.
 def oracle_norm(values, dx):
     return float(np.sqrt(dx * np.sum(np.abs(values) ** 2)))
 
@@ -588,13 +590,18 @@ def oracle_expectation(observable, values, grid):
     def momentum(vals, power):
         return np.fft.ifft(grid.k ** power * np.fft.fft(vals))
 
+    def parseval(weights):
+        spec = np.fft.fft(v)
+        density = (grid.dx / grid.n) * (spec.real ** 2 + spec.imag ** 2)
+        return complex(np.dot(weights, density))
+
     if not isinstance(observable, str):
         a, b, c = observable.a, observable.b, observable.c
         return float(a * oracle_expectation("p2", v, grid)
                      + b * oracle_expectation("x2", v, grid)
                      + 0.5 * c * oracle_expectation("xp_anticomm", v, grid))
-    val = {"x": lambda: mean_of(x * v), "p": lambda: mean_of(momentum(v, 1)),
-           "x2": lambda: mean_of(x * x * v), "p2": lambda: mean_of(momentum(v, 2)),
+    val = {"x": lambda: mean_of(x * v), "p": lambda: parseval(grid.k),
+           "x2": lambda: mean_of(x * x * v), "p2": lambda: parseval(grid.k * grid.k),
            "xp_anticomm": lambda: (mean_of(x * momentum(v, 1))
                                    + mean_of(momentum(x * v, 1)))}[observable]()
     return float(val.real)
@@ -725,12 +732,37 @@ class TestColdStart:
         assert args.suite == list(verify.SUITES)
 
 
+CSV_HASHES = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "scripts", "csv_hashes.py")
+
+
 def test_pinned_output_hashes(capsys):
     # scripts/csv_hashes.py: four trajectory CSVs and two solvable tables,
     # each against its pinned sha256
-    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                        "scripts", "csv_hashes.py")
-    spec = importlib.util.spec_from_file_location("csv_hashes", path)
+    spec = importlib.util.spec_from_file_location("csv_hashes", CSV_HASHES)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     assert script.check_hashes() == 0, capsys.readouterr().out
+
+
+def test_csv_diff_against_an_identical_save_is_zero(tmp_path):
+    # the outputs are byte-stable, so every column's largest change is 0
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+
+    def script(*args):
+        done = subprocess.run([sys.executable, CSV_HASHES, *args], env=env,
+                              capture_output=True, text=True, check=True)
+        return done.stdout
+
+    assert script("--save", str(tmp_path)) == ""
+    assert sorted(os.listdir(tmp_path)) == sorted(
+        name + ".csv" for name in ("family_exact", "family_split_step",
+                                   "profiles_split_step", "curved_exp_decay",
+                                   "solvable_readme", "solvable_family_21"))
+    lines = script("--diff", str(tmp_path)).splitlines()
+    assert len(lines) == 6
+    for line in lines:
+        name, *cells = line.split()
+        columns, changes = cells[::2], cells[1::2]
+        assert columns[0] == "t" and len(columns) == 6, line
+        assert changes == ["0"] * 6, line

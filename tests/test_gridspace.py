@@ -350,6 +350,8 @@ class TestExpectation:
                 == a * expectation("p2", psi) + b * expectation("x2", psi))
 
     def test_zero_c_skips_the_anticommutator(self, monkeypatch):
+        # p^2 comes from the momentum density, so only {x,p} applies p: not
+        # at all when c = 0, twice (p psi and p x psi) otherwise
         from canonflow.hamiltonians import QuadraticHamiltonian
         powers = []
         apply = gridspace.apply_momentum
@@ -357,10 +359,41 @@ class TestExpectation:
                             lambda values, grid, power=1: powers.append(power)
                             or apply(values, grid, power))
         expectation(QuadraticHamiltonian.oscillator(1.0, 1.0), ground())
-        assert powers == [2]
-        powers.clear()
+        assert powers == []
         expectation(QuadraticHamiltonian(0.5, 0.5, 0.3), ground())
-        assert powers == [2, 1, 1]
+        assert powers == [1, 1]
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=80)
+    @given(n=st.integers(8, 2049), shift=st.floats(-5.0, 5.0),
+           half_length=st.floats(6.0, 20.0), width_re=st.floats(0.3, 3.0),
+           width_im=st.floats(-1.0, 1.0), center=st.floats(-2.0, 2.0),
+           momentum=st.floats(-3.0, 3.0))
+    @example(n=2048, shift=0.0, half_length=12.0, width_re=1.0, width_im=0.0,
+             center=1.0, momentum=0.0)
+    @example(n=9, shift=0.0, half_length=6.0, width_re=0.3, width_im=1.0,
+             center=0.0, momentum=3.0)
+    def test_momentum_moments_match_the_applied_operator(
+            self, n, shift, half_length, width_re, width_im, center, momentum):
+        # Parseval: sum_j k_j^s P_j is <psi|p^s psi> with p^s applied by FFT,
+        # on numpy's k layout with the Nyquist mode, for odd and even n
+        grid = Grid.from_interval(shift - half_length, shift + half_length, n)
+        gauss = GaussianState(complex(width_re, width_im), center + shift, momentum)
+        psi = gauss.to_wavefunction(grid).normalized()
+        applied = [complex(grid.dx * np.vdot(psi.values, gridspace.apply_momentum(
+            psi.values, grid, power))).real for power in (1, 2)]
+        scale = applied[1]
+        assert abs(expectation("p", psi) - applied[0]) <= 1e-13 * np.sqrt(scale)
+        assert abs(expectation("p2", psi) - applied[1]) <= 1e-13 * scale
+
+    def test_momentum_moments_share_one_fft(self, monkeypatch):
+        calls = []
+        fft = np.fft.fft
+        monkeypatch.setattr(np.fft, "fft",
+                            lambda *args, **kwargs: calls.append(1) or fft(*args, **kwargs))
+        psi = ground()
+        expectation("p", psi)
+        expectation("p2", psi)
+        assert len(calls) == 1
 
     def test_unknown_observable(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Tests for the propagators: exact chain, split-step, Gaussian transport, CN."""
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -119,18 +120,25 @@ class TestSplitStep:
                                  TimeProfile.constant(1.0), psi,
                                  np.linspace(0, 0.1, 11))
 
-    # a NaN entry or an infinite frequency makes the state non-finite; the
-    # run stops at the next sampled step, before numpy warns on it
-    @pytest.mark.parametrize("entry,omega", [(np.nan, 1.0), (0.0, np.inf)],
-                             ids=["nan-entry", "infinite-frequency"])
-    def test_non_finite_state_raises(self, entry, omega):
+    # a NaN entry or an infinite frequency sample is refused before any
+    # step (a NaN state would pass the resolution check: every comparison
+    # with NaN is false), with no numpy warning
+    @pytest.mark.parametrize("entry,omega", [(np.nan, 1.0), (np.inf, 1.0),
+                                             (0.0, np.inf), (0.0, np.nan)],
+                             ids=["nan-entry", "inf-entry", "infinite-frequency",
+                                  "nan-frequency"])
+    def test_non_finite_state_raises(self, entry, omega, monkeypatch):
+        drive, runs = propagators._drive, []
+        monkeypatch.setattr(propagators, "_drive",
+                            lambda *args: runs.append(args) or drive(*args))
         grid = Grid.from_interval(-8.0, 8.0, 256)
         values = GaussianState(a=1.0).to_wavefunction(grid).values.copy()
         values[100] += entry
-        with pytest.raises(StepFailure, match="after step 6 of 100"):
+        with pytest.raises(StepFailure, match="non-finite"):
             split_step_propagate(TimeProfile.constant(1.0),
                                  TimeProfile.constant(omega),
                                  WaveFunction(grid, values), np.linspace(0, 0.1, 101))
+        assert runs == []
 
     EXP_MASS = TimeProfile.exponential(1.0, 0.2)
 
@@ -349,6 +357,27 @@ def test_stepped_states_never_share_memory(monkeypatch, run):
     assert np.array_equal(psi.values, before)
 
 
+FALLING = SolvableFamily(m0=1.0, mu=0.0, nu=1.0, alpha=0.2, Omega0=1.0)
+
+
+def complex_frame_chain(family, psi0, times, static_mass=None):
+    """The exact chain with the envelope inside the sum: at each t an M x n
+    complex frame e^(-e/2) e^(i chi e^(-2e) x^2/2) phi_n(e^(-e) x), which
+    projects psi0 at t = 0 and is summed with c_n e^(-i E_n t) in complex."""
+    m0 = family.static_mass() if static_mass is None else float(static_mass)
+    basis = HermiteBasis(40, m0, family.Omega0, GRID)
+    x = GRID.x
+
+    def frame(t):
+        e, de, _ = (float(v) for v in mass_epsilon(*family.mass_with_derivatives(t), m0))
+        envelope = np.exp(-0.5 * e + 0.5j * m0 * de * np.exp(-2.0 * e) * x * x)
+        return envelope * basis.at(np.exp(-e) * x).astype(complex)
+
+    coeffs = GRID.dx * (frame(0.0).conj() @ psi0.values)
+    energies = (np.arange(40) + 0.5) * family.Omega0
+    return [(coeffs * np.exp(-1j * energies * t)) @ frame(t) for t in times]
+
+
 class TestExactChain:
     def test_one_mass_evaluation_per_frame(self, monkeypatch):
         # eps and its rate come from one call of the family's mass
@@ -452,12 +481,34 @@ class TestExactChain:
             gap = np.abs(prop(t).values - oracle.to_wavefunction(GRID).values)
             assert np.max(gap) < 2.2e-15
 
+    @pytest.mark.parametrize("static_mass", [None, 2.0])
+    @pytest.mark.parametrize("family", [CK, FALLING], ids=["rising", "falling"])
+    def test_matches_the_complex_frame_chain(self, family, static_mass):
+        psi = GaussianState(a=1.1 - 0.2j, center=0.7, momentum=-0.4).to_wavefunction(GRID)
+        prop = ExactSolvablePropagator(family, psi, static_mass=static_mass)
+        times = (0.0, 0.7, 1.3, 2.0)     # the falling mass reaches the edge by 2.25
+        for t, want in zip(times, complex_frame_chain(family, psi, times, static_mass)):
+            assert np.max(np.abs(prop(t).values - want)) <= 1e-13
+
+    def test_one_evaluation_peaks_below_a_megabyte(self):
+        # the M x n real basis (655 kB at M = 40, n = 2048) and a few grid
+        # vectors; an M x n complex frame alone is 1.3 MB
+        prop = ExactSolvablePropagator(
+            CK, GaussianState(a=1.0, center=1.0).to_wavefunction(GRID))
+        prop(0.5)
+        tracemalloc.start()
+        try:
+            prop(1.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.0e6
+
     def test_narrow_grid_raises_support_leakage(self):
         # a falling mass spreads the state until it reaches the grid edge
-        fam = SolvableFamily(m0=1.0, mu=0.0, nu=1.0, alpha=0.2, Omega0=1.0)
         narrow = Grid.from_interval(-8.0, 8.0, 512)
         prop = ExactSolvablePropagator(
-            fam, GaussianState(a=1.0).to_wavefunction(narrow))
+            FALLING, GaussianState(a=1.0).to_wavefunction(narrow))
         assert prop(1.0).edge_decay_ok(tol=1e-9)
         with pytest.raises(SupportLeakage):
             prop(5.0)
