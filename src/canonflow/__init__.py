@@ -31,11 +31,11 @@ from .hamiltonians import (
     mass_epsilon, reduce_oscillator, general_f_transform,
 )
 from .propagators import (
-    HermiteBasis, StepperReport, Trajectory, hermite_propagate,
-    split_step_propagate, free_propagate, exact_solvable_propagate,
-    ExactSolvablePropagator, gaussian_exact_propagate,
-    gaussian_oscillator_evolve, crank_nicolson_curved,
-    apply_curved_kinetic, quadratic_hamiltonian_matrix, oscillator_spectrum,
+    HermiteBasis, StepperReport, Trajectory, split_step_propagate,
+    free_propagate, exact_solvable_propagate, ExactSolvablePropagator,
+    gaussian_exact_propagate, gaussian_oscillator_evolve,
+    crank_nicolson_curved, apply_curved_kinetic, quadratic_hamiltonian_matrix,
+    oscillator_spectrum,
 )
 from .metricmap import (
     MetricProfile, metric_from_generator, curved_hamiltonian,

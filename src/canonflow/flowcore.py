@@ -195,10 +195,6 @@ def _ode_flow(gen, eps, x, rtol, atol, with_jacobian):
 
         d(phi_i)/ds = eps_i * f(phi_i)
         d(J_i)/ds   = eps_i * f'(phi_i) * J_i      (if requested)
-
-    ``with_jacobian=False`` skips the second block (cheaper, and avoids
-    sampling f' for merely piecewise-smooth generators); the jacobian slot
-    of the result is then None.
     """
     from scipy.integrate import solve_ivp
 
@@ -254,9 +250,9 @@ def flow_evaluate(gen, eps, x, *, method="auto", rtol=FLOW_RTOL,
     ``method="ode"`` the adaptive integrator is used even for closed-form
     generator kinds (useful as an independent cross-check).  The jacobian
     of a custom generator comes from the variational equation (independent
-    of the f(x)/f(phi) route, so their product is a real consistency check);
-    pass ``with_jacobian=False`` to skip it when only the map or the
-    conjugation factor is needed.
+    of the f(x)/f(phi) route, so their product is a real consistency check).
+    ``with_jacobian=False`` skips it, leaving the jacobian None and f'
+    unsampled, which suits merely piecewise-smooth generators.
     """
     scalar = np.isscalar(x) and np.isscalar(eps)
     xa, ea = np.broadcast_arrays(np.asarray(x, dtype=float),

@@ -15,15 +15,9 @@ and U p U^dag = sqrt(w) p sqrt(w) with w = 1/phi'.  Expectation values of a
 *transformed state* therefore move with the inverse map, e.g. for f(x) = x,
 <x> of U psi equals e^(-eps) <x> of psi while U x U^dag = e^(+eps) x.
 
-A point transform evaluates the flow once, as a vector, on the window of
-grid points between the preimages of the grid's two ends: by monotonicity
-those are exactly the points whose image lies in the grid, so none of them
-escapes.  It then resamples with band-limited (trigonometric)
-interpolation, evaluated at the m image points by a Gaussian-gridding
-type-2 NUFFT in O(n log n + m) time and memory (``band_limited_values``);
-values outside the window are only zeroed after checking
-that the state carries no weight where they would read (never silent
-clamping).
+A point transform resamples by band-limited interpolation
+(``band_limited_values``) and refuses, never clamps, a state whose mass it
+would lose (``apply_point_unitary``).
 """
 
 from __future__ import annotations
@@ -268,19 +262,17 @@ def band_limited_values(psi, points):
 def apply_point_unitary(gen, eps, psi, *, leak_tol=LEAK_TOL):
     """Apply (U psi)(x) = sqrt(phi'(x)) psi(phi(x)) on the grid.
 
-    One-dimensional flows preserve order, so the grid points whose image
-    lands in the grid are exactly those between the preimages
-    phi_(-eps)(x0) and phi_(-eps)(xmax) of the grid's ends (clipped into the
-    generator's domain); an end without a preimage leaves that side open.
-    The map is evaluated in one vector pass over that window, so no point
-    it evaluates escapes.
+    Flows preserve order, so the grid points whose image lands in the grid
+    are exactly those between the preimages under phi_(-eps) of the grid's
+    ends (clipped into the generator's domain; an end without a preimage
+    leaves that side open), and the map is evaluated once, on that window.
 
     Raises ``SupportLeakage`` when the input's relative edge amplitude or
-    the fraction of its probability outside the image of the window (that
-    mass would be lost, never silently clamped) exceeds ``leak_tol``, when
-    no grid point has an image in the grid, or when the transformed support
-    touches the grid edge.  Grid points outside the window are zero-filled
-    only after those checks pass.
+    the fraction of its probability outside the window's image (mass that
+    would be lost, never silently clamped) exceeds ``leak_tol``, when no
+    grid point has an image in the grid, or when the transformed support
+    touches the grid edge.  Points outside the window are zero-filled only
+    after those checks pass.
     """
     if eps == 0.0:
         return WaveFunction(psi.grid, psi.values)
@@ -343,10 +335,8 @@ def expectation(observable, psi):
     ``observable`` is one of the strings above or an object with fields
     a, b, c meaning H = a p^2 + b x^2 + (c/2){x,p}, whose {x,p} term is
     evaluated only when c != 0.  Requires a normalized state, checked once
-    per call.  <p> and <p^2> are sums over the state's momentum density,
-    which one FFT gives and the state keeps, so they are real by
-    construction; the (tiny) imaginary residue of the x p terms is checked
-    and a warning is emitted above 1e-10.
+    per call.  An imaginary residue above 1e-10 of a position moment or of
+    the {x,p} term warns (``_moment``).
     """
     if abs(psi.norm() - 1.0) > NORM_TOL:
         raise NotNormalized(f"state norm is {psi.norm():.6g}, expected 1")
@@ -362,9 +352,8 @@ def _moment(name, psi):
     """Re <psi|O|psi> for the O named x, x2, p, p2 or xp_anticomm.
 
     p and p2 are sum_j k_j P_j and sum_j k_j^2 P_j over the momentum
-    density P (Parseval): the same discrete operator that
-    ``apply_momentum`` applies, Nyquist mode included, at one FFT per
-    state for both.  The {x,p} term applies p spectrally.
+    density P (Parseval), the discrete operator ``apply_momentum`` applies,
+    Nyquist mode included.  The {x,p} term applies p spectrally.
     """
     grid, v, x = psi.grid, psi.values, psi.grid.x
 

@@ -222,8 +222,7 @@ class SolvableFamily:
     The oscillator (m(t), w) with w^2 = Omega0^2 + alpha^2 reduces exactly to
     a static oscillator of frequency Omega0.  ``trigonometric=True`` selects
     the oscillatory-mass extension m = m0 (mu cos(alpha t) + nu sin(alpha t))^2
-    with w^2 = Omega0^2 - alpha^2 (the analytic continuation alpha -> i alpha;
-    offered as a clearly labeled extension of the exponential family).
+    with w^2 = Omega0^2 - alpha^2, the analytic continuation alpha -> i alpha.
     """
 
     m0: float

@@ -11,28 +11,16 @@ self-adjoint for the measure sqrt(g) dx.  For a constant eps the evolutions
 are unitarily equivalent: exp(-i H_g t) = U exp(-i H_free t) U^dag.
 
 The inverse problem - given the metric, find a generator whose flow
-produces it - splits into two stages:
+produces it - has two stages (``generator_from_metric``):
 
-1. the flow map itself: g = (phi')^2 forces phi(x) = phi(anchor) +
-   integral of sqrt(g), leaving only the value phi(anchor) free.  sqrt(g) is
-   tabulated once as a cubic spline and phi is its exact antiderivative, so
-   phi' is that spline everywhere.  Among the
-   one-parameter family this module picks the minimal-displacement member
-   that is fixed-point-free on an extended domain (for metrics generated by
-   a flow whose generator decays somewhere, this recovers the original map;
-   in degenerate cases such as g = 1 a default positive shift is used, and
-   any member reproduces the metric exactly).
+1. the flow map: g = (phi')^2 forces phi(x) = phi(anchor) + integral of
+   sqrt(g) (``FlowTable``).  The free phi(anchor) is the minimal
+   fixed-point-free displacement, which recovers the original map of a
+   flow whose generator decays somewhere.
 2. a generator with that time-eps map: f = 1/u' for an Abel function with
-   u(phi(x)) = u(x) + eps.  log|f| is seeded on the fundamental domain
-   [anchor, phi(anchor)) as a quintic whose value, slope and curvature
-   continue across phi(anchor), and extended without numerical
-   differentiation by f(phi(x)) = f(x) phi'(x), i.e. products of sqrt(g)
-   along the orbit; f is C^2 and is compiled into one cubic spline whose
-   nodes are the orbit images of one seed set (one map call per node), with
-   evenly spaced fill nodes where the pieces stretch.
-   f is not unique given phi, so acceptance is on phi and on the
-   round-tripped metric, not on f pointwise (though an exp-decay metric
-   gives back f = e^(-x)).
+   u(phi(x)) = u(x) + eps (``_abel_generator``).  f is not unique given
+   phi, so acceptance is on phi and on the round-tripped metric, not on f
+   pointwise (though an exp-decay metric gives back f = e^(-x)).
 """
 
 from __future__ import annotations
@@ -127,9 +115,8 @@ def curved_hamiltonian(metric, m, grid):
 
     Returns a function taking grid values to H_g psi, with p applied
     spectrally (``apply_weighted_kinetic`` with w = g^(-1/2)); it reduces to
-    the flat kinetic term when g = 1.  The three-point finite-difference
-    form that Crank-Nicolson integrates is
-    ``propagators.curved_kinetic_diagonals``.
+    the flat kinetic term when g = 1.  Crank-Nicolson integrates its
+    three-point form, ``propagators.curved_kinetic_diagonals``.
     """
     w = metric.check_positive(grid.x) ** -0.5
     return lambda values: apply_weighted_kinetic(values, grid, w, float(m))
@@ -140,13 +127,12 @@ def curved_hamiltonian(metric, m, grid):
 class FlowTable:
     """Monotone flow map phi = C + int sqrt(g) on one spline of sqrt(g).
 
-    ``sqrt_g`` is a cubic spline of sqrt(g) and phi is its exact
-    antiderivative shifted by ``offset``, so ``derivative`` is the spline
-    itself.  The inverse refines a spline guess with Newton steps on the
-    forward map, dividing by that same spline, so forward and inverse agree
-    to rounding; the Abel construction maps its nodes with both hundreds of
-    times, and a forward/inverse mismatch would shift the reconstructed
-    generator's junction structure.
+    phi is the exact antiderivative of the spline ``sqrt_g``, shifted by
+    ``offset``, so ``derivative`` is the spline itself.  The inverse refines
+    a spline guess with Newton steps on the forward map through that same
+    spline, so forward and inverse agree to rounding: the Abel construction
+    maps its nodes with both hundreds of times, and a mismatch would shift
+    the reconstructed generator's junction structure.
     """
 
     def __init__(self, sqrt_g, offset):
@@ -206,18 +192,15 @@ def _extend_domain(working, metric_domain):
 def generator_from_metric(metric, eps, anchor, working_interval):
     """Find a generator whose eps-flow reproduces the metric g = (phi')^2.
 
-    The flow map is phi(x) = phi(anchor) + int_anchor^x sqrt(g); the free
-    constant phi(anchor) is fixed by the minimal fixed-point-free
-    displacement on an extended interval (the working interval stretched
-    1.5x on both sides, clipped to the metric's domain).  When the minimal
-    displacement would put a fixed point strictly inside the extension (or
-    the metric is flat, where every shift works), the displacement is bumped
-    by ``MIN_DISPLACEMENT`` of the working span; the round-tripped metric
-    does not depend on this choice.
-
-    Returns a :class:`ReconstructedGenerator`; its ``generator`` is a Custom
-    :class:`GeneratorSpec` tabulated through the Abel construction whose
-    eps-flow reproduces ``flow`` (and hence g) to integration tolerance.
+    phi(x) = phi(anchor) + int_anchor^x sqrt(g), with phi(anchor) the
+    minimal fixed-point-free displacement on the working interval stretched
+    1.5x on both sides (clipped to the metric's domain).  Where that would
+    put a fixed point strictly inside the extension, or the metric is flat,
+    the displacement is bumped by ``MIN_DISPLACEMENT`` of the working span;
+    the round-tripped metric does not depend on this choice.  Returns a
+    :class:`ReconstructedGenerator` whose Custom ``generator``, tabulated by
+    the Abel construction, reproduces ``flow`` (and hence g) to integration
+    tolerance.
     """
     eps = float(eps)
     if eps == 0.0:
@@ -318,16 +301,15 @@ def _log_seed(flow, anchor, eps):
 def _abel_generator(flow, eps, anchor, working, extended):
     """Generator construction through the Abel recursion.
 
-    On the fundamental domain between anchor and phi(anchor), log|f| is the
-    C^2 seed of ``_log_seed``; f o phi = f * phi' carries it to the rest of
-    the line, so f is C^2 everywhere and is compiled into one cubic spline.
-    The spline nodes are the orbit images of one seed set strictly inside
-    the fundamental domain: each sweep maps the whole set one piece further
-    with phi or its inverse and adds log phi' (a sqrt(g) value) to each
-    image's log|f|, so a node costs one map call.  Where the pieces stretch
-    the images thin out, so every gap wider than ``NODE_SPACING``, the gaps
-    to the domain ends included, is filled with evenly spaced nodes that are
-    moved into the fundamental domain one piece per step.
+    log|f| is the C^2 seed of ``_log_seed`` on the fundamental domain
+    between anchor and phi(anchor); f o phi = f * phi' carries it to the
+    rest of the line, and f is compiled into one cubic spline.  Its nodes
+    are the orbit images of one seed set strictly inside the fundamental
+    domain: each sweep maps the set one piece further with phi or its
+    inverse and adds log phi' (a sqrt(g) value) to each image's log|f|, one
+    map call per node.  Every gap wider than ``NODE_SPACING`` (where the
+    pieces stretch, and to the domain ends) is filled with evenly spaced
+    nodes moved into the fundamental domain one piece per step.
     """
     from scipy.interpolate import CubicSpline
 
@@ -451,19 +433,18 @@ class EquivalenceReport:
 def verify_metric_equivalence(gen, eps, psi0, t_final, *, m=1.0, dt=1e-3):
     """Check exp(-i H_g t) psi0 = U exp(-i H_free t) U^dag psi0 numerically.
 
-    Valid for constant eps only (a time-dependent parameter adds a
-    -(deps/2){f,p} drive, exercised through the Hamiltonian transforms
-    instead).  The curved side runs Crank-Nicolson with g = w^(-2); the flat
-    side uses the exact spectral free step between the two point unitaries.
+    Valid for constant eps only (a time-dependent eps adds a -(deps/2){f,p}
+    drive, checked through the Hamiltonian transforms instead).  The curved
+    side runs Crank-Nicolson with g = w^(-2); the flat side the exact
+    spectral free step between the two point unitaries.
 
-    When the flow is incomplete (e.g. f = e^(-x)), the curved line ends at a
-    finite-proper-distance boundary that both pictures resolve as a
-    low-amplitude pile-up region (relative amplitude around 1e-3 in the
-    shipped scenarios, carrying mass of order 1e-7).  The point unitaries
-    therefore run at ``EQUIVALENCE_LEAK_TOL`` = 1e-3, so those matched tails
-    are transported or truncated rather than rejected; the truncated mass,
-    not the amplitude, bounds the fidelity impact and stays orders of
-    magnitude below the 1e-4 scale the equivalence is checked at.
+    An incomplete flow (e.g. f = e^(-x)) ends the curved line at a finite
+    proper distance, which both pictures resolve as a low-amplitude pile-up
+    (relative amplitude about 1e-3 in the shipped scenarios, mass about
+    1e-7).  So the point unitaries run at ``EQUIVALENCE_LEAK_TOL`` = 1e-3
+    and transport or truncate those matched tails rather than reject them;
+    the truncated mass, not the amplitude, bounds the fidelity impact, orders
+    of magnitude below the 1e-4 scale the equivalence is checked at.
     """
     metric = metric_from_generator(gen, eps)
     nsteps = max(1, int(round(t_final / dt)))

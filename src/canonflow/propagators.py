@@ -1,44 +1,24 @@
 """Propagators: exact transform-chain evolution and independent integrators.
 
-Three routes to psi(t) are built here and cross-validated against each other:
+Three routes to psi(t), cross-validated against each other:
 
-* ``exact_solvable_propagate`` - for the solvable mass family the
-  time-dependent oscillator is conjugated to a static one:
+* ``ExactSolvablePropagator`` - for the solvable mass family the
+  time-dependent oscillator is conjugated to a static one,
 
       U(t) = D(eps(t))^dag Q(chi(t))^dag e^(-i H'' t) Q(chi(0)) D(eps(0)),
 
   with D the dilation point unitary, Q the quadratic phase, eps =
-  (1/2) ln(m0/m(t)), chi = m0 * deps, and H'' the constant-mass oscillator
-  of frequency Omega0 evolved by phases e^(-i (n+1/2) Omega0 t) in its
-  Hermite eigenbasis, on which D and Q act in closed form (no resampling).
+  (1/2) ln(m0/m(t)), chi = m0 eps', and H'' the static oscillator of
+  frequency Omega0, evolved by exact phases in its Hermite eigenbasis, on
+  which D and Q act in closed form (no resampling).
+* ``split_step_propagate`` - Strang splitting of the same oscillator, the
+  chain's independent reference.
+* ``crank_nicolson_curved`` - Crank-Nicolson for the position-dependent-mass
+  (curved-metric) Hamiltonian, where splitting does not factor.
 
-* ``split_step_propagate`` - a second-order Strang splitting of
-  H(t) = p^2/(2 m(t)) + (1/2) m(t) w(t)^2 x^2 with midpoint coefficient
-  sampling; the independent reference for the chain above.  Its phases
-  come from one ``np.tan`` of their half angles (cos = r - 1, sin = t r
-  with t = tan(theta/2), r = 2/(1 + t^2); no complex exponential), and its
-  FFT pair runs in place in one work buffer.
-
-* ``crank_nicolson_curved`` - Cayley-form Crank-Nicolson for the
-  position-dependent-mass (curved-metric) Hamiltonian
-  (1/2m) g^(-1/4) p g^(-1/2) p g^(-1/4), discretized as a manifestly
-  Hermitian three-point product with forward differences between
-  neighbours (splitting methods do not factor once the mass depends on
-  position).  1 + i H dt/2 is tridiagonal in grid order; half of it is
-  factored once, so that each step is one solve returning 2 chi and
-  psi' = 2 chi - psi, with no right-hand-side apply.
-
-Both fixed-step integrators are thin callers of one driver, ``_drive``: it
-takes the step's update and its H psi apply, and owns the 16 sampled steps
-(where norm drift and the Schrodinger residual are recorded, and a state
-whose norm is not finite stops the run) and the resulting ``StepperReport``
-and ``Trajectory``.  ``_stored_steps`` alone decides which states a run
-keeps, for both and for the exact chain.
-
-``gaussian_exact_propagate`` pushes a closed-form Gaussian through the same
-transform chain (dilation: a -> e^(2 eps) a; quadratic phase: a -> a + i chi;
-static-oscillator evolution by a Moebius map of a and classical motion of the
-center, with the exact accumulated phase), giving an integrator-free oracle.
+``gaussian_exact_propagate`` pushes a closed-form Gaussian through the
+chain (thawed-Gaussian transport, Heller, J. Chem. Phys. 62:1544, 1975): an
+integrator-free oracle.
 """
 
 from __future__ import annotations
@@ -78,9 +58,8 @@ class StepperReport:
 class Trajectory:
     """States stored every ``stride`` steps (first and last always included).
 
-    ``bands`` is the (main, off) pair of the time-independent Hamiltonian a
-    Crank-Nicolson run stepped with (``curved_kinetic_diagonals``), so that
-    observables of its states need not assemble it again; None otherwise.
+    ``bands`` is the (main, off) Hamiltonian a Crank-Nicolson run stepped
+    with, which the observables of its states reuse; None otherwise.
     """
 
     times: np.ndarray
@@ -130,19 +109,16 @@ def _stored_steps(nsteps, stride=None):
 def _drive(psi0, t, dt, stride, update, apply_h, failure):
     """Step psi0 across the uniform time grid t; the loop every integrator shares.
 
-    ``update(i, values)`` returns the values after step i in a new array
-    (the previous one is still read at a sampled step) and
-    ``apply_h(i, values)`` applies step i's Hamiltonian.  The states
-    ``_stored_steps`` picks are kept.  At 16 evenly spaced steps the norm
-    drift and the residual of i dpsi/dt = H psi at the step midpoint,
-    relative to the initial norm, go into the report.
-
-    A sampled state whose norm is not finite raises ``failure``, the
+    ``update(i, values)`` returns the values after step i in a new array (a
+    sampled step still reads the previous one); ``apply_h(i, values)``
+    applies step i's Hamiltonian.  The states ``_stored_steps`` picks are
+    kept.  At 16 evenly spaced steps the norm drift and the residual of
+    i dpsi/dt = H psi at the step midpoint, relative to the initial norm, go
+    into the report, and a norm that is not finite raises ``failure``, the
     integrator's error class.  Neither integrator can make a non-finite
-    value finite again, and the last step is always sampled, so checking
-    the sampled steps alone stops every such run; numpy's overflow and
-    invalid warnings are off inside the loop, since that check handles
-    what they report.
+    value finite again and the last step is always sampled, so this stops
+    every such run; numpy's overflow and invalid warnings are off inside
+    the loop, since this check handles what they report.
     """
     grid = psi0.grid
     nsteps = t.size - 1
@@ -243,20 +219,6 @@ def _real_dot(real, z):
     return (real @ pairs).view(complex).ravel()
 
 
-def hermite_propagate(psi, basis, t):
-    """Evolve under the static oscillator by exact spectral phases.
-
-    Raises ``TruncationError`` when the basis captures less than
-    ``MIN_CAPTURE`` of the state's probability.
-    """
-    c, captured = basis.expand(psi)
-    if captured < MIN_CAPTURE:
-        raise TruncationError(
-            f"basis of size {basis.size} captures only {captured:.12f}")
-    phases = np.exp(-1j * basis.energies() * t)
-    return basis.synthesize(c * phases)
-
-
 # -- split-step reference integrator -------------------------------------------
 
 def _half_angle_cis(half, t, r, out):
@@ -280,20 +242,15 @@ def _half_angle_cis(half, t, r, out):
 def _strang_step(grid, dt):
     """step(m, w, values): e^(-i V dt/2) e^(-i T dt) e^(-i V dt/2) values.
 
-    Each phase is a function of x^2 or k^2 alone, so it is evaluated once
-    per distinct value and spread back over the grid: bit-identical to
-    evaluating it at every point.  x^2 goes through ``np.unique`` and
-    ``take``, because a shifted grid is not symmetric.  k^2 from
-    ``fftfreq`` is mirror-symmetric for n odd or even, so the kinetic phase
-    is evaluated on k[:n//2 + 1]^2 and spread by two slice copies.  The
-    phases are ``_half_angle_cis`` of the half angles (-dt m w^2/8) x^2 and
-    (-dt k^2/4) (1/m), with the 1/2 folded into the rate constants (exact:
-    a power of two); both live in one buffer, so a (m, w) change costs one
-    ``np.tan``.  The phase arrays of the last (m, w) are kept, so a step
-    with the previous step's coefficients evaluates none.  Every array but
-    the returned state is allocated once, and each multiply keeps the
-    full-array step's operand order (numpy's complex product is not
-    bitwise commutative under FMA).
+    Each phase depends on x^2 or k^2 alone, so it is evaluated once per
+    distinct value and spread back, bit-identical to evaluating it at every
+    point: x^2 through ``np.unique`` (a shifted grid is not symmetric), k^2
+    on k[:n//2 + 1] (``fftfreq`` is mirror-symmetric).  Both phases are one
+    ``_half_angle_cis`` call on one buffer, with the 1/2 folded into the
+    rate constants (exact: a power of two), made only when (m, w) differs
+    from the previous step's.  Every array but the returned state is
+    allocated once, and each multiply keeps the full-array step's operand
+    order (numpy's complex product is not bitwise commutative under FMA).
     """
     n, nk = grid.n, grid.n // 2 + 1
     x2, x2_at = np.unique(grid.x ** 2, return_inverse=True)
@@ -325,20 +282,14 @@ def _strang_step(grid, dt):
 def split_step_propagate(mass, omega, psi0, t_grid, *, stride=None):
     """Strang-split evolution of p^2/(2 m(t)) + (1/2) m(t) w(t)^2 x^2.
 
-    Coefficients are sampled at the step midpoints (one vector call each;
-    a mass that is not positive and finite there raises
-    ``MassZeroCrossing``), giving global second order in dt (verified by
-    the Richardson self-test in the suite).  The step itself is exactly
-    unitary, so norm drift is at rounding level.
-    Its potential and kinetic phases are evaluated once per distinct x^2
-    and k^2, by the half-angle form with one ``np.tan`` for both, and again
-    only when (m, w) changes from the previous step; each step allocates
-    only the state it returns (``_strang_step``).  The FFT wraps through
-    the periodic boundary, so a stored state that fails
+    Coefficients are sampled at the step midpoints (a mass that is not
+    positive and finite there raises ``MassZeroCrossing``): global second
+    order in dt, which the suite's Richardson self-test checks.  The step is
+    exactly unitary, so norm drift is at rounding level.  The FFT wraps
+    through the periodic boundary, so a stored state that fails
     ``edge_decay_ok(tol=1e-9)`` raises ``SupportLeakage``.  A non-finite
     initial state or frequency sample raises ``StepFailure`` before any
-    step, and so does a state whose norm stops being finite, at the next
-    sampled step.
+    step, and so does a non-finite norm at the next sampled step.
     """
     t, dt = _validate_time_grid(t_grid)
     grid = psi0.grid
@@ -382,9 +333,8 @@ class ExactSolvablePropagator:
     psi(t, x) = e^(-e/2) e^(i chi e^(-2e) x^2/2) sum_n c_n e^(-i E_n t)
     phi_n(e^(-e) x), with e = eps(t): the Hermite functions carried back
     through the dilation and the phase in closed form (``_frame``).  The
-    envelope in front of the sum is diagonal in x, so it is applied once to
-    the summed state; evaluation at any t costs one Hermite recurrence, one
-    real (n x M)(M x 2) product and one envelope multiply.
+    envelope in front of the sum is diagonal in x, so it multiplies the
+    summed state once.
     """
 
     def __init__(self, family, psi0, *, static_mass=None):
@@ -406,11 +356,7 @@ class ExactSolvablePropagator:
 
     def _frame(self, t):
         """e = eps(t), the envelope e^(-e/2) e^(i chi e^(-2e) x^2/2) on the
-        grid, and the real basis phi_n(e^(-e) x), shape (M, n).
-
-        eps and chi = m0 eps' come from ``mass_epsilon`` at one evaluation
-        of the family's mass and its derivatives.
-        """
+        grid, and the real basis phi_n(e^(-e) x), shape (M, n)."""
         e, de, _ = map(float, mass_epsilon(
             *self.family.mass_with_derivatives(float(t)), self.m0_static))
         x, chi = self.grid.x, self.m0_static * de
@@ -449,22 +395,17 @@ def exact_solvable_propagate(family, psi0, t, *, static_mass=None):
 # -- closed-form Gaussian transport ---------------------------------------------
 
 def _continuous_arg(m, omega, a0, t):
-    """Continuous branch of arg(m w cos(w t) + i a0 sin(w t)), starting at 0.
+    """Continuous branch of arg z, z = m w cos(w t) + i a0 sin(w t), from 0.
 
-    When 4 m w Re(a0) > Im(a0)^2 the rotated value e^(-i w t) D(t) stays in
-    the right half plane and the branch is t*w + principal argument; outside
-    that regime the path is unwrapped numerically.
+    z(t + pi/w) = -z(t), and Im((-1)^k z) = Re(a0) |sin(w t)| >= 0 with
+    k = floor(w t/pi), so for every Re(a0) > 0 the branch is k pi + pi/2
+    plus the principal argument of -i (-1)^k z.  That argument is centred on
+    0: where sin(w t) rounds to the wrong sign next to w t = k pi it stays
+    near -pi/2 or pi/2, where an argument taken in [0, 2 pi) jumps by 2 pi.
     """
-    mw = m * omega
-    a0 = complex(a0)
-    if 4.0 * mw * a0.real > a0.imag ** 2:
-        rotated = (np.exp(-1j * omega * t)
-                   * (mw * np.cos(omega * t) + 1j * a0 * np.sin(omega * t)))
-        return omega * t + np.angle(rotated)
-    samples = max(16, int(np.ceil(abs(omega * t) / 0.3)) + 1)
-    ts = np.linspace(0.0, t, samples)
-    path = mw * np.cos(omega * ts) + 1j * a0 * np.sin(omega * ts)
-    return float(np.unwrap(np.angle(path))[-1])
+    k = math.floor(omega * t / math.pi)
+    z = m * omega * np.cos(omega * t) + 1j * a0 * np.sin(omega * t)
+    return k * math.pi + 0.5 * math.pi + float(np.angle(-1j * (-1) ** k * z))
 
 
 def gaussian_oscillator_evolve(state, m, omega, t):
@@ -511,16 +452,16 @@ def gaussian_exact_propagate(family, state, t, *, static_mass=None):
 def curved_kinetic_diagonals(gvals, m, dx):
     """Tridiagonal kinetic operator (1/2m) A D^T M D A (offsets 0 and 1).
 
-    A = diag(g^(-1/4)), D the forward difference (v_{j+1} - v_j)/dx between
-    neighbours and M = diag(g^(-1/2) at x_{j+1/2}), taken as the mean of the
-    two neighbours' g^(-1/2): second order like the midpoint value, and it
-    needs the metric on the grid only.  This is the conservative three-point
-    ordering of position-dependent-mass Hamiltonians (BenDaniel & Duke,
-    Phys. Rev. 152:683, 1966).  Every grid point couples to both neighbours,
-    so the checkerboard mode (-1)^j carries the largest kinetic energy,
-    about 2/(m dx^2) on a flat metric.  D has no row past either end, so no
-    flux crosses them.  The product is real symmetric positive semidefinite
-    by construction.  Returns (main, off) with off[j] the (j, j+1) entry.
+    A = diag(g^(-1/4)), D the forward difference (v_{j+1} - v_j)/dx and
+    M = diag(g^(-1/2) at x_{j+1/2}), the mean of the two neighbours'
+    g^(-1/2): second order like the midpoint value, from the metric on the
+    grid only.  This is the conservative three-point ordering of
+    position-dependent-mass Hamiltonians (BenDaniel & Duke, Phys. Rev.
+    152:683, 1966).  Every point couples to both neighbours, so the
+    checkerboard mode (-1)^j carries the largest kinetic energy, about
+    2/(m dx^2) on a flat metric.  D has no row past either end, so no flux
+    crosses them.  Real symmetric positive semidefinite by construction;
+    returns (main, off) with off[j] the (j, j+1) entry.
     """
     gvals = np.asarray(gvals, dtype=float)
     if np.any(gvals <= 0) or np.any(~np.isfinite(gvals)):
@@ -551,21 +492,15 @@ def crank_nicolson_curved(metric, m, psi0, t_grid, *, stride=None):
     """Cayley-form Crank-Nicolson evolution under the curved Hamiltonian.
 
     (1 + i H dt/2) psi_{n+1} = (1 - i H dt/2) psi_n with H Hermitian and
-    tridiagonal (``curved_kinetic_diagonals``), hence exactly
-    norm-preserving up to the linear-solve tolerance.  The metric is
-    sampled once (time-independent evolution).
-
-    Half of 1 + i H dt/2 is LU-factored once by LAPACK (zgttrf), in grid
-    order, and each step is one solve (zgttrs) through
-    psi_{n+1} = 2 chi - psi_n with (1 + i H dt/2) chi = psi_n, which equals
-    the Cayley step because 1 - i H dt/2 = 2 - (1 + i H dt/2): no
-    right-hand-side band apply.  Halving is exact in the factorization and
-    in both substitutions, so the solve returns 2 chi bit for bit, with no
-    doubling pass.  A non-finite initial state raises ``LinearSolveFailure``
-    before any step, and a state that overflows during the run raises it at
-    the next of ``_drive``'s sampled steps: a solve against the finite
-    factor cannot make it finite again.  The returned trajectory carries
-    the stepped Hamiltonian's bands.
+    tridiagonal (``curved_kinetic_diagonals``, the metric sampled once), so
+    norm is kept up to the solve's rounding.  As 1 - i H dt/2 =
+    2 - (1 + i H dt/2), psi_{n+1} = 2 chi - psi_n with
+    (1 + i H dt/2) chi = psi_n: half of 1 + i H dt/2 is factored once
+    (zgttrf, in grid order), so each step is one solve (zgttrs) that returns
+    2 chi bit for bit, halving being exact.  A non-finite initial state
+    raises ``LinearSolveFailure`` before any step, and an overflowing state
+    at the next of ``_drive``'s sampled steps.  The returned trajectory
+    carries the stepped Hamiltonian's bands.
     """
     from scipy.linalg.lapack import zgttrf, zgttrs
 
@@ -576,7 +511,6 @@ def crank_nicolson_curved(metric, m, psi0, t_grid, *, stride=None):
     diagonals = curved_kinetic_diagonals(metric.g(grid.x), float(m), grid.dx)
     main, off = diagonals
     quarter = 0.25j * dt
-    # (1 + i H dt/2)/2, so that a solve returns 2 chi itself
     *lu, info = zgttrf(quarter * off, 0.5 + quarter * main, quarter * off)
     if info != 0:
         raise LinearSolveFailure(f"Cayley factorization failed (info {info})")

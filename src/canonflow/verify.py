@@ -297,7 +297,8 @@ def suite_spectrum():
     basis = propagators.HermiteBasis(40, 1.0, 1.0, wide)
     checks.append(_check("hermite_gram_residual", basis.gram_residual(), 1e-8))
     psi0 = GaussianState(a=1.3 - 0.2j, center=0.6, momentum=0.5).to_wavefunction(wide)
-    evolved = propagators.hermite_propagate(psi0, basis, 1.0)
+    static = SolvableFamily(m0=1.0, mu=1.0, nu=0.0, alpha=0.0, Omega0=1.0)
+    evolved = ExactSolvablePropagator(static, psi0)(1.0)
     traj = split_step_propagate(TimeProfile.constant(1.0),
                                 TimeProfile.constant(1.0), psi0,
                                 np.linspace(0.0, 1.0, 2001))

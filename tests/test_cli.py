@@ -766,3 +766,31 @@ def test_csv_diff_against_an_identical_save_is_zero(tmp_path):
         columns, changes = cells[::2], cells[1::2]
         assert columns[0] == "t" and len(columns) == 6, line
         assert changes == ["0"] * 6, line
+
+
+def test_line_counts_add_up(tmp_path, capsys):
+    # scripts/line_counts.py: per module, lines as wc -l counts them, split
+    # into docstring, blank, comment and code lines that add up to it
+    spec = importlib.util.spec_from_file_location(
+        "line_counts", os.path.join(os.path.dirname(CSV_HASHES), "line_counts.py"))
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    source = os.path.dirname(canonflow.__file__)
+    total = script.main(source)
+    newlines = 0
+    for name in os.listdir(source):
+        if name.endswith(".py"):
+            with open(os.path.join(source, name), encoding="utf-8") as fh:
+                newlines += fh.read().count("\n")
+            counts = script.count(os.path.join(source, name))
+            assert sum(counts[kind] for kind in script.KINDS) == counts["lines"]
+    assert total["lines"] == newlines
+    assert sum(total[kind] for kind in script.KINDS) == newlines
+    assert capsys.readouterr().out.splitlines()[-1].split() == [
+        "total", str(newlines), *(str(total[kind]) for kind in script.KINDS)]
+
+    sample = tmp_path / "sample.py"
+    sample.write_text('"""Module.\n\nMore."""\n\n# note\n\n\ndef f():\n'
+                      '    """One line."""\n    return 1  # trailing\n')
+    assert script.count(str(sample)) == {"docstring": 4, "blank": 3,
+                                         "comment": 1, "code": 2, "lines": 10}

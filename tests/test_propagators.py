@@ -24,11 +24,13 @@ from canonflow.propagators import (ExactSolvablePropagator, HermiteBasis,
                                    exact_solvable_propagate, free_propagate,
                                    gaussian_exact_propagate,
                                    gaussian_oscillator_evolve,
-                                   hermite_propagate, oscillator_spectrum,
-                                   split_step_propagate)
+                                   oscillator_spectrum, split_step_propagate)
 
 GRID = Grid.from_interval(-12.0, 12.0, 2048)
 CK = SolvableFamily.caldirola_kanai(gamma=0.2, omega0=np.sqrt(1.01))
+# alpha = 0: the static oscillator m = w = 1, which the exact chain evolves
+# in its Hermite eigenbasis with no dilation or phase
+STATIC = SolvableFamily(m0=1.0, mu=1.0, nu=0.0, alpha=0.0, Omega0=1.0)
 
 
 def l2diff(a, b):
@@ -45,33 +47,23 @@ class TestHermiteBasis:
         assert np.allclose(basis.energies(), (np.arange(5) + 0.5) * 1.5)
 
     def test_ground_state_phase(self):
-        basis = HermiteBasis(40, 1.0, 1.0, GRID)
         psi = GaussianState(a=1.0).to_wavefunction(GRID)
-        out = hermite_propagate(psi, basis, 1.7)
+        out = exact_solvable_propagate(STATIC, psi, 1.7)
         assert np.max(np.abs(out.values - psi.values * np.exp(-0.5j * 1.7))) < 1e-12
 
     def test_coherent_period(self):
-        basis = HermiteBasis(40, 1.0, 1.0, GRID)
         psi = GaussianState(a=1.0, center=1.0).to_wavefunction(GRID)
-        out = hermite_propagate(psi, basis, 2.0 * np.pi)
+        out = exact_solvable_propagate(STATIC, psi, 2.0 * np.pi)
         assert out.fidelity(psi) > 1.0 - 1e-9
 
     def test_zero_time_identity(self):
-        basis = HermiteBasis(40, 1.0, 1.0, GRID)
         psi = GaussianState(a=1.2, center=0.4).to_wavefunction(GRID)
-        out = hermite_propagate(psi, basis, 0.0)
+        out = exact_solvable_propagate(STATIC, psi, 0.0)
         assert l2diff(out, psi) < 1e-10
 
-    def test_truncation_error(self):
-        basis = HermiteBasis(4, 1.0, 1.0, GRID)
-        psi = GaussianState(a=1.0, center=3.0).to_wavefunction(GRID)
-        with pytest.raises(TruncationError):
-            hermite_propagate(psi, basis, 1.0)
-
     def test_norm_preserved(self):
-        basis = HermiteBasis(40, 1.0, 1.0, GRID)
         psi = GaussianState(a=0.9, center=0.7, momentum=0.5).to_wavefunction(GRID)
-        out = hermite_propagate(psi, basis, 3.3)
+        out = exact_solvable_propagate(STATIC, psi, 3.3)
         assert abs(out.norm() - 1.0) < 1e-10
 
 
@@ -409,14 +401,6 @@ class TestExactChain:
         assert exact.fidelity(traj.final) > 1.0 - 1e-6
         assert abs(exact.norm() - 1.0) < 1e-8
 
-    def test_static_family_matches_hermite(self):
-        fam = SolvableFamily(m0=1.0, mu=1.0, nu=0.0, alpha=0.0, Omega0=1.0)
-        psi = GaussianState(a=1.0, center=0.8).to_wavefunction(GRID)
-        chain = exact_solvable_propagate(fam, psi, 2.2)
-        basis = HermiteBasis(40, 1.0, 1.0, GRID)
-        direct = hermite_propagate(psi, basis, 2.2)
-        assert chain.fidelity(direct) > 1.0 - 1e-9
-
     def test_gauge_independence(self):
         psi = GaussianState(a=1.0, center=1.0).to_wavefunction(GRID)
         one = exact_solvable_propagate(CK, psi, 3.0)
@@ -429,7 +413,8 @@ class TestExactChain:
         # W(0) psi for every probe, with U(t) the independent split-step run
         t = 1.5
         lin = GeneratorSpec.linear()
-        basis = HermiteBasis(40, CK.static_mass(), CK.Omega0, GRID)
+        static = SolvableFamily(m0=CK.static_mass(), mu=1.0, nu=0.0, alpha=0.0,
+                                Omega0=CK.Omega0)
 
         def stage(state, when):
             e, de, _ = mass_epsilon(*CK.mass_with_derivatives(when), CK.static_mass())
@@ -446,7 +431,7 @@ class TestExactChain:
             traj = split_step_propagate(CK.mass_profile(), CK.frequency_profile(),
                                         psi, np.linspace(0.0, t, 1501))
             left = stage(traj.final, t)
-            right = hermite_propagate(stage(psi, 0.0), basis, t)
+            right = exact_solvable_propagate(static, stage(psi, 0.0), t)
             assert left.fidelity(right) > 1.0 - 1e-5
 
     def test_reuse_propagator(self):
@@ -528,20 +513,19 @@ class TestGaussianTransport:
         assert out.momentum == pytest.approx(g.momentum, abs=1e-12)
 
     def test_oscillator_evolution_phase_exact(self):
-        # complex overlap with the eigenbasis propagator includes the phase
-        basis = HermiteBasis(40, 1.0, 1.0, GRID)
+        # complex overlap with the static chain's eigenbasis evolution
+        # includes the phase
         for t in (0.37, 2.3, 11.0):
             g = GaussianState(a=1.3 - 0.25j, center=0.8, momentum=-0.6, phase=0.2)
-            wf = hermite_propagate(g.to_wavefunction(GRID), basis, t)
+            wf = exact_solvable_propagate(STATIC, g.to_wavefunction(GRID), t)
             gt = gaussian_oscillator_evolve(g, 1.0, 1.0, t)
             overlap = wf.normalized().inner(gt.to_wavefunction(GRID).normalized())
             assert abs(overlap - 1.0) < 1e-9
 
     def test_ground_width_fixed_center_orbits(self):
-        fam = SolvableFamily(m0=1.0, mu=1.0, nu=0.0, alpha=0.0, Omega0=1.0)
         g = GaussianState(a=1.0, center=1.0)       # ground width m0*Omega0
         t = 1.1
-        out = gaussian_exact_propagate(fam, g, t)
+        out = gaussian_exact_propagate(STATIC, g, t)
         assert abs(complex(out.a) - 1.0) < 1e-12
         assert out.center == pytest.approx(np.cos(t), abs=1e-12)
         assert out.momentum == pytest.approx(-np.sin(t), abs=1e-12)
@@ -560,6 +544,51 @@ class TestGaussianTransport:
         for t in np.linspace(0.2, 6.0, 7):
             out = gaussian_exact_propagate(CK, g, float(t))
             assert complex(out.a).real > 0
+
+    @pytest.mark.parametrize("m, w, a0", [(1.0, 1.0, 1.3 - 0.25j),
+                                          (0.4, 2.7, 0.2 + 3.0j),
+                                          (2.5, 0.3, 4.0 - 1.0j)])
+    def test_width_phase_continuous_at_half_periods(self, m, w, a0):
+        # at w t = k pi, sin(w t) rounds to either sign: the width phase of
+        # the float below, at and above k pi/w must still agree
+        g = GaussianState(a=a0)
+        for k in range(1, 8):
+            t0 = k * np.pi / w
+            phases = [gaussian_oscillator_evolve(g, m, w, t).phase
+                      for t in (np.nextafter(t0, 0.0), t0, np.nextafter(t0, np.inf))]
+            assert max(phases) - min(phases) < 1e-12
+            # and it is -k pi/2 there: arg z has turned by k half turns
+            assert abs(phases[1] + 0.5 * k * np.pi) < 1e-12
+
+
+def dense_unwrapped_arg(m, w, a0, t):
+    """arg(m w cos(w t) + i a0 sin(w t)) on its continuous branch from 0, by
+    np.unwrap of the path sampled finely enough that no step turns it by
+    1/2 radian: d arg/d(w t) = m w Re(a0)/|z|^2, and |z|^2 is at least the
+    smaller eigenvalue of its quadratic form in (cos, sin)."""
+    mw, r = m * w, a0.real
+    rate = (mw ** 2 + abs(a0) ** 2) / (mw * r)       # >= m w r / min |z|^2
+    ts = np.linspace(0.0, t, int(np.ceil(abs(w * t) * rate / 0.5)) + 2)
+    path = mw * np.cos(w * ts) + 1j * a0 * np.sin(w * ts)
+    unwrapped = np.unwrap(np.angle(path))[-1]
+    # the branch the samples reached, read at the last point without the
+    # rounding that unwrap's running sum of 2 pi corrections accumulates
+    turns = round((unwrapped - np.angle(path[-1])) / (2.0 * np.pi))
+    return float(np.angle(path[-1]) + 2.0 * np.pi * turns)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(m=st.floats(0.2, 3.0), w=st.floats(0.2, 3.0), re=st.floats(0.1, 3.0),
+       im=st.floats(-6.0, 6.0), t=st.floats(0.0, 10.0))
+@example(m=1.0, w=1.0, re=1.3, im=-0.25, t=7.0)     # 4 m w Re(a0) > Im(a0)^2
+@example(m=0.2, w=0.5, re=0.1, im=6.0, t=10.0)      # Im(a0)^2 >= 4 m w Re(a0)
+@example(m=0.4, w=2.7, re=0.2, im=3.0, t=3.0 * np.pi / 2.7)
+def test_width_phase_against_dense_unwrap(m, w, re, im, t):
+    # Gaussian transport's width phase is -arg(z)/2 on z's continuous branch,
+    # in every width regime; a centred Gaussian has no center phase
+    a0 = complex(re, im)
+    out = gaussian_oscillator_evolve(GaussianState(a=a0), m, w, t)
+    assert abs(out.phase + 0.5 * dense_unwrapped_arg(m, w, a0, t)) < 1e-11
 
 
 class TestCrankNicolson:
