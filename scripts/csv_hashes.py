@@ -16,6 +16,10 @@ src/:
 
     OPENBLAS_NUM_THREADS=1 python3 scripts/csv_hashes.py
 
+The pins hold for the BLAS kernel they were taken under, OpenBLAS 0.3.31's
+SkylakeX kernel: with ``OPENBLAS_CORETYPE=Haswell`` the four scenario hashes
+change (by rounding) and the two table hashes stay ``ok``.
+
 Those per-column numbers come from two more modes.  ``--save DIR`` writes
 the six outputs to DIR as ``<name>.csv``; ``--diff DIR`` runs them again
 and prints, per output, the largest absolute change of each column against

@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__
 from .errors import CanonflowError, ScenarioError
 from .flowcore import GeneratorSpec, flow_evaluate
-from .gridspace import (GaussianState, Grid, WaveFunction, expectation,
+from .gridspace import (GaussianState, Grid, WaveFunction, _braket, expectation,
                         wavefunction_from_csv)
 from .hamiltonians import (QuadraticHamiltonian, SolvableFamily, TimeProfile,
                            dilation_transform, effective_frequency,
@@ -302,7 +302,7 @@ def run_scenario(path, outdir=None):
 
         def energy(t, unit):
             hv = apply_curved_kinetic(traj.bands, unit.values)
-            return float((grid.dx * np.vdot(unit.values, hv)).real)
+            return float(_braket(unit.values, hv, grid.dx).real)
     else:
         raise ScenarioError(f"system.kind: unknown system {sys_kind!r}")
 

@@ -96,7 +96,7 @@ class WaveFunction:
 
     @cached_property
     def _norm(self):
-        return float(np.sqrt(self.grid.dx * np.sum(np.abs(self.values) ** 2)))
+        return _l2(self.values, self.grid)
 
     @cached_property
     def _momentum_density(self):
@@ -107,14 +107,14 @@ class WaveFunction:
 
     def normalized(self):
         nrm = self.norm()
-        if nrm == 0:
-            raise ValueError("cannot normalize the zero state")
+        if not 0 < nrm < np.inf:
+            raise ValueError(f"cannot normalize a state of norm {nrm}")
         return WaveFunction(self.grid, self.values / nrm)
 
     def inner(self, other):
         """<self|other> with the dx measure."""
         _require_same_grid(self, other)
-        return complex(self.grid.dx * np.vdot(self.values, other.values))
+        return complex(_braket(self.values, other.values, self.grid.dx))
 
     def fidelity(self, other):
         """|<self|other>| with the norms divided out, clamped to at most 1."""
@@ -129,6 +129,20 @@ class WaveFunction:
         edge = max(np.max(np.abs(self.values[:m])),
                    np.max(np.abs(self.values[-m:])))
         return bool(edge <= tol * peak)
+
+
+def _mass(values, dx):
+    """dx * sum |v|^2: every squared grid norm in the package."""
+    return dx * np.sum(np.abs(values) ** 2)
+
+
+def _braket(u, w, dx):
+    """dx * <u|w> (BLAS zdotc): every grid overlap in the package."""
+    return dx * np.vdot(u, w)
+
+
+def _l2(values, grid):
+    return float(np.sqrt(_mass(values, grid.dx)))
 
 
 def _require_same_grid(a, b):
@@ -307,7 +321,7 @@ def apply_point_unitary(gen, eps, psi, *, leak_tol=LEAK_TOL):
     ylo, yhi = np.min(y[in_grid]), np.max(y[in_grid])
     unread = (x < ylo - grid.dx) | (x > yhi + grid.dx)
     if np.any(unread):
-        lost = grid.dx * float(np.sum(np.abs(psi.values[unread]) ** 2))
+        lost = _mass(psi.values[unread], grid.dx)
         if lost > leak_tol * psi.norm() ** 2:
             raise SupportLeakage(
                 f"probability mass {lost:.3e} lies outside the window "
@@ -338,7 +352,7 @@ def expectation(observable, psi):
     per call.  An imaginary residue above 1e-10 of a position moment or of
     the {x,p} term warns (``_moment``).
     """
-    if abs(psi.norm() - 1.0) > NORM_TOL:
+    if not abs(psi.norm() - 1.0) <= NORM_TOL:
         raise NotNormalized(f"state norm is {psi.norm():.6g}, expected 1")
     if isinstance(observable, str):
         return _moment(observable, psi)
@@ -356,21 +370,18 @@ def _moment(name, psi):
     Nyquist mode included.  The {x,p} term applies p spectrally.
     """
     grid, v, x = psi.grid, psi.values, psi.grid.x
-
-    def mean_of(wvals):
-        return complex(grid.dx * np.vdot(v, wvals))
-
     if name == "x":
-        val = mean_of(x * v)
+        val = _braket(v, x * v, grid.dx)
     elif name == "x2":
-        val = mean_of(x * x * v)
+        val = _braket(v, x * x * v, grid.dx)
     elif name == "p":
         return float(np.dot(grid.k, psi._momentum_density))
     elif name == "p2":
         return float(np.dot(grid.k * grid.k, psi._momentum_density))
     elif name == "xp_anticomm":  # (1/2)<{x,p}> + (1/2)<{p,x}> = 2 Re <x p>
         pv = apply_momentum(v, grid, 1)
-        val = mean_of(x * pv) + mean_of(apply_momentum(x * v, grid, 1))
+        val = (_braket(v, x * pv, grid.dx)
+               + _braket(v, apply_momentum(x * v, grid, 1), grid.dx))
     else:
         raise ValueError(f"unknown observable {name!r}")
     if abs(val.imag) > 1e-10 * max(1.0, abs(val.real)):
@@ -438,10 +449,6 @@ def _h_derivative(f1, f2, x):
     # h' = 2 (f1 f2'' - f2 f1''); second derivatives are analytic for the
     # closed-form generator kinds and finite differences otherwise.
     return 2.0 * (f1.f(x) * f2.d2f(x) - f2.f(x) * f1.d2f(x))
-
-
-def _l2(values, grid):
-    return float(np.sqrt(grid.dx * np.sum(np.abs(values) ** 2)))
 
 
 # -- CSV interchange ----------------------------------------------------------

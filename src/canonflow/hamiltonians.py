@@ -30,7 +30,7 @@ oscillator, mu = 1, nu = 0, alpha = gamma/2.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -43,73 +43,67 @@ from .gridspace import apply_momentum, apply_weighted_kinetic
 
 @dataclass(frozen=True)
 class TimeProfile:
-    """A scalar function of time with its first two derivatives.
+    """A scalar function of time and its first two derivatives.
 
-    Closed-form constructors keep the derivatives exact; ``from_callable``
-    fills them in with 4th-order central differences of step
-    h = 1e-4 * timescale.  ``joint``, when given, returns all three from one
-    evaluation (``with_derivatives`` uses it).
+    The derivatives are read only as the triple (value, d1, d2) from one
+    ``with_derivatives(t)`` call; ``value`` serves readers of the value
+    alone.  Closed-form constructors keep the derivatives exact;
+    ``from_callable`` takes them from 4th-order central differences of step
+    h = 1e-4 * timescale, five evaluations of the callable per call.
     """
 
     value: Callable
-    d1: Callable
-    d2: Callable
+    with_derivatives: Callable
     name: str = ""
-    joint: Optional[Callable] = None
 
     @classmethod
     def constant(cls, v):
         v = float(v)
-        return cls(lambda t: v + 0.0 * np.asarray(t, dtype=float),
-                   lambda t: 0.0 * np.asarray(t, dtype=float),
-                   lambda t: 0.0 * np.asarray(t, dtype=float),
-                   name=f"const {v}")
+
+        def triple(t):
+            zero = 0.0 * np.asarray(t, dtype=float)
+            return v + zero, zero, zero
+
+        return cls(lambda t: triple(t)[0], triple, name=f"const {v}")
 
     @classmethod
     def exponential(cls, c0, rate):
         """c0 * exp(rate * t); a steep rate overflows to inf, which mass checks reject."""
         name = f"{float(c0)}*exp({float(rate)}t)"
         c0, rate = np.float64(c0), np.float64(rate)
-
-        def term(scale):
-            def fn(t):
-                with np.errstate(over="ignore", invalid="ignore"):
-                    return scale * np.exp(rate * np.asarray(t, dtype=float))
-            return fn
-
         with np.errstate(over="ignore", invalid="ignore"):
-            return cls(term(c0), term(c0 * rate), term(c0 * rate ** 2), name=name)
+            c1, c2 = c0 * rate, c0 * rate ** 2
+
+        def triple(t):
+            with np.errstate(over="ignore", invalid="ignore"):
+                e = np.exp(rate * np.asarray(t, dtype=float))
+                return c0 * e, c1 * e, c2 * e
+
+        return cls(lambda t: triple(t)[0], triple, name=name)
 
     @classmethod
     def from_callable(cls, fn, timescale=1.0, name="numeric"):
         h = 1e-4 * float(timescale)
 
-        def d1(t):
+        def triple(t):
             t = np.asarray(t, dtype=float)
-            return (fn(t - 2 * h) - 8 * fn(t - h) + 8 * fn(t + h)
-                    - fn(t + 2 * h)) / (12 * h)
-
-        def d2(t):
-            t = np.asarray(t, dtype=float)
-            return (-fn(t - 2 * h) + 16 * fn(t - h) - 30 * fn(t)
-                    + 16 * fn(t + h) - fn(t + 2 * h)) / (12 * h * h)
+            fm2, fm1, f0, fp1, fp2 = (fn(t - 2 * h), fn(t - h), fn(t),
+                                      fn(t + h), fn(t + 2 * h))
+            return (np.asarray(f0, dtype=float),
+                    (fm2 - 8 * fm1 + 8 * fp1 - fp2) / (12 * h),
+                    (-fm2 + 16 * fm1 - 30 * f0 + 16 * fp1 - fp2) / (12 * h * h))
 
         return cls(lambda t: np.asarray(fn(np.asarray(t, dtype=float)), dtype=float),
-                   d1, d2, name=name)
-
-    def with_derivatives(self, t):
-        """(value, d1, d2) at t, from one ``joint`` call when there is one."""
-        if self.joint is not None:
-            return self.joint(t)
-        return self.value(t), self.d1(t), self.d2(t)
+                   triple, name=name)
 
     def derivative_consistency(self, ts):
         """Max mismatch between stored and finite-difference derivatives."""
         ts = np.asarray(ts, dtype=float)
         fd = TimeProfile.from_callable(self.value, timescale=max(np.ptp(ts), 1.0))
-        scale = 1.0 + np.max(np.abs(self.value(ts)))
-        return float(max(np.max(np.abs(fd.d1(ts) - self.d1(ts))),
-                         np.max(np.abs(fd.d2(ts) - self.d2(ts)))) / scale)
+        _, fd1, fd2 = fd.with_derivatives(ts)
+        v, d1, d2 = self.with_derivatives(ts)
+        scale = 1.0 + np.max(np.abs(v))
+        return float(max(np.max(np.abs(fd1 - d1)), np.max(np.abs(fd2 - d2))) / scale)
 
 
 def mass_epsilon(m, dm, ddm, m0):
@@ -179,16 +173,17 @@ def reduce_oscillator(mass, omega, t, m0=None):
     return h2, e, m0 * de
 
 
-def effective_frequency(mass, omega, t, m0=None):
+def effective_frequency(mass, omega, t):
     """Omega(t) = sqrt(ddeps - deps^2 + w^2) with eps = (1/2)ln(m0/m).
 
-    Independent of m0 (eps shifts by a constant).  Raises
+    Omega reads only deps and ddeps, which do not depend on the gauge m0
+    (eps shifts by a constant); the gauge m0 = m(t) is used.  Raises
     ``ImaginaryFrequency`` when the radicand is negative (inverted
     effective oscillator: reported, not computed).
     """
     t = np.asarray(t, dtype=float)
     m, dm, ddm = mass.with_derivatives(t)
-    _, de, dde = mass_epsilon(m, dm, ddm, m if m0 is None else m0)
+    _, de, dde = mass_epsilon(m, dm, ddm, m)
     rad = dde - de ** 2 + np.asarray(omega.value(t)) ** 2
     if np.any(rad < 0):
         raise ImaginaryFrequency("ddeps - deps^2 + w^2 < 0")
@@ -303,10 +298,7 @@ class SolvableFamily:
 
     def mass_profile(self):
         return TimeProfile(lambda t: self.mass_with_derivatives(t)[0],
-                           lambda t: self.mass_with_derivatives(t)[1],
-                           lambda t: self.mass_with_derivatives(t)[2],
-                           name="solvable-family mass",
-                           joint=self.mass_with_derivatives)
+                           self.mass_with_derivatives, name="solvable-family mass")
 
     def frequency_profile(self):
         return TimeProfile.constant(self.omega)

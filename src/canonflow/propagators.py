@@ -37,7 +37,7 @@ import numpy as np
 from .errors import (LinearSolveFailure, MassZeroCrossing, ResolutionError,
                      SingularMetric, StepFailure, SupportLeakage,
                      TruncationError)
-from .gridspace import GaussianState, WaveFunction, apply_momentum
+from .gridspace import GaussianState, WaveFunction, _mass, apply_momentum
 from .hamiltonians import _positive_mass, mass_epsilon
 
 BASIS_SIZE = 40              # Hermite functions in the exact chain's frame
@@ -136,7 +136,7 @@ def _drive(psi0, t, dt, stride, update, apply_h, failure):
             prev = values
             values = update(i, prev)
             if (i + 1) % sample_every == 0 or i == nsteps - 1:
-                nrm = np.sqrt(grid.dx * np.sum(np.abs(values) ** 2))
+                nrm = np.sqrt(_mass(values, grid.dx))
                 if not np.isfinite(nrm):
                     raise failure(f"the state's norm is not finite after step "
                                   f"{i + 1} of {nsteps}")
@@ -147,7 +147,7 @@ def _drive(psi0, t, dt, stride, update, apply_h, failure):
                 peak = max(float(np.max(resid)), np.finfo(float).tiny)
                 report.max_schrodinger_residual = max(
                     report.max_schrodinger_residual,
-                    peak * float(np.sqrt(grid.dx * np.sum((resid / peak) ** 2))) / norm0)
+                    peak * float(np.sqrt(_mass(resid / peak, grid.dx))) / norm0)
             if i + 1 in kept:
                 states.append(WaveFunction(grid, values))
 

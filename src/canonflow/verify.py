@@ -24,7 +24,7 @@ import scipy.linalg  # noqa: F401
 
 from . import flowcore, gridspace, hamiltonians, metricmap, propagators
 from .flowcore import GeneratorSpec, flow_evaluate
-from .gridspace import GaussianState, Grid, verify_bracket_identities
+from .gridspace import GaussianState, Grid, _mass, verify_bracket_identities
 from .hamiltonians import (QuadraticHamiltonian, SolvableFamily, TimeProfile,
                            dilation_transform, effective_frequency,
                            omega_from_mass, reduce_oscillator)
@@ -241,8 +241,8 @@ def suite_solvability(rng=None):
 
         mass_fd = TimeProfile.from_callable(
             lambda t, f=fam: f.mass_with_derivatives(t)[0])
-        _, de, dde = hamiltonians.mass_epsilon(mass_fd.value(ts), mass_fd.d1(ts),
-                                               mass_fd.d2(ts), fam.static_mass())
+        _, de, dde = hamiltonians.mass_epsilon(*mass_fd.with_derivatives(ts),
+                                               fam.static_mass())
         resid_fd = np.abs(dde - de ** 2 + fam.alpha ** 2)
         worst_fd = max(worst_fd, float(np.max(resid_fd)))
 
@@ -327,8 +327,8 @@ def suite_metric_equivalence():
         tr = propagators.crank_nicolson_curved(metric, 1.0, psi0,
                                                np.linspace(0.0, 1.0, steps + 1))
         finals.append(tr.final.values)
-    d1 = np.sqrt(grid.dx * np.sum(np.abs(finals[0] - finals[1]) ** 2))
-    d2 = np.sqrt(grid.dx * np.sum(np.abs(finals[1] - finals[2]) ** 2))
+    d1 = np.sqrt(_mass(finals[0] - finals[1], grid.dx))
+    d2 = np.sqrt(_mass(finals[1] - finals[2], grid.dx))
     ratio = d1 / d2
     checks.append(Check("cayley_step_order_ratio", bool(3.0 <= ratio <= 5.0),
                         float(ratio), 4.0,

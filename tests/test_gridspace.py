@@ -1,6 +1,8 @@
 """Tests for grid states, the point/phase unitaries, and observables."""
 
+import ast
 import dataclasses
+import pathlib
 import re
 import tracemalloc
 
@@ -44,6 +46,16 @@ class TestStates:
         assert psi.norm() == pytest.approx(1.0, abs=1e-12)
         scaled = WaveFunction(GRID, 3.0 * psi.values)
         assert scaled.normalized().norm() == pytest.approx(1.0, abs=1e-13)
+
+    @pytest.mark.parametrize("values", [
+        np.zeros(64), np.r_[np.inf, np.ones(63)], np.r_[np.nan, np.ones(63)],
+        GaussianState(a=1e308 + 1e308j).to_wavefunction(
+            Grid.from_interval(-5.0, 5.0, 64)).values,
+    ], ids=["zero", "inf-entry", "nan-entry", "width-overflows"])
+    def test_normalize_refuses_a_norm_not_finite_and_positive(self, values):
+        psi = WaveFunction(Grid.from_interval(-5.0, 5.0, 64), values)
+        with pytest.raises(ValueError, match="cannot normalize"):
+            psi.normalized()
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("x0,dx", [(1e300, 0.1), (0.0, 0.0), (0.0, -0.1),
@@ -322,6 +334,12 @@ class TestExpectation:
         with pytest.raises(NotNormalized):
             expectation("x", WaveFunction(GRID, 2.0 * psi.values))
 
+    def test_nan_norm_is_not_normalized(self):
+        values = ground().values.copy()
+        values[GRID.n // 2] = np.nan
+        with pytest.raises(NotNormalized):
+            expectation("x", WaveFunction(GRID, values))
+
     def test_parity(self):
         assert expectation("x", ground()) == pytest.approx(0.0, abs=1e-12)
 
@@ -426,3 +444,50 @@ class TestBracketIdentities:
         probes = [GaussianState(a=1.0).to_wavefunction(grid)]
         rep = verify_bracket_identities(one, GeneratorSpec.quadratic(), grid, probes)
         assert rep.multiplication_identity < 1e-8
+
+
+class _GridReductions(ast.NodeVisitor):
+    """Records, with its enclosing function, each np.vdot call and each
+    product of something named dx with an expression that calls np.sum."""
+
+    def __init__(self):
+        self.where, self.found = [], []
+
+    def visit_FunctionDef(self, node):
+        self.where.append(node.name)
+        self.generic_visit(node)
+        self.where.pop()
+
+    def _record(self, node):
+        self.found.append(self.where[-1] if self.where else f"line {node.lineno}")
+
+    def visit_Call(self, node):
+        if isinstance(node.func, ast.Attribute) and node.func.attr == "vdot":
+            self._record(node)
+        self.generic_visit(node)
+
+    def visit_BinOp(self, node):
+        sides = (node.left, node.right)
+        if isinstance(node.op, ast.Mult) and any(
+                _names(side, "dx") for side in sides) and any(
+                _names(side, "sum") for side in sides):
+            self._record(node)
+        self.generic_visit(node)
+
+
+def _names(node, name):
+    return any(isinstance(n, ast.Name) and n.id == name
+               or isinstance(n, ast.Attribute) and n.attr == name
+               for n in ast.walk(node))
+
+
+def test_grid_norms_and_overlaps_are_taken_in_one_place():
+    # every dx-weighted norm and overlap goes through _mass and _braket, so
+    # their summation order (and so every pinned output's bits) is set there
+    src = pathlib.Path(gridspace.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        finder = _GridReductions()
+        finder.visit(ast.parse(path.read_text()))
+        found += [f"{path.stem}.{fn}" for fn in finder.found]
+    assert sorted(found) == ["gridspace._braket", "gridspace._mass"]

@@ -169,10 +169,13 @@ class TestEffectiveFrequency:
         assert np.max(np.abs(om - 2.0)) < 1e-12
 
     def test_gauge_independent(self):
+        # Omega = sqrt(ddeps - deps^2 + w^2) taken here at the gauges m0 = 1
+        # and 2 agrees with effective_frequency, whose gauge is m(t)
         fam = SolvableFamily(m0=1.0, mu=0.7, nu=0.4, alpha=0.25, Omega0=1.5)
-        o1 = effective_frequency(fam.mass_profile(), fam.frequency_profile(), 1.3, m0=1.0)
-        o2 = effective_frequency(fam.mass_profile(), fam.frequency_profile(), 1.3, m0=2.0)
-        assert abs(o1 - o2) < 1e-12
+        got = effective_frequency(fam.mass_profile(), fam.frequency_profile(), 1.3)
+        for gauge in (1.0, 2.0):
+            _, de, dde = mass_epsilon(*fam.mass_with_derivatives(1.3), gauge)
+            assert abs(got - np.sqrt(dde - de ** 2 + fam.omega ** 2)) < 1e-12
 
     def test_inverted_reported(self):
         mass = TimeProfile.exponential(1.0, 3.0)   # deps^2 dominates
@@ -281,14 +284,57 @@ class TestProfiles:
         fd = TimeProfile.from_callable(lambda t: np.exp(0.2 * t))
         exact = TimeProfile.exponential(1.0, 0.2)
         ts = np.linspace(0.0, 5.0, 9)
-        assert np.max(np.abs(fd.d1(ts) - exact.d1(ts))) < 1e-7
-        assert np.max(np.abs(fd.d2(ts) - exact.d2(ts))) < 1e-5
+        _, fd1, fd2 = fd.with_derivatives(ts)
+        _, d1, d2 = exact.with_derivatives(ts)
+        assert np.max(np.abs(fd1 - d1)) < 1e-7
+        assert np.max(np.abs(fd2 - d2)) < 1e-5
+
+    def test_from_callable_evaluates_five_times_per_call(self):
+        calls = []
+
+        def fn(t):
+            calls.append(t)
+            return np.exp(0.2 * t)
+
+        TimeProfile.from_callable(fn).with_derivatives(np.linspace(0.0, 5.0, 9))
+        assert len(calls) == 5
+
+    @pytest.mark.parametrize("t", [1.3, np.linspace(-3.0, 7.0, 11)],
+                             ids=["scalar", "vector"])
+    def test_closed_form_triples_match_their_formulas_bit_for_bit(self, t):
+        # oracle: each derivative of the constant, exponential and family
+        # profiles written out on its own, as separate closed forms
+        ta = np.asarray(t, dtype=float)
+        c0, rate = np.float64(1.3), np.float64(0.2)
+        e = np.exp(rate * ta)
+        cases = [(TimeProfile.constant(3.0), (3.0 + 0.0 * ta, 0.0 * ta, 0.0 * ta)),
+                 (TimeProfile.exponential(c0, rate),
+                  (c0 * e, (c0 * rate) * e, (c0 * rate ** 2) * e))]
+        for trig in (False, True):
+            fam = SolvableFamily(m0=1.7, mu=0.8, nu=0.3, alpha=0.4, Omega0=1.0,
+                                 trigonometric=trig)
+            a, mu, nu = fam.alpha, fam.mu, fam.nu
+            if trig:
+                s = mu * np.cos(a * ta) + nu * np.sin(a * ta)
+                ds = a * (-mu * np.sin(a * ta) + nu * np.cos(a * ta))
+                dds = -a ** 2 * s
+            else:
+                s = mu * np.exp(a * ta) + nu * np.exp(-a * ta)
+                ds = a * (mu * np.exp(a * ta) - nu * np.exp(-a * ta))
+                dds = a ** 2 * s
+            cases.append((fam.mass_profile(),
+                          (fam.m0 * s * s, 2.0 * fam.m0 * s * ds,
+                           2.0 * fam.m0 * (ds * ds + s * dds))))
+        for profile, want in cases:
+            got = profile.with_derivatives(t)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want)), profile.name
+            assert np.array_equal(profile.value(t), want[0]), profile.name
 
     def test_epsilon_from_mass_gauge(self):
         mass = TimeProfile.exponential(1.0, 0.2)
 
         def eps(t):
-            return mass_epsilon(mass.value(t), mass.d1(t), mass.d2(t), 1.0)
+            return mass_epsilon(*mass.with_derivatives(t), 1.0)
 
         assert eps(0.0)[0] == pytest.approx(0.0)
         assert eps(1.0)[1] == pytest.approx(-0.1, abs=1e-14)
