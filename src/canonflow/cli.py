@@ -231,12 +231,12 @@ def _outputs(scenario, outdir):
     return directory, formats
 
 
-def _row(t, state, fidelity, energy):
-    """The CSV line of one stored state: t, norm, fidelity, <x>, <p>, energy."""
+def _row(t, state, fid, energy):
+    """The CSV line of one stored state: t, norm, fidelity, <x>, <p>, and the
+    energy, which ``energy`` takes of the normalized state."""
     unit = state.normalized()
-    fid = float("nan") if fidelity is None else fidelity(t, state)
     return ",".join(_fmt(v) for v in (t, state.norm(), fid, expectation("x", unit),
-                                      expectation("p", unit), energy(t, unit)))
+                                      expectation("p", unit), energy(unit)))
 
 
 def run_scenario(path, outdir=None):
@@ -258,7 +258,8 @@ def run_scenario(path, outdir=None):
 
     system = scenario["system"]
     sys_kind = _require(system, "kind", str, "system")
-    # each branch picks the trajectory, the reference fidelity and the energy
+    # each branch picks the trajectory and, per stored state, the reference
+    # fidelity and the energy of the normalized state
     if sys_kind == "oscillator":
         exact = None
         if "family" in system:
@@ -277,19 +278,19 @@ def run_scenario(path, outdir=None):
                 raise ScenarioError(
                     "propagator.method 'exact' needs system.family")
             traj = exact.trajectory(t_grid, stride)
-            fidelity = lambda t, state: state.fidelity(state)
+            fids = [state.fidelity(state) for state in traj.states]
         elif method == "split_step":
             traj = split_step_propagate(mass, freq, psi0, t_grid, stride=stride)
-            fidelity = (None if exact is None
-                        else lambda t, state: exact(float(t)).fidelity(state))
+            fids = (None if exact is None else
+                    [ref.fidelity(state)
+                     for ref, state in zip(exact(traj.times), traj.states)])
         else:
             raise ScenarioError(f"propagator.method {method!r} not valid "
                                 "for an oscillator system")
-
-        def energy(t, unit):
-            ham = QuadraticHamiltonian.oscillator(float(mass.value(t)),
-                                                  float(freq.value(t)))
-            return expectation(ham, unit)
+        # m and w at every stored time, from one call each
+        hams = map(QuadraticHamiltonian.oscillator, mass.value(traj.times).tolist(),
+                   freq.value(traj.times).tolist())
+        energies = [functools.partial(expectation, ham) for ham in hams]
     elif sys_kind == "curved":
         if method != "crank_nicolson":
             raise ScenarioError("curved systems propagate with method "
@@ -298,16 +299,18 @@ def run_scenario(path, outdir=None):
                                "system.metric")
         m = _require(system, "mass", float, "system")
         traj = crank_nicolson_curved(metric, m, psi0, t_grid, stride=stride)
-        fidelity = None
+        fids = None
 
-        def energy(t, unit):
+        def energy(unit):
             hv = apply_curved_kinetic(traj.bands, unit.values)
             return float(_braket(unit.values, hv, grid.dx).real)
+        energies = [energy] * len(traj.states)
     else:
         raise ScenarioError(f"system.kind: unknown system {sys_kind!r}")
 
-    lines = [TRAJECTORY_HEADER] + [_row(t, state, fidelity, energy)
-                                   for t, state in zip(traj.times, traj.states)]
+    fids = fids or [float("nan")] * len(traj.states)
+    lines = [TRAJECTORY_HEADER] + [_row(*row) for row in zip(traj.times, traj.states,
+                                                             fids, energies)]
 
     os.makedirs(directory, exist_ok=True)
     paths = {}

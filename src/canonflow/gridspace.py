@@ -117,9 +117,10 @@ class WaveFunction:
         return complex(_braket(self.values, other.values, self.grid.dx))
 
     def fidelity(self, other):
-        """|<self|other>| with the norms divided out, clamped to at most 1."""
-        ov = abs(self.inner(other))
-        return min(1.0, float(ov / (self.norm() * other.norm())))
+        """|<self|other>| with the norms divided out, clamped to at most 1; a
+        NaN ratio stays NaN (``min(1.0, nan)`` would read 1.0)."""
+        ratio = float(abs(self.inner(other)) / (self.norm() * other.norm()))
+        return 1.0 if ratio > 1.0 else ratio
 
     def edge_decay_ok(self, tol=LEAK_TOL):
         m = max(1, int(round(EDGE_FRACTION * self.grid.n)))

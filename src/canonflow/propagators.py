@@ -160,9 +160,10 @@ def _drive(psi0, t, dt, stride, update, apply_h, failure):
 class HermiteBasis:
     """First M eigenfunctions of p^2/(2 m0) + (1/2) m0 Omega0^2 x^2 on a grid.
 
-    Built by the stable normalized recurrence (on the grid, on first use);
-    eigenvalues (n + 1/2) Omega0.  Orthonormality degrades unless the grid
-    extends past the highest function's turning point (``gram_residual``).
+    Built by the monic recurrence g_(n+1) = xi g_n - (n/2) g_(n-1) for
+    g_n = s_n phi_n, s_n = sqrt(n!/2^n) (``monic``), on the grid on first
+    use; eigenvalues (n + 1/2) Omega0.  Orthonormality degrades unless the
+    grid extends past the highest function's turning point (``gram_residual``).
     """
 
     def __init__(self, size, m0, omega0, grid):
@@ -171,25 +172,29 @@ class HermiteBasis:
         self.omega0 = float(omega0)
         self.grid = grid
         self.length_scale = 1.0 / np.sqrt(self.m0 * self.omega0)
-        # the recurrence's (sqrt(2/(n+1)), sqrt(n/(n+1))) for n = 1 .. size-2
-        self._steps = [(math.sqrt(2.0 / (n + 1)), math.sqrt(n / (n + 1.0)))
-                       for n in range(1, self.size - 1)]
+        self.scales = np.sqrt([math.factorial(n) / 2.0 ** n for n in range(self.size)])
 
     functions = cached_property(lambda self: self.at(self.grid.x))
 
-    def at(self, points):
-        """The basis at arbitrary points, shape (size, len(points)), rows in place."""
+    def monic(self, points):
+        """The rows g_n = s_n phi_n at arbitrary points, shape (size, len(points)).
+
+        Three ufunc calls per degree, with no per-degree constant but n/2.
+        """
         xi = np.asarray(points, dtype=float) / self.length_scale
-        funcs = np.empty((self.size, xi.size))
-        funcs[0] = (self.m0 * self.omega0 / np.pi) ** 0.25 * np.exp(-0.5 * xi * xi)
+        g = np.empty((self.size, xi.size))
+        g[0] = (self.m0 * self.omega0 / np.pi) ** 0.25 * np.exp(-0.5 * xi * xi)
         if self.size > 1:
-            funcs[1] = np.sqrt(2.0) * xi * funcs[0]
+            np.multiply(xi, g[0], out=g[1])
         scratch = np.empty(xi.size)
-        for n, (up, down) in enumerate(self._steps, start=1):
-            row = np.multiply(up, xi, out=funcs[n + 1])
-            row *= funcs[n]
-            row -= np.multiply(down, funcs[n - 1], out=scratch)
-        return funcs
+        for n in range(1, self.size - 1):
+            row = np.multiply(xi, g[n], out=g[n + 1])
+            row -= np.multiply(0.5 * n, g[n - 1], out=scratch)
+        return g
+
+    def at(self, points):
+        """The basis phi_n at arbitrary points, shape (size, len(points))."""
+        return self.monic(points) / self.scales[:, None]
 
     def energies(self):
         return (np.arange(self.size) + 0.5) * self.omega0
@@ -228,7 +233,9 @@ def _half_angle_cis(half, t, r, out):
     ``np.tan`` (vectorised, where numpy's float64 cos and sin are not) and
     cheap ufuncs.  |r - 1 + i t r| = 1 for every real t, so tan's rounding
     moves only the angle.  t and r are contiguous scratch arrays of half's
-    size.
+    size; t may be half itself, which is then overwritten.  Callers: the
+    split-step phases (``_strang_step``) and the exact chain's quadratic
+    phase (``ExactSolvablePropagator._frame``).
     """
     np.tan(half, out=t)
     np.multiply(t, t, out=r)
@@ -333,8 +340,8 @@ class ExactSolvablePropagator:
     psi(t, x) = e^(-e/2) e^(i chi e^(-2e) x^2/2) sum_n c_n e^(-i E_n t)
     phi_n(e^(-e) x), with e = eps(t): the Hermite functions carried back
     through the dilation and the phase in closed form (``_frame``).  The
-    envelope in front of the sum is diagonal in x, so it multiplies the
-    summed state once.
+    sum runs over the monic rows g_n = s_n phi_n with weights c_n/s_n, and
+    the phase in front of it multiplies the summed state once.
     """
 
     def __init__(self, family, psi0, *, static_mass=None):
@@ -344,43 +351,57 @@ class ExactSolvablePropagator:
                           else float(static_mass))
         self.basis = HermiteBasis(BASIS_SIZE, self.m0_static, family.Omega0,
                                   psi0.grid)
-        e0, envelope0, funcs0 = self._frame(0.0)
+        self._x2 = self.grid.x * self.grid.x
+        e0, de0, _ = map(float, mass_epsilon(*family.mass_with_derivatives(0.0),
+                                             self.m0_static))
         if e0 != 0.0 and not psi0.edge_decay_ok():
             raise SupportLeakage("initial state does not decay at the grid edge")
-        self.coeffs = self.grid.dx * _real_dot(funcs0,
-                                               envelope0.conj() * psi0.values)
+        phase0, monic0 = self._frame(e0, de0)
+        scale = self.grid.dx * math.exp(-0.5 * e0) / self.basis.scales
+        self.coeffs = scale * _real_dot(monic0, phase0.conj() * psi0.values)
+        self._weights = self.coeffs / self.basis.scales
         captured = float(np.sum(np.abs(self.coeffs) ** 2)) / psi0.norm() ** 2
         if captured < MIN_CAPTURE:
             raise TruncationError(
                 f"basis of size {BASIS_SIZE} captures only {captured:.12f}")
 
-    def _frame(self, t):
-        """e = eps(t), the envelope e^(-e/2) e^(i chi e^(-2e) x^2/2) on the
-        grid, and the real basis phi_n(e^(-e) x), shape (M, n)."""
-        e, de, _ = map(float, mass_epsilon(
-            *self.family.mass_with_derivatives(float(t)), self.m0_static))
-        x, chi = self.grid.x, self.m0_static * de
-        envelope = np.exp(-0.5 * e + 0.5j * chi * np.exp(-2.0 * e) * x * x)
-        return e, envelope, self.basis.at(np.exp(-e) * x)
+    def _frame(self, e, de):
+        """The phase e^(i chi e^(-2e) x^2/2) on the grid and the monic rows
+        g_n(e^(-e) x), shape (M, n); the caller applies e^(-e/2)."""
+        half = (0.25 * self.m0_static * de * math.exp(-2.0 * e)) * self._x2
+        phase = _half_angle_cis(half, half, np.empty_like(half),
+                                np.empty(half.size, complex))
+        return phase, self.basis.monic(math.exp(-e) * self.grid.x)
 
     def __call__(self, t):
-        _, envelope, funcs = self._frame(t)
-        phased = self.coeffs * np.exp(-1j * self.basis.energies() * float(t))
-        envelope *= _real_dot(funcs.T, phased)
-        out = WaveFunction(self.grid, envelope)
-        if not out.edge_decay_ok(tol=1e-9):
+        """The state at time t, or the list of states at a 1-D array of times;
+        eps and its rate at all of them come from one evaluation of the mass."""
+        times = np.atleast_1d(np.asarray(t, dtype=float))
+        e, de, _ = mass_epsilon(*self.family.mass_with_derivatives(times),
+                                self.m0_static)
+        states = [self._state(*args)
+                  for args in zip(times.tolist(), e.tolist(), de.tolist())]
+        if not all(state.edge_decay_ok(tol=1e-9) for state in states):
             raise SupportLeakage("evolved support reaches the grid edge")
-        return out
+        return states if np.ndim(t) else states[0]
+
+    def _state(self, when, e, de):
+        # a call of its own, so that one state's M x n rows are freed before
+        # the next state's are allocated: the heap reuses them
+        phase, monic = self._frame(e, de)
+        phased = self._weights * (math.exp(-0.5 * e)
+                                  * np.exp(-1j * self.basis.energies() * when))
+        phase *= _real_dot(monic.T, phased)
+        return WaveFunction(self.grid, phase)
 
     def trajectory(self, t_grid, stride=None):
         """The exact states at the times a stepped run over t_grid would keep."""
         wall0 = time.perf_counter()
         t = np.asarray(t_grid, dtype=float)
         times = t[_stored_steps(t.size - 1, stride)]
-        states = [self(float(t)) for t in times]
-        report = StepperReport(steps=len(times) - 1,
-                               wall_time_s=time.perf_counter() - wall0)
-        return Trajectory(times, states, report)
+        states = self(times)
+        return Trajectory(times, states, StepperReport(
+            steps=len(times) - 1, wall_time_s=time.perf_counter() - wall0))
 
 
 def exact_solvable_propagate(family, psi0, t, *, static_mass=None):

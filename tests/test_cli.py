@@ -6,6 +6,7 @@ import dataclasses
 import importlib.util
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -617,16 +618,17 @@ def oracle_row(t, state, ham):
             oracle_expectation("p", unit, grid), oracle_expectation(ham, unit, grid))
 
 
-def oracle_hermite(size, m0, omega0, points):
-    """The Hermite recurrence in its original order, one new array per row."""
+def oracle_monic_hermite(size, m0, omega0, points):
+    """The basis from the monic recurrence g_(n+1) = xi g_n - (n/2) g_(n-1),
+    one new array per row, with g_n divided by sqrt(n!/2^n) at the end."""
     xi = np.asarray(points, dtype=float) / (1.0 / np.sqrt(m0 * omega0))
-    funcs = np.empty((size, xi.size))
-    funcs[0] = (m0 * omega0 / np.pi) ** 0.25 * np.exp(-0.5 * xi * xi)
-    funcs[1] = np.sqrt(2.0) * xi * funcs[0]
+    monic = np.empty((size, xi.size))
+    monic[0] = (m0 * omega0 / np.pi) ** 0.25 * np.exp(-0.5 * xi * xi)
+    monic[1] = xi * monic[0]
     for n in range(1, size - 1):
-        funcs[n + 1] = (np.sqrt(2.0 / (n + 1)) * xi * funcs[n]
-                        - np.sqrt(n / (n + 1.0)) * funcs[n - 1])
-    return funcs
+        monic[n + 1] = xi * monic[n] - (n / 2) * monic[n - 1]
+    scales = [math.sqrt(math.factorial(n) / 2 ** n) for n in range(size)]
+    return monic / np.array(scales)[:, None]
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=80)
@@ -646,14 +648,14 @@ def test_stored_row_is_bit_identical_to_the_expectation_row(
     state = WaveFunction(grid, scale * gauss.to_wavefunction(grid).values)
     ham = QuadraticHamiltonian.oscillator(m, w)
     want = ",".join(format(v, ".17g") for v in oracle_row(t, state, ham))
-    assert _row(t, state, lambda t, s: s.fidelity(s),
-                lambda t, unit: expectation(ham, unit)) == want
+    assert _row(t, state, state.fidelity(state),
+                lambda unit: expectation(ham, unit)) == want
 
     # the chain's frames: the basis at dilated points, and on the grid
     basis = HermiteBasis(40, m, w, grid)
     points = np.exp(-eps) * grid.x
-    assert np.array_equal(basis.at(points), oracle_hermite(40, m, w, points))
-    assert np.array_equal(basis.functions, oracle_hermite(40, m, w, grid.x))
+    assert np.array_equal(basis.at(points), oracle_monic_hermite(40, m, w, points))
+    assert np.array_equal(basis.functions, oracle_monic_hermite(40, m, w, grid.x))
 
 
 # the README's Caldirola-Kanai scenario, run by the transform chain

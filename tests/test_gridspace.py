@@ -98,6 +98,16 @@ class TestStates:
                                + 1j * rng.normal(size=GRID.n))
             assert psi.fidelity(psi) <= 1.0
 
+    def test_fidelity_of_a_nan_state_is_nan(self):
+        # the clamp to 1 must not turn a NaN ratio into a perfect match
+        grid = Grid.from_interval(-8.0, 8.0, 256)
+        clean = GaussianState(a=1.0).to_wavefunction(grid)
+        values = clean.values.copy()
+        values[100] = np.nan
+        bad = WaveFunction(grid, values)
+        for fid in (bad.fidelity(clean), clean.fidelity(bad), bad.fidelity(bad)):
+            assert np.isnan(fid)
+
     def test_edge_decay_flags_wide_states(self):
         wide = GaussianState(a=0.02).to_wavefunction(Grid.from_interval(-6, 6, 128))
         assert not wide.edge_decay_ok()
