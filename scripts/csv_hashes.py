@@ -48,8 +48,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
 from canonflow.cli import main  # noqa: E402
 
 PINNED = {
-    "family_exact": "633666a1b04843f8d17a0179c4671fe663135b8834d958ca4b467d0a06cca4b1",
-    "family_split_step": "ef4a674346a4f6aba87ef4f3a3c4749b9c14363c2d27d47ad15218bfa82e3765",
+    "family_exact": "bbec8eada4f2bab1c8fef69cbe5186cc05277b8bbffea7b919315beec6e57ff1",
+    "family_split_step": "5c5d7676e173f8948e7eeae5c756f4ae5f68ebad353896805c5ba25c97d39058",
     "profiles_split_step": "ffd46fb183d00f20ef8c81eab3796742e0589da98a423a40132e1a0236fec06b",
     "curved_exp_decay": "bdd87bc8ac2e079ab2531505a22dfd3cfc0b49e9298fbd400297f9260a0960f7",
     "solvable_readme": "f578d1c7090d70e7dbcb29020838d38b2df3da514055630ca1774bce1e46d64f",

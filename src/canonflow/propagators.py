@@ -187,9 +187,10 @@ class HermiteBasis:
         if self.size > 1:
             np.multiply(xi, g[0], out=g[1])
         scratch = np.empty(xi.size)
+        rows = list(g)      # the row views, made once rather than three per degree
         for n in range(1, self.size - 1):
-            row = np.multiply(xi, g[n], out=g[n + 1])
-            row -= np.multiply(0.5 * n, g[n - 1], out=scratch)
+            row = np.multiply(xi, rows[n], out=rows[n + 1])
+            row -= np.multiply(0.5 * n, rows[n - 1], out=scratch)
         return g
 
     def at(self, points):
@@ -214,14 +215,15 @@ class HermiteBasis:
 
 
 def _real_dot(real, z):
-    """real @ z for a real matrix and a complex vector, as one real product.
+    """real @ z for a real matrix and a complex vector or matrix, as one real
+    product.
 
-    z's (re, im) pairs are read in place as an (n, 2) real matrix, and the
-    (m, 2) product is read back as m complex values, so the real matrix is
-    never upcast to complex.
+    z's rows of (re, im) pairs are read in place as the rows of an (n, 2k)
+    real matrix, and the (m, 2k) product is read back as m rows of k complex
+    values, so the real matrix is never upcast to complex.
     """
-    pairs = np.ascontiguousarray(z, dtype=complex).view(float).reshape(-1, 2)
-    return (real @ pairs).view(complex).ravel()
+    pairs = np.ascontiguousarray(z, dtype=complex).view(float).reshape(len(z), -1)
+    return (real @ pairs).view(complex).reshape(real.shape[:1] + np.shape(z)[1:])
 
 
 # -- split-step reference integrator -------------------------------------------
@@ -235,7 +237,7 @@ def _half_angle_cis(half, t, r, out):
     moves only the angle.  t and r are contiguous scratch arrays of half's
     size; t may be half itself, which is then overwritten.  Callers: the
     split-step phases (``_strang_step``) and the exact chain's quadratic
-    phase (``ExactSolvablePropagator._frame``).
+    phase (``ExactSolvablePropagator._frames``).
     """
     np.tan(half, out=t)
     np.multiply(t, t, out=r)
@@ -334,14 +336,27 @@ def free_propagate(psi, t, m=1.0):
 
 # -- exact chain propagation for the solvable family ----------------------------
 
+# the sign of monic row n at -|x| (column 0) and at +|x| (column 1)
+_MIRROR_SIGNS = np.array([((-1.0) ** n, 1.0) for n in range(BASIS_SIZE)])
+
+
 class ExactSolvablePropagator:
     """Precomputed transform-chain propagator for a solvable mass family.
 
     psi(t, x) = e^(-e/2) e^(i chi e^(-2e) x^2/2) sum_n c_n e^(-i E_n t)
     phi_n(e^(-e) x), with e = eps(t): the Hermite functions carried back
-    through the dilation and the phase in closed form (``_frame``).  The
-    sum runs over the monic rows g_n = s_n phi_n with weights c_n/s_n, and
-    the phase in front of it multiplies the summed state once.
+    through the dilation and the phase in closed form.  The sum runs over
+    the monic rows g_n = s_n phi_n with weights w_n = c_n/s_n, and the phase
+    multiplies the summed state once.
+
+    The dilation maps x and -x to mirror images, and g_n(-xi) = (-1)^n
+    g_n(xi) exactly, so the rows are evaluated only at the grid's distinct
+    |x| (the mirror fold).  One real product with the weight columns
+    (-1)^n w_n and w_n gives the sums at -|x| and at +|x|, from which the
+    grid's values are gathered.  One recurrence covers round(n/u) stored
+    times for u distinct |x|, so it spans about n points: 2 times on a
+    mirrored grid, 1 on a grid without mirror points.  The projection of
+    psi0 reads the same folded rows.
     """
 
     def __init__(self, family, psi0, *, static_mass=None):
@@ -351,48 +366,67 @@ class ExactSolvablePropagator:
                           else float(static_mass))
         self.basis = HermiteBasis(BASIS_SIZE, self.m0_static, family.Omega0,
                                   psi0.grid)
-        self._x2 = self.grid.x * self.grid.x
-        e0, de0, _ = map(float, mass_epsilon(*family.mass_with_derivatives(0.0),
-                                             self.m0_static))
+        x = self.grid.x
+        self._x2 = x * x
+        self._abs_x, at = np.unique(np.abs(x), return_inverse=True)
+        # grid point j is entry _fold[j] of a (u, 2) array of (|x|, x > 0)
+        self._fold = 2 * at + (x > 0)
+        e0, de0, _ = mass_epsilon(*family.mass_with_derivatives(0.0), self.m0_static)
         if e0 != 0.0 and not psi0.edge_decay_ok():
             raise SupportLeakage("initial state does not decay at the grid edge")
-        phase0, monic0 = self._frame(e0, de0)
+        rows0, phase0 = self._frames(e0, de0)
+        sides = np.zeros((self._abs_x.size, 2), complex)
+        sides.reshape(-1)[self._fold] = phase0.conj() * psi0.values
         scale = self.grid.dx * math.exp(-0.5 * e0) / self.basis.scales
-        self.coeffs = scale * _real_dot(monic0, phase0.conj() * psi0.values)
-        self._weights = self.coeffs / self.basis.scales
+        self.coeffs = scale * (_real_dot(rows0, sides) * _MIRROR_SIGNS).sum(axis=1)
+        self._weights = (self.coeffs / self.basis.scales)[:, None] * _MIRROR_SIGNS
+        self._rates = -1j * self.basis.energies()
         captured = float(np.sum(np.abs(self.coeffs) ** 2)) / psi0.norm() ** 2
         if captured < MIN_CAPTURE:
             raise TruncationError(
                 f"basis of size {BASIS_SIZE} captures only {captured:.12f}")
 
-    def _frame(self, e, de):
-        """The phase e^(i chi e^(-2e) x^2/2) on the grid and the monic rows
-        g_n(e^(-e) x), shape (M, n); the caller applies e^(-e/2)."""
-        half = (0.25 * self.m0_static * de * math.exp(-2.0 * e)) * self._x2
-        phase = _half_angle_cis(half, half, np.empty_like(half),
-                                np.empty(half.size, complex))
-        return phase, self.basis.monic(math.exp(-e) * self.grid.x)
+    def _frames(self, e, de):
+        """The monic rows g_n(e^(-e) |x|) at k times side by side, (M, k u),
+        and the phases e^(i chi e^(-2e) x^2/2) on the grid, (k, n)."""
+        shrink = np.exp(-e)
+        rows = self.basis.monic(np.multiply.outer(shrink, self._abs_x).ravel())
+        half = np.multiply.outer(0.25 * self.m0_static * de * shrink ** 2, self._x2)
+        return rows, _half_angle_cis(half, half, np.empty_like(half),
+                                     np.empty(half.shape, complex))
 
     def __call__(self, t):
         """The state at time t, or the list of states at a 1-D array of times;
         eps and its rate at all of them come from one evaluation of the mass."""
-        times = np.atleast_1d(np.asarray(t, dtype=float))
+        times = np.asarray(t, dtype=float)
+        if times.ndim > 1:
+            raise ValueError(f"times must be at most 1-D, got shape {times.shape}")
+        times = np.atleast_1d(times)
         e, de, _ = mass_epsilon(*self.family.mass_with_derivatives(times),
                                 self.m0_static)
-        states = [self._state(*args)
-                  for args in zip(times.tolist(), e.tolist(), de.tolist())]
+        # weights (-1)^n w_n and w_n for the sums at -|x| and +|x|, (k, M, 2)
+        weights = self._weights * np.exp(
+            np.multiply.outer(times, self._rates) - 0.5 * e[:, None])[..., None]
+        per = round(self.grid.n / self._abs_x.size)    # times per recurrence
+        states = []
+        for i in range(0, times.size, per):
+            states += self._block(weights[i:i + per], e[i:i + per], de[i:i + per])
         if not all(state.edge_decay_ok(tol=1e-9) for state in states):
             raise SupportLeakage("evolved support reaches the grid edge")
         return states if np.ndim(t) else states[0]
 
-    def _state(self, when, e, de):
-        # a call of its own, so that one state's M x n rows are freed before
-        # the next state's are allocated: the heap reuses them
-        phase, monic = self._frame(e, de)
-        phased = self._weights * (math.exp(-0.5 * e)
-                                  * np.exp(-1j * self.basis.energies() * when))
-        phase *= _real_dot(monic.T, phased)
-        return WaveFunction(self.grid, phase)
+    def _block(self, weights, e, de):
+        # a call of its own, so that one block's rows are freed before the
+        # next block's are allocated: the heap reuses them
+        u = self._abs_x.size
+        rows, phases = self._frames(e, de)
+        states = []
+        for j, (w, phase) in enumerate(zip(weights, phases)):
+            sides = _real_dot(rows[:, j * u:(j + 1) * u].T, w)
+            values = sides.reshape(-1).take(self._fold)
+            values *= phase
+            states.append(WaveFunction(self.grid, values))
+        return states
 
     def trajectory(self, t_grid, stride=None):
         """The exact states at the times a stepped run over t_grid would keep."""

@@ -78,6 +78,15 @@ def test_basis_against_sympy_hermite(size, bound):
     assert np.max(np.abs(got - want)[past] / np.abs(want[past])) <= 1.2e-14
 
 
+def test_monic_rows_have_the_parity_of_their_degree():
+    # the exact chain's mirror fold reads row n at -|x| as (-1)^n times row n
+    # at |x|: negation is exact and every recurrence step is sign-symmetric
+    basis = HermiteBasis(40, 2.0, 0.5, GRID)
+    signs = (-1.0) ** np.arange(40)[:, None]
+    assert np.array_equal(basis.monic(-HERMITE_POINTS),
+                          signs * basis.monic(HERMITE_POINTS))
+
+
 class TestHermiteBasis:
     def test_orthonormal(self):
         basis = HermiteBasis(40, 1.0, 1.0, GRID)
@@ -395,20 +404,29 @@ FALLING = SolvableFamily(m0=1.0, mu=0.0, nu=1.0, alpha=0.2, Omega0=1.0)
 
 def complex_frame_chain(family, psi0, times, static_mass=None):
     """The exact chain with the envelope inside the sum: at each t an M x n
-    complex frame e^(-e/2) e^(i chi e^(-2e) x^2/2) phi_n(e^(-e) x), which
-    projects psi0 at t = 0 and is summed with c_n e^(-i E_n t) in complex."""
+    complex frame e^(-e/2) e^(i chi e^(-2e) x^2/2) phi_n(e^(-e) x) on psi0's
+    grid, with no mirror fold, which projects psi0 at t = 0 and is summed
+    with c_n e^(-i E_n t) in complex."""
     m0 = family.static_mass() if static_mass is None else float(static_mass)
-    basis = HermiteBasis(40, m0, family.Omega0, GRID)
-    x = GRID.x
+    grid = psi0.grid
+    basis = HermiteBasis(40, m0, family.Omega0, grid)
+    x = grid.x
 
     def frame(t):
         e, de, _ = (float(v) for v in mass_epsilon(*family.mass_with_derivatives(t), m0))
         envelope = np.exp(-0.5 * e + 0.5j * m0 * de * np.exp(-2.0 * e) * x * x)
         return envelope * basis.at(np.exp(-e) * x).astype(complex)
 
-    coeffs = GRID.dx * (frame(0.0).conj() @ psi0.values)
+    coeffs = grid.dx * (frame(0.0).conj() @ psi0.values)
     energies = (np.arange(40) + 0.5) * family.Omega0
     return [(coeffs * np.exp(-1j * energies * t)) @ frame(t) for t in times]
+
+
+def assert_matches_complex_frame_chain(family, static_mass, grid, times):
+    psi = GaussianState(a=1.1 - 0.2j, center=0.7, momentum=-0.4).to_wavefunction(grid)
+    prop = ExactSolvablePropagator(family, psi, static_mass=static_mass)
+    for t, want in zip(times, complex_frame_chain(family, psi, times, static_mass)):
+        assert np.max(np.abs(prop(t).values - want)) <= 1e-13
 
 
 class TestExactChain:
@@ -439,6 +457,12 @@ class TestExactChain:
         for t, state in zip(times, states):
             assert np.array_equal(state.values, prop(t).values)
         assert isinstance(prop(np.float64(1.0)), WaveFunction)
+
+    def test_two_dimensional_times_are_refused(self):
+        prop = ExactSolvablePropagator(
+            CK, GaussianState(a=1.0, center=1.0).to_wavefunction(GRID))
+        with pytest.raises(ValueError, match=r"shape \(3, 7\)"):
+            prop(np.zeros((3, 7)))
 
     def test_zero_time_identity(self):
         psi = GaussianState(a=1.0, center=1.0).to_wavefunction(GRID)
@@ -521,11 +545,22 @@ class TestExactChain:
     @pytest.mark.parametrize("static_mass", [None, 2.0])
     @pytest.mark.parametrize("family", [CK, FALLING], ids=["rising", "falling"])
     def test_matches_the_complex_frame_chain(self, family, static_mass):
-        psi = GaussianState(a=1.1 - 0.2j, center=0.7, momentum=-0.4).to_wavefunction(GRID)
-        prop = ExactSolvablePropagator(family, psi, static_mass=static_mass)
-        times = (0.0, 0.7, 1.3, 2.0)     # the falling mass reaches the edge by 2.25
-        for t, want in zip(times, complex_frame_chain(family, psi, times, static_mass)):
-            assert np.max(np.abs(prop(t).values - want)) <= 1e-13
+        # the falling mass reaches the edge by 2.25
+        assert_matches_complex_frame_chain(family, static_mass, GRID,
+                                           (0.0, 0.7, 1.3, 2.0))
+
+    # the README grid has 1025 distinct |x|; [-10, 14) has no exact mirror
+    # pair (u = n), and the odd grid has 1520 and no point at 0
+    @pytest.mark.parametrize("static_mass", [None, 2.0])
+    @pytest.mark.parametrize("family", [CK, FALLING], ids=["rising", "falling"])
+    @pytest.mark.parametrize("grid", [Grid.from_interval(-10.0, 14.0, 2048),
+                                      Grid.from_interval(-12.0, 12.0, 2047)],
+                             ids=["unmirrored", "odd"])
+    def test_matches_the_complex_frame_chain_off_the_mirror(self, family,
+                                                            static_mass, grid):
+        # the falling mass reaches the left edge of [-10, 14) by 1.45
+        assert_matches_complex_frame_chain(family, static_mass, grid,
+                                           (0.0, 0.7, 1.3))
 
     def test_one_evaluation_peaks_below_a_megabyte(self):
         # the M x n real basis (655 kB at M = 40, n = 2048) and a few grid
@@ -540,6 +575,25 @@ class TestExactChain:
         finally:
             tracemalloc.stop()
         assert peak < 1.0e6
+
+    @pytest.mark.parametrize("grid", [GRID, Grid.from_interval(-10.0, 14.0, 2048),
+                                      Grid.from_interval(-12.0, 12.0, 2047)],
+                             ids=["mirrored", "unmirrored", "odd"])
+    def test_stored_times_peak_below_a_megabyte_beside_their_states(self, grid):
+        # a recurrence spans about n points whatever the grid's mirror pairs,
+        # and its rows are freed before the next one's: all 21 stored times
+        # in one recurrence would take about 7 MB
+        prop = ExactSolvablePropagator(
+            CK, GaussianState(a=1.0, center=1.0).to_wavefunction(grid))
+        times = np.linspace(0.0, 5.0, 21)
+        prop(times)
+        tracemalloc.start()
+        try:
+            states = prop(times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - sum(state.values.nbytes for state in states) < 1.0e6
 
     def test_narrow_grid_raises_support_leakage(self):
         # a falling mass spreads the state until it reaches the grid edge
