@@ -232,11 +232,10 @@ def _outputs(scenario, outdir):
 
 
 def _row(t, state, fid, energy):
-    """The CSV line of one stored state: t, norm, fidelity, <x>, <p>, and the
-    energy, which ``energy`` takes of the normalized state."""
-    unit = state.normalized()
-    return ",".join(_fmt(v) for v in (t, state.norm(), fid, expectation("x", unit),
-                                      expectation("p", unit), energy(unit)))
+    """The CSV line of one stored state, read as it is: t, norm, fidelity, <x>,
+    <p> and ``energy``'s value, each moment divided by its mass (``expectation``)."""
+    return ",".join(_fmt(v) for v in (t, state.norm(), fid, expectation("x", state),
+                                      expectation("p", state), energy(state)))
 
 
 def run_scenario(path, outdir=None):
@@ -301,9 +300,9 @@ def run_scenario(path, outdir=None):
         traj = crank_nicolson_curved(metric, m, psi0, t_grid, stride=stride)
         fids = None
 
-        def energy(unit):
-            hv = apply_curved_kinetic(traj.bands, unit.values)
-            return float(_braket(unit.values, hv, grid.dx).real)
+        def energy(state):
+            hv = apply_curved_kinetic(traj.bands, state.values)
+            return float(_braket(state.values, hv, grid.dx).real / state.mass)
         energies = [energy] * len(traj.states)
     else:
         raise ScenarioError(f"system.kind: unknown system {sys_kind!r}")

@@ -23,6 +23,7 @@ would lose (``apply_point_unitary``).
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -79,8 +80,8 @@ class Grid:
 
 
 class WaveFunction:
-    """Complex state on a :class:`Grid`; values immutable, so the norm and the
-    momentum density are kept once computed."""
+    """Complex state on a :class:`Grid`; values immutable, so the position
+    and momentum densities and the mass are kept once computed."""
 
     def __init__(self, grid, values):
         values = np.asarray(values, dtype=complex)
@@ -92,18 +93,22 @@ class WaveFunction:
         self.values = values
 
     def norm(self):
-        return self._norm
+        return math.sqrt(self.mass)
 
     @cached_property
-    def _norm(self):
-        return _l2(self.values, self.grid)
+    def mass(self):
+        """<psi|psi> = dx sum |psi|^2 (``_mass``), which every moment divides by."""
+        return _mass(self._position_density, self.grid.dx)
+
+    @cached_property
+    def _position_density(self):
+        return _density(self.values)
 
     @cached_property
     def _momentum_density(self):
         """P_j = (dx/n) |fft(psi)_j|^2 on numpy's k layout: by Parseval,
         <psi|g(p)|psi> = sum_j g(k_j) P_j for the spectral g(p)."""
-        spec = np.fft.fft(self.values)
-        return (self.grid.dx / self.grid.n) * (spec.real ** 2 + spec.imag ** 2)
+        return (self.grid.dx / self.grid.n) * _density(np.fft.fft(self.values))
 
     def normalized(self):
         nrm = self.norm()
@@ -113,7 +118,8 @@ class WaveFunction:
 
     def inner(self, other):
         """<self|other> with the dx measure."""
-        _require_same_grid(self, other)
+        if self.grid != other.grid:
+            raise ValueError("states live on different grids")
         return complex(_braket(self.values, other.values, self.grid.dx))
 
     def fidelity(self, other):
@@ -132,23 +138,19 @@ class WaveFunction:
         return bool(edge <= tol * peak)
 
 
-def _mass(values, dx):
-    """dx * sum |v|^2: every squared grid norm in the package."""
-    return dx * np.sum(np.abs(values) ** 2)
+def _density(values):
+    """|v|^2 as re^2 + im^2."""
+    return values.real ** 2 + values.imag ** 2
+
+
+def _mass(density, dx, weight=1.0):
+    """dx * sum weight * density (numpy's pairwise sum): every norm and <x^s>."""
+    return dx * np.sum(weight * density)
 
 
 def _braket(u, w, dx):
-    """dx * <u|w> (BLAS zdotc): every grid overlap in the package."""
-    return dx * np.vdot(u, w)
-
-
-def _l2(values, grid):
-    return float(np.sqrt(_mass(values, grid.dx)))
-
-
-def _require_same_grid(a, b):
-    if a.grid != b.grid:
-        raise ValueError("states live on different grids")
+    """dx * sum conj(u) w (numpy's pairwise sum): every grid overlap."""
+    return dx * np.sum(np.conj(u) * w)
 
 
 @dataclass(frozen=True)
@@ -322,8 +324,8 @@ def apply_point_unitary(gen, eps, psi, *, leak_tol=LEAK_TOL):
     ylo, yhi = np.min(y[in_grid]), np.max(y[in_grid])
     unread = (x < ylo - grid.dx) | (x > yhi + grid.dx)
     if np.any(unread):
-        lost = _mass(psi.values[unread], grid.dx)
-        if lost > leak_tol * psi.norm() ** 2:
+        lost = _mass(psi._position_density[unread], grid.dx)
+        if lost > leak_tol * psi.mass:
             raise SupportLeakage(
                 f"probability mass {lost:.3e} lies outside the window "
                 "reachable by the flow")
@@ -345,13 +347,13 @@ def apply_quadratic_phase(chi, psi):
 # -- observables --------------------------------------------------------------
 
 def expectation(observable, psi):
-    """<psi|O|psi> for O in {x, x2, p, p2, xp_anticomm, H(a,b,c)}.
+    """<psi|O|psi> / <psi|psi> for O in {x, x2, p, p2, xp_anticomm, H(a,b,c)}.
 
     ``observable`` is one of the strings above or an object with fields
     a, b, c meaning H = a p^2 + b x^2 + (c/2){x,p}, whose {x,p} term is
-    evaluated only when c != 0.  Requires a normalized state, checked once
-    per call.  An imaginary residue above 1e-10 of a position moment or of
-    the {x,p} term warns (``_moment``).
+    evaluated only when c != 0; H sums the normalized moments.  The state
+    is read as it is, with no normalized copy, but must be normalized
+    (checked once per call).  An imaginary {x,p} residue above 1e-10 warns.
     """
     if not abs(psi.norm() - 1.0) <= NORM_TOL:
         raise NotNormalized(f"state norm is {psi.norm():.6g}, expected 1")
@@ -364,31 +366,33 @@ def expectation(observable, psi):
 
 
 def _moment(name, psi):
-    """Re <psi|O|psi> for the O named x, x2, p, p2 or xp_anticomm.
+    """Re <psi|O|psi> / <psi|psi> for the O named x, x2, p, p2 or xp_anticomm.
 
-    p and p2 are sum_j k_j P_j and sum_j k_j^2 P_j over the momentum
-    density P (Parseval), the discrete operator ``apply_momentum`` applies,
-    Nyquist mode included.  The {x,p} term applies p spectrally.
+    x and x2 weigh the position density (``_mass``); p and p2 are
+    sum_j k_j P_j and sum_j k_j^2 P_j over the momentum density P
+    (Parseval), the discrete operator ``apply_momentum`` applies, Nyquist
+    mode included.  The {x,p} term applies p spectrally.
     """
     grid, v, x = psi.grid, psi.values, psi.grid.x
     if name == "x":
-        val = _braket(v, x * v, grid.dx)
+        val = _mass(psi._position_density, grid.dx, x)
     elif name == "x2":
-        val = _braket(v, x * x * v, grid.dx)
+        val = _mass(psi._position_density, grid.dx, x * x)
     elif name == "p":
-        return float(np.dot(grid.k, psi._momentum_density))
+        val = np.sum(grid.k * psi._momentum_density)
     elif name == "p2":
-        return float(np.dot(grid.k * grid.k, psi._momentum_density))
+        val = np.sum(grid.k * grid.k * psi._momentum_density)
     elif name == "xp_anticomm":  # (1/2)<{x,p}> + (1/2)<{p,x}> = 2 Re <x p>
         pv = apply_momentum(v, grid, 1)
         val = (_braket(v, x * pv, grid.dx)
                + _braket(v, apply_momentum(x * v, grid, 1), grid.dx))
+        if abs(val.imag) > 1e-10 * max(1.0, abs(val.real)):
+            warnings.warn(f"imaginary residue {val.imag:.3e} in <{name}>",
+                          stacklevel=3)
+        val = val.real
     else:
         raise ValueError(f"unknown observable {name!r}")
-    if abs(val.imag) > 1e-10 * max(1.0, abs(val.real)):
-        warnings.warn(f"imaginary residue {val.imag:.3e} in <{name}>",
-                      stacklevel=3)
-    return float(val.real)
+    return float(val / psi.mass)
 
 
 # -- operator-identity verification -------------------------------------------
@@ -422,7 +426,7 @@ def verify_bracket_identities(f1, f2, grid, probes):
     f1v, df1v = f1.f(x), f1.df(x)
     f2v, df2v = f2.f(x), f2.df(x)
     hv = bracket_generator(f1, f2)(x)
-    dhv = _h_derivative(f1, f2, x)
+    dhv = 2.0 * (f1v * f2.d2f(x) - f2v * f1.d2f(x))     # h' = 2 (f1 f2'' - f2 f1'')
 
     res1 = res2 = 0.0
     for psi in probes:
@@ -433,7 +437,7 @@ def verify_bracket_identities(f1, f2, grid, probes):
         lhs1 = (_anticomm_apply(f1v, df1v, f2v * v, grid)
                 - f2v * _anticomm_apply(f1v, df1v, v, grid))
         rhs1 = -2j * f1v * df2v * v
-        res1 = max(res1, _l2(lhs1 - rhs1, grid) / nrm)
+        res1 = max(res1, WaveFunction(grid, lhs1 - rhs1).norm() / nrm)
 
         # identity 2: [{f1,p}, {f2,p}] psi = -(2 h psi' + h' psi)
         lhs2 = (_anticomm_apply(f1v, df1v,
@@ -441,15 +445,9 @@ def verify_bracket_identities(f1, f2, grid, probes):
                 - _anticomm_apply(f2v, df2v,
                                   _anticomm_apply(f1v, df1v, v, grid), grid))
         rhs2 = -(2j * hv * apply_momentum(v, grid) + dhv * v)
-        res2 = max(res2, _l2(lhs2 - rhs2, grid) / nrm)
+        res2 = max(res2, WaveFunction(grid, lhs2 - rhs2).norm() / nrm)
 
     return BracketReport(float(res1), float(res2))
-
-
-def _h_derivative(f1, f2, x):
-    # h' = 2 (f1 f2'' - f2 f1''); second derivatives are analytic for the
-    # closed-form generator kinds and finite differences otherwise.
-    return 2.0 * (f1.f(x) * f2.d2f(x) - f2.f(x) * f1.d2f(x))
 
 
 # -- CSV interchange ----------------------------------------------------------

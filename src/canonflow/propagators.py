@@ -37,7 +37,7 @@ import numpy as np
 from .errors import (LinearSolveFailure, MassZeroCrossing, ResolutionError,
                      SingularMetric, StepFailure, SupportLeakage,
                      TruncationError)
-from .gridspace import GaussianState, WaveFunction, _mass, apply_momentum
+from .gridspace import GaussianState, WaveFunction, _density, _mass, apply_momentum
 from .hamiltonians import _positive_mass, mass_epsilon
 
 BASIS_SIZE = 40              # Hermite functions in the exact chain's frame
@@ -136,7 +136,7 @@ def _drive(psi0, t, dt, stride, update, apply_h, failure):
             prev = values
             values = update(i, prev)
             if (i + 1) % sample_every == 0 or i == nsteps - 1:
-                nrm = np.sqrt(_mass(values, grid.dx))
+                nrm = np.sqrt(_mass(_density(values), grid.dx))
                 if not np.isfinite(nrm):
                     raise failure(f"the state's norm is not finite after step "
                                   f"{i + 1} of {nsteps}")
@@ -147,7 +147,7 @@ def _drive(psi0, t, dt, stride, update, apply_h, failure):
                 peak = max(float(np.max(resid)), np.finfo(float).tiny)
                 report.max_schrodinger_residual = max(
                     report.max_schrodinger_residual,
-                    peak * float(np.sqrt(_mass(resid / peak, grid.dx))) / norm0)
+                    peak * float(np.sqrt(_mass((resid / peak) ** 2, grid.dx))) / norm0)
             if i + 1 in kept:
                 states.append(WaveFunction(grid, values))
 
@@ -368,7 +368,8 @@ class ExactSolvablePropagator:
                                   psi0.grid)
         x = self.grid.x
         self._x2 = x * x
-        self._abs_x, at = np.unique(np.abs(x), return_inverse=True)
+        # return_index makes numpy's argsort a stable one: it merges |x|'s two runs
+        self._abs_x, _, at = np.unique(np.abs(x), return_index=True, return_inverse=True)
         # grid point j is entry _fold[j] of a (u, 2) array of (|x|, x > 0)
         self._fold = 2 * at + (x > 0)
         e0, de0, _ = mass_epsilon(*family.mass_with_derivatives(0.0), self.m0_static)
@@ -431,7 +432,7 @@ class ExactSolvablePropagator:
     def trajectory(self, t_grid, stride=None):
         """The exact states at the times a stepped run over t_grid would keep."""
         wall0 = time.perf_counter()
-        t = np.asarray(t_grid, dtype=float)
+        t, _ = _validate_time_grid(t_grid)
         times = t[_stored_steps(t.size - 1, stride)]
         states = self(times)
         return Trajectory(times, states, StepperReport(

@@ -24,7 +24,7 @@ import scipy.linalg  # noqa: F401
 
 from . import flowcore, gridspace, hamiltonians, metricmap, propagators
 from .flowcore import GeneratorSpec, flow_evaluate
-from .gridspace import GaussianState, Grid, _mass, verify_bracket_identities
+from .gridspace import GaussianState, Grid, WaveFunction, verify_bracket_identities
 from .hamiltonians import (QuadraticHamiltonian, SolvableFamily, TimeProfile,
                            dilation_transform, effective_frequency,
                            omega_from_mass, reduce_oscillator)
@@ -327,8 +327,8 @@ def suite_metric_equivalence():
         tr = propagators.crank_nicolson_curved(metric, 1.0, psi0,
                                                np.linspace(0.0, 1.0, steps + 1))
         finals.append(tr.final.values)
-    d1 = np.sqrt(_mass(finals[0] - finals[1], grid.dx))
-    d2 = np.sqrt(_mass(finals[1] - finals[2], grid.dx))
+    d1 = WaveFunction(grid, finals[0] - finals[1]).norm()
+    d2 = WaveFunction(grid, finals[1] - finals[2]).norm()
     ratio = d1 / d2
     checks.append(Check("cayley_step_order_ratio", bool(3.0 <= ratio <= 5.0),
                         float(ratio), 4.0,

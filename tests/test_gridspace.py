@@ -112,6 +112,15 @@ class TestStates:
         wide = GaussianState(a=0.02).to_wavefunction(Grid.from_interval(-6, 6, 128))
         assert not wide.edge_decay_ok()
 
+    @pytest.mark.parametrize("peak, edge", [(1.0, 1e200), (1e-160, 1e-165)],
+                             ids=["edge-overflows-squared", "edge-underflows-squared"])
+    def test_edge_decay_reads_amplitudes_not_densities(self, peak, edge):
+        # |psi|^2 of these edges is inf and 0, so a check on the density
+        # would pass both states
+        values = np.zeros(128, dtype=complex)
+        values[64], values[0] = peak, edge
+        assert not WaveFunction(Grid.from_interval(-6, 6, 128), values).edge_decay_ok()
+
 
 class TestPointUnitary:
     def test_identity_at_zero(self):

@@ -208,6 +208,18 @@ class TestSplitStep:
         with pytest.raises(ValueError):
             ExactSolvablePropagator(CK, psi).trajectory(t, stride)
 
+    @pytest.mark.parametrize("t_grid", [[0.0], [[0.0, 0.1]], [0.0, 0.1, 0.3]],
+                             ids=["one-point", "two-dimensional", "non-uniform"])
+    def test_time_grid_a_stepped_run_refuses_is_value_error(self, t_grid):
+        # the chain keeps the times a stepped run over t_grid would keep, so
+        # it refuses the grids a stepped run refuses
+        psi = GaussianState(a=1.0).to_wavefunction(GRID)
+        with pytest.raises(ValueError):
+            split_step_propagate(TimeProfile.constant(1.0),
+                                 TimeProfile.constant(1.0), psi, t_grid)
+        with pytest.raises(ValueError):
+            ExactSolvablePropagator(CK, psi).trajectory(t_grid)
+
     def test_stride_past_the_last_step_keeps_both_ends(self):
         # a stride past the int64 range still indexes the time grid
         psi = GaussianState(a=1.0).to_wavefunction(GRID)
@@ -561,6 +573,17 @@ class TestExactChain:
         # the falling mass reaches the left edge of [-10, 14) by 1.45
         assert_matches_complex_frame_chain(family, static_mass, grid,
                                            (0.0, 0.7, 1.3))
+
+    @pytest.mark.parametrize("grid", [GRID, Grid.from_interval(-10.0, 14.0, 2048),
+                                      Grid.from_interval(-12.0, 12.0, 2047)],
+                             ids=["mirrored", "unmirrored", "odd"])
+    def test_fold_equals_the_unindexed_unique(self, grid):
+        # return_index only changes numpy's sort to a stable one
+        prop = ExactSolvablePropagator(
+            CK, GaussianState(a=1.0).to_wavefunction(grid))
+        abs_x, at = np.unique(np.abs(grid.x), return_inverse=True)
+        assert np.array_equal(prop._abs_x, abs_x)
+        assert np.array_equal(prop._fold, 2 * at + (grid.x > 0))
 
     def test_one_evaluation_peaks_below_a_megabyte(self):
         # the M x n real basis (655 kB at M = 40, n = 2048) and a few grid
