@@ -158,9 +158,9 @@ class GaussianState:
     """Closed-form Gaussian psi(x) = N exp[-a(x-c)^2/2 + i p (x-c) + i theta].
 
     ``a`` is the complex width parameter (Re a > 0), N = (Re a / pi)^(1/4).
-    Gaussians are closed under the dilation and quadratic-phase unitaries and
-    under quadratic Hamiltonians, which makes them the analytic cross-check
-    vehicle for the whole grid pipeline.
+    Gaussians are closed under every linear canonical map (``transported``):
+    the dilation, the quadratic phase and quadratic Hamiltonians, which
+    makes them the analytic cross-check vehicle for the whole grid pipeline.
     """
 
     a: complex
@@ -182,48 +182,26 @@ class GaussianState:
                                 + 1j * self.momentum * u + 1j * self.phase)
         return WaveFunction(grid, vals)
 
-    # closed-form moments (|psi|^2 is a real Gaussian of variance 1/(2 Re a))
-    def mean_x(self):
-        return self.center
-
-    def var_x(self):
-        return 1.0 / (2.0 * complex(self.a).real)
-
-    def mean_x2(self):
-        return self.center ** 2 + self.var_x()
-
-    def mean_p(self):
-        return self.momentum
-
-    def mean_p2(self):
+    def moments(self):
+        """(mu, Sigma): the mean (<x>, <p>) and the covariance [[var x,
+        cov], [cov, var p]], cov = (1/2)<{x - <x>, p - <p>}>, in closed form."""
         a = complex(self.a)
-        return self.momentum ** 2 + abs(a) ** 2 / (2.0 * a.real)
+        sigma = np.array([[1.0, -a.imag], [-a.imag, abs(a) ** 2]]) / (2.0 * a.real)
+        return np.array([self.center, self.momentum]), sigma
 
-    def cov_xp(self):
-        """(1/2)<{x - <x>, p - <p>}> = -Im(a) / (2 Re a)."""
-        a = complex(self.a)
-        return -a.imag / (2.0 * a.real)
-
-    # closed-form transformation rules
-    def dilated(self, eps):
-        """Image under the f(x)=x point transform with parameter eps.
-
-        (U psi)(x) = e^(eps/2) psi(e^eps x):  a -> e^(2 eps) a,
-        center -> e^(-eps) center, momentum -> e^(eps) momentum.
+    def transported(self, M, arg_q):
+        """Image under the unitary of the linear canonical map M (det M = 1),
+        which moves every state's (<x>, <p>) to M (<x>, <p>): the one rule
+        (Heller, J. Chem. Phys. 62:1544, 1975; Littlejohn, Phys. Rep. 138:193,
+        1986).  (q, p) <- M (q, p); (Q, P) = M (1, i a) and a <- -i P / Q;
+        the phase gains the action (p' q' - p q)/2 and -arg_q/2, with arg_q
+        = arg Q on its continuous branch from the identity (0 if Q > 0).
         """
-        s = float(eps)
-        return GaussianState(self.a * np.exp(2.0 * s),
-                             self.center * np.exp(-s),
-                             self.momentum * np.exp(s),
-                             self.phase)
-
-    def quadratic_phased(self, chi):
-        """Image under multiplication by exp(-i chi x^2 / 2)."""
-        c = float(chi)
-        return GaussianState(self.a + 1j * c,
-                             self.center,
-                             self.momentum - c * self.center,
-                             self.phase - 0.5 * c * self.center ** 2)
+        q, p = M @ (self.center, self.momentum)
+        Q, P = M @ (1.0, 1j * complex(self.a))
+        action = 0.5 * (p * q - self.momentum * self.center)
+        return GaussianState(-1j * P / Q, float(q), float(p),
+                             float(self.phase + action - 0.5 * arg_q))
 
 
 # -- spectral helpers ---------------------------------------------------------

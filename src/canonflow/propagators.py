@@ -17,8 +17,9 @@ Three routes to psi(t), cross-validated against each other:
   (curved-metric) Hamiltonian, where splitting does not factor.
 
 ``gaussian_exact_propagate`` pushes a closed-form Gaussian through the
-chain (thawed-Gaussian transport, Heller, J. Chem. Phys. 62:1544, 1975): an
-integrator-free oracle.
+chain's 2x2 canonical maps (``dilation_map``, ``phase_map``,
+``rotation_map``), each by the one rule of ``GaussianState.transported``:
+an integrator-free oracle.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import numpy as np
 from .errors import (LinearSolveFailure, MassZeroCrossing, ResolutionError,
                      SingularMetric, StepFailure, SupportLeakage,
                      TruncationError)
-from .gridspace import GaussianState, WaveFunction, _density, _mass, apply_momentum
+from .gridspace import WaveFunction, _density, _mass, apply_momentum
 from .hamiltonians import _positive_mass, mass_epsilon
 
 BASIS_SIZE = 40              # Hermite functions in the exact chain's frame
@@ -464,43 +465,38 @@ def _continuous_arg(m, omega, a0, t):
     return k * math.pi + 0.5 * math.pi + float(np.angle(-1j * (-1) ** k * z))
 
 
+def dilation_map(eps):
+    """The f(x) = x point transform's linear canonical map, diag(e^(-eps), e^eps)."""
+    return np.diag([math.exp(-eps), math.exp(eps)])
+
+
+def phase_map(chi):
+    """Multiplication by exp(-i chi x^2/2): p -> p - chi x."""
+    return np.array([[1.0, 0.0], [-chi, 1.0]])
+
+
+def rotation_map(m, omega, t):
+    """Evolution for time t under p^2/(2m) + (1/2) m w^2 x^2."""
+    c, s, mw = np.cos(omega * t), np.sin(omega * t), m * omega
+    return np.array([[c, s / mw], [-mw * s, c]])
+
+
 def gaussian_oscillator_evolve(state, m, omega, t):
-    """Exact evolution of a Gaussian under p^2/(2m) + (1/2) m w^2 x^2.
-
-    Width:  a(t) = m w (a0 cos + i m w sin) / (m w cos + i a0 sin)
-    Center: classical motion of (center, momentum)
-    Phase:  action integral of the center plus -arg(D)/2 from the width;
-            the ground width a0 = m w reproduces e^(-i w t / 2).
-    """
-    a0 = complex(state.a)
-    q0, p0, th0 = state.center, state.momentum, state.phase
-    mw = m * omega
-    c, s = np.cos(omega * t), np.sin(omega * t)
-
-    a_t = mw * (a0 * c + 1j * mw * s) / (mw * c + 1j * a0 * s)
-    q_t = q0 * c + (p0 / mw) * s
-    p_t = p0 * c - mw * q0 * s
-
-    # center phase: the classical action integral of the Lagrangian
-    # p^2/(2m) - (m w^2/2) q^2 along the orbit, in closed form
-    sig, kap = np.sin(2.0 * omega * t), np.cos(2.0 * omega * t)
-    theta_center = ((p0 ** 2 / (2.0 * m) - 0.5 * m * omega ** 2 * q0 ** 2)
-                    * sig / (2.0 * omega)
-                    + 0.5 * q0 * p0 * (kap - 1.0))
-    theta_width = -0.5 * _continuous_arg(m, omega, a0, t)
-    return GaussianState(a_t, float(q_t), float(p_t),
-                         float(th0 + theta_center + theta_width))
+    """Exact evolution of a Gaussian under p^2/(2m) + (1/2) m w^2 x^2: the
+    rotation leg, whose arg Q is ``_continuous_arg`` (m w Q is its z)."""
+    return state.transported(rotation_map(m, omega, t),
+                             _continuous_arg(m, omega, complex(state.a), t))
 
 
 def gaussian_exact_propagate(family, state, t, *, static_mass=None):
-    """Closed-form Gaussian transport through the solvable-family chain."""
+    """Closed-form Gaussian transport through the solvable-family chain's
+    maps, in the order of its U(t); the dilation and phase legs keep Q > 0."""
     m0s = (family.static_mass() if static_mass is None else float(static_mass))
     e0, de0, _ = map(float, mass_epsilon(*family.mass_with_derivatives(0.0), m0s))
     et, det, _ = map(float, mass_epsilon(*family.mass_with_derivatives(t), m0s))
-
-    staged = state.dilated(e0).quadratic_phased(m0s * de0)
+    staged = state.transported(phase_map(m0s * de0) @ dilation_map(e0), 0.0)
     evolved = gaussian_oscillator_evolve(staged, m0s, family.Omega0, t)
-    return evolved.quadratic_phased(-m0s * det).dilated(-et)
+    return evolved.transported(dilation_map(-et) @ phase_map(-m0s * det), 0.0)
 
 
 # -- Crank-Nicolson for the curved (position-dependent-mass) Hamiltonian --------

@@ -1,6 +1,7 @@
 """Tests for the propagators: exact chain, split-step, Gaussian transport, CN."""
 
 import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import mpmath
@@ -674,20 +675,49 @@ class TestGaussianTransport:
             out = gaussian_exact_propagate(CK, g, float(t))
             assert complex(out.a).real > 0
 
-    @pytest.mark.parametrize("m, w, a0", [(1.0, 1.0, 1.3 - 0.25j),
-                                          (0.4, 2.7, 0.2 + 3.0j),
-                                          (2.5, 0.3, 4.0 - 1.0j)])
-    def test_width_phase_continuous_at_half_periods(self, m, w, a0):
-        # at w t = k pi, sin(w t) rounds to either sign: the width phase of
-        # the float below, at and above k pi/w must still agree
-        g = GaussianState(a=a0)
+    @pytest.mark.parametrize("evolve, w, rotation_only", [
+        *(pytest.param(partial(gaussian_oscillator_evolve, GaussianState(a=a0), m, w),
+                       w, True, id=f"{m}-{w}-{a0}")
+          for m, w, a0 in [(1.0, 1.0, 1.3 - 0.25j), (0.4, 2.7, 0.2 + 3.0j),
+                           (2.5, 0.3, 4.0 - 1.0j)]),
+        # the chain past Omega0 t = 2 pi, beyond the t <= 5 the other tests reach
+        *(pytest.param(partial(gaussian_exact_propagate, CK,
+                               GaussianState(a=1.1 - 0.2j, center=0.7, momentum=-0.4),
+                               static_mass=static_mass),
+                       CK.Omega0, False, id=f"chain-static-mass-{static_mass}")
+          for static_mass in (None, 2.0))])
+    def test_width_phase_continuous_at_half_periods(self, evolve, w, rotation_only):
+        # at w t = k pi, sin(w t) rounds to either sign: the phase of the
+        # float below, at and above k pi/w must still agree
         for k in range(1, 8):
             t0 = k * np.pi / w
-            phases = [gaussian_oscillator_evolve(g, m, w, t).phase
+            phases = [evolve(t).phase
                       for t in (np.nextafter(t0, 0.0), t0, np.nextafter(t0, np.inf))]
             assert max(phases) - min(phases) < 1e-12
-            # and it is -k pi/2 there: arg z has turned by k half turns
-            assert abs(phases[1] + 0.5 * k * np.pi) < 1e-12
+            # a centred Gaussian's rotation reads -k pi/2 there (arg z has
+            # turned by k half turns); on the chain the action terms add to it
+            if rotation_only:
+                assert abs(phases[1] + 0.5 * k * np.pi) < 1e-12
+
+    def test_never_reads_the_chain(self, monkeypatch):
+        # the oracle is built from closed-form maps only, so it stays
+        # independent of the grid chain it checks
+        g = GaussianState(a=1.1 - 0.2j, center=0.7, momentum=-0.4, phase=0.1)
+
+        def routes():
+            return [gaussian_exact_propagate(CK, g, 3.0),
+                    gaussian_exact_propagate(CK, g, 3.0, static_mass=2.0),
+                    gaussian_oscillator_evolve(g, 1.0, 1.0, 3.0)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the Gaussian oracle read the grid chain")
+
+        expected = routes()
+        for module in (propagators, gridspace):
+            for name in ("ExactSolvablePropagator", "HermiteBasis",
+                         "apply_point_unitary"):
+                monkeypatch.setattr(module, name, refuse, raising=False)
+        assert routes() == expected
 
 
 def dense_unwrapped_arg(m, w, a0, t):
