@@ -35,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ImaginaryFrequency, MassZeroCrossing, NegativeRadicand
-from .flowcore import GeneratorSpec, flow_evaluate
+from .flowcore import flow_evaluate
 from .gridspace import apply_momentum, apply_weighted_kinetic
 
 
@@ -111,11 +111,16 @@ def mass_epsilon(m, dm, ddm, m0):
 
     deps = -r/2 and ddeps = (r^2 - ddm/m)/2 with the rate r = dm/m: finite
     for a mass near overflow, and independent of m0 and of the mass scale.
-    A mass that is not positive and finite raises ``MassZeroCrossing``.
+    A mass that is not positive and finite, or a rate dm/m or ddm/m that is
+    not finite (say dm = inf), raises ``MassZeroCrossing``.
     """
     m = _positive_mass(m)
-    r = dm / m
-    return 0.5 * np.log(m0 / m), -0.5 * r, 0.5 * (r * r - ddm / m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        r, q = dm / m, ddm / m
+    if not np.all(np.isfinite(r) & np.isfinite(q)):
+        raise MassZeroCrossing("mass rate dm/m or ddm/m is not finite at the "
+                               "requested time")
+    return 0.5 * np.log(m0 / m), -0.5 * r, 0.5 * (r * r - q)
 
 
 def _positive_mass(m):
@@ -320,51 +325,28 @@ class SolvableFamily:
 
 # -- general-generator transform of a standard Hamiltonian ---------------------
 
-@dataclass(frozen=True)
-class TransformedStandardHamiltonian:
-    """Image of p^2/(2m) + V(x) under the (f, eps) point transform.
+def general_f_transform(mass, potential, gen, eps, grid, deps=0.0):
+    """Image of H = p^2/(2m) + V(x) under the (f, eps) point transform, on one grid.
 
     kinetic:   (1/(2m)) sqrt(w) p w p sqrt(w),  w(x) the conjugation factor
     potential: V(phi_eps(x))
     drive:     -(deps/2) {f(x), p}   (only for time-dependent eps)
 
-    ``apply`` acts with it on grid values, p applied spectrally; with V = 0
-    and constant eps it is the curved-space Hamiltonian for the metric
-    g = w^(-2) (``metricmap.curved_hamiltonian``).
+    The flow and f are evaluated once, at ``grid.x``; the returned function
+    takes grid values psi to H psi, with p applied spectrally.  For f(x) = x
+    it is e^(-2 eps) p^2/(2m) + V(e^eps x) - (deps/2){x, p}; with V = 0 and
+    constant eps it is ``metricmap.curved_hamiltonian`` for g = w^(-2).
     """
+    m, deps = float(mass), float(deps)
+    flow = flow_evaluate(gen, eps, grid.x, with_jacobian=False)
+    w, moved = flow.f2, potential(flow.x_out)
+    fv = gen.f(grid.x)
 
-    mass: float
-    generator: GeneratorSpec
-    eps: float
-    deps: float
-    weight: Callable          # w(x)
-    potential: Callable       # V(phi_eps(x))
-
-    def apply(self, values, grid):
-        """H psi for grid values psi."""
-        x = grid.x
-        w = np.asarray(self.weight(x), dtype=float)
-        out = (apply_weighted_kinetic(values, grid, w, self.mass)
-               + self.potential(x) * values)
-        if self.deps != 0.0:
-            fv = np.asarray(self.generator.f(x), dtype=float)
+    def apply(values):
+        out = apply_weighted_kinetic(values, grid, w, m) + moved * values
+        if deps != 0.0:
             anti = fv * apply_momentum(values, grid) + apply_momentum(fv * values, grid)
-            out = out - 0.5 * self.deps * anti
+            out = out - 0.5 * deps * anti
         return out
 
-
-def general_f_transform(mass, potential, gen, eps, deps=0.0):
-    """Transform H = p^2/(2m) + V(x) by the (f, eps) point transform.
-
-    For f(x) = x this reproduces the dilation coefficients
-    (p^2 e^(-2 eps)/(2m), V(e^eps x), -(deps/2){x,p}).
-    """
-    def weight(x):
-        return flow_evaluate(gen, eps, x).f2
-
-    def moved_potential(x):
-        return potential(flow_evaluate(gen, eps, x).x_out)
-
-    return TransformedStandardHamiltonian(
-        mass=float(mass), generator=gen, eps=float(eps), deps=float(deps),
-        weight=weight, potential=moved_potential)
+    return apply

@@ -678,7 +678,13 @@ class TestColdStart:
         "assert main(['propagate', 'scenario.json', '--out', 'run']) == 0",
         "from canonflow.cli import main\n"
         "assert main(['propagate', 'split_step.json', '--out', 'run']) == 0",
-    ], ids=["parser", "flow-quadratic", "propagate-exact", "propagate-split_step"])
+        "import numpy as np\n"
+        "from canonflow import GeneratorSpec, Grid, general_f_transform\n"
+        "grid = Grid.from_interval(-4.0, 4.0, 32)\n"
+        "h = general_f_transform(1.0, np.cos, GeneratorSpec.linear(), 0.3, grid, 0.1)\n"
+        "assert np.all(np.isfinite(h(np.exp(-grid.x ** 2))))",
+    ], ids=["parser", "flow-quadratic", "propagate-exact", "propagate-split_step",
+            "general-f-transform-linear"])
     def test_no_scipy_loaded(self, code, tmp_path):
         (tmp_path / "scenario.json").write_text(json.dumps(README_SCENARIO))
         split_step = dict(README_SCENARIO, propagator=dict(

@@ -8,9 +8,13 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
+from canonflow import hamiltonians
 from canonflow.errors import (ImaginaryFrequency, MassZeroCrossing,
                               NegativeRadicand)
-from canonflow.flowcore import GeneratorSpec
+from canonflow.flowcore import (GeneratorSpec, conjugation_factor, flow_evaluate,
+                                flow_map)
+from canonflow.gridspace import (GaussianState, Grid, WaveFunction, apply_momentum,
+                                 apply_point_unitary)
 from canonflow.hamiltonians import (QuadraticHamiltonian, SolvableFamily,
                                     TimeProfile, dilation_transform,
                                     effective_frequency, general_f_transform,
@@ -340,6 +344,18 @@ class TestProfiles:
         assert eps(1.0)[1] == pytest.approx(-0.1, abs=1e-14)
         assert eps(1.0)[2] == pytest.approx(0.0, abs=1e-14)
 
+    def test_overflowing_mass_rate_is_a_typed_error(self):
+        # m = 1e308 is finite at t = 0 but dm = 1e309 is not: the rates
+        # m'/m and m''/m used to turn into nan Omega, b and c
+        mass, omega = TimeProfile.exponential(1e308, 10.0), TimeProfile.constant(1.0)
+        assert np.isfinite(mass.value(0.0)) and mass.with_derivatives(0.0)[1] == np.inf
+        for call in (lambda: mass_epsilon(*mass.with_derivatives(0.0), 1.0),
+                     lambda: effective_frequency(mass, omega, 0.0),
+                     lambda: reduce_oscillator(mass, omega, 0.0),
+                     lambda: omega_from_mass(mass, 1.0, 0.0)):
+            with pytest.raises(MassZeroCrossing):
+                call()
+
     @settings(derandomize=True, database=None, deadline=None, max_examples=60)
     @given(k=st.integers(-900, 900), mu=st.floats(0.2, 1.0), nu=st.floats(0.2, 1.0),
            alpha=st.floats(0.1, 0.5), trigonometric=st.booleans())
@@ -377,36 +393,91 @@ class TestProfiles:
             assert np.max(np.abs(value - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+SQRT_1_X2 = GeneratorSpec.custom(lambda t: np.sqrt(1.0 + t * t),
+                                  dfunc=lambda t: t / np.sqrt(1.0 + t * t),
+                                  name="sqrt(1+x^2)")
+
+
 class TestGeneralTransform:
+    GRID = Grid.from_interval(-8.0, 8.0, 128)
+
     def test_linear_reproduces_dilation(self):
-        tr = general_f_transform(1.0, lambda x: 0.5 * x ** 2,
-                                 GeneratorSpec.linear(), 0.1, 0.2)
-        xs = np.array([0.3, 1.0, -0.7])
-        assert np.allclose(tr.weight(xs), np.exp(-0.1), atol=1e-14)
-        assert tr.potential(1.0) == pytest.approx(0.5 * np.exp(0.2), abs=1e-13)
+        # oracle: e^(-2 eps) p^2/(2m) + V(e^eps x) - (deps/2)(x p + p x)
+        grid, m, eps, deps = self.GRID, 1.3, 0.1, 0.2
+        x = grid.x
+        h = general_f_transform(m, lambda y: 0.5 * y ** 2, GeneratorSpec.linear(),
+                                eps, grid, deps)
+        for v in probes(grid):
+            want = (np.exp(-2.0 * eps) * apply_momentum(v, grid, 2) / (2.0 * m)
+                    + 0.5 * (np.exp(eps) * x) ** 2 * v
+                    - 0.5 * deps * (x * apply_momentum(v, grid)
+                                    + apply_momentum(x * v, grid)))
+            assert np.max(np.abs(h(v) - want)) < 1e-13
 
     def test_zero_parameter_is_identity(self):
-        tr = general_f_transform(1.0, lambda x: np.cos(x),
-                                 GeneratorSpec.exp_decay(1.0), 0.0, 0.0)
-        xs = np.linspace(-1, 1, 5)
-        assert np.allclose(tr.weight(xs), 1.0, atol=1e-14)
-        assert np.allclose(tr.potential(xs), np.cos(xs), atol=1e-14)
+        # oracle: p^2/(2m) + V
+        grid, m = self.GRID, 1.3
+        h = general_f_transform(m, np.cos, GeneratorSpec.exp_decay(1.0), 0.0, grid)
+        for v in probes(grid):
+            want = apply_momentum(v, grid, 2) / (2.0 * m) + np.cos(grid.x) * v
+            assert np.max(np.abs(h(v) - want)) < 1e-14
+
+    @pytest.mark.parametrize("gen,eps,tol", [(GeneratorSpec.linear(), 0.3, 1e-11),
+                                             (SQRT_1_X2, 0.3, 1e-11),
+                                             (SQRT_1_X2, -0.5, 3e-10)],
+                             ids=["x-0.3", "sqrt-0.3", "sqrt--0.5"])
+    def test_conjugation_identity_with_potential(self, gen, eps, tol):
+        # U (p^2/2 + V) U^dag psi = H_g psi + V(phi_eps) psi, the right side
+        # staged through the point unitary; V at phi_(-eps) is the control
+        grid = Grid.from_interval(-12.0, 12.0, 512)
+
+        def potential(y):
+            return 0.5 * y ** 2
+
+        h = general_f_transform(1.0, potential, gen, eps, grid)
+        kinetic = general_f_transform(1.0, lambda y: 0.0 * y, gen, eps, grid)
+        wrong = potential(flow_map(gen, -eps, grid.x))
+        for v in probes(grid):
+            staged = apply_point_unitary(gen, -eps, WaveFunction(grid, v),
+                                         leak_tol=1e-8).values
+            inner = apply_momentum(staged, grid, 2) / 2.0 + potential(grid.x) * staged
+            rhs = apply_point_unitary(gen, eps, WaveFunction(grid, inner),
+                                      leak_tol=1e-4).values
+            scale = np.linalg.norm(rhs)
+            assert np.linalg.norm(h(v) - rhs) / scale < tol
+            assert np.linalg.norm(kinetic(v) + wrong * v - rhs) / scale > 0.1
+
+    def test_flow_evaluated_once(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return flow_evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(hamiltonians, "flow_evaluate", counting)
+        grid = Grid.from_interval(-4.0, 4.0, 32)
+        h = general_f_transform(1.0, np.cos, SQRT_1_X2, 0.2, grid, 0.1)
+        assert len(calls) == 1
+        v = probes(grid)[0]
+        first = h(v)
+        for _ in range(3):
+            assert np.array_equal(h(v), first)
+        assert len(calls) == 1
 
     def test_free_case_equals_curved_assembly(self):
         # with V = 0 and constant eps the transformed operator must equal the
         # curved-metric Hamiltonian with g = w^(-2), in both discretizations
-        from canonflow.gridspace import Grid
         from canonflow.metricmap import curved_hamiltonian, metric_from_generator
         from canonflow.propagators import (apply_curved_kinetic,
                                            curved_kinetic_diagonals)
 
         gen = GeneratorSpec.exp_decay(1.0)
         grid = Grid.from_interval(-3.0, 6.0, 64)
-        tr = general_f_transform(1.0, lambda x: 0.0 * np.asarray(x), gen, 0.4)
+        h = general_f_transform(1.0, lambda x: 0.0 * np.asarray(x), gen, 0.4, grid)
         metric = metric_from_generator(gen, 0.4)
         curved = curved_hamiltonian(metric, 1.0, grid)
         for v in probes(grid):
-            assert np.max(np.abs(tr.apply(v, grid) - curved(v))) < 1e-10
+            assert np.max(np.abs(h(v) - curved(v))) < 1e-10
 
         # finite differences: the tridiagonal pair is (1/2) sqrt(w) D^T w_half
         # D sqrt(w), with D the forward difference between neighbours and
@@ -414,7 +485,7 @@ class TestGeneralTransform:
         n = grid.n
         fwd = (np.eye(n, k=1) - np.eye(n))[:-1] / grid.dx
         mean = 0.5 * (np.eye(n, k=1) + np.eye(n))[:-1]
-        w = np.asarray(tr.weight(grid.x))
+        w = np.asarray(conjugation_factor(gen, 0.4, grid.x))
         root, w_half = np.sqrt(w), mean @ w
         kinetic = curved_kinetic_diagonals(metric.g(grid.x), 1.0, grid.dx)
         for v in probes(grid):
@@ -422,19 +493,16 @@ class TestGeneralTransform:
             assert np.max(np.abs(apply_curved_kinetic(kinetic, v) - sandwich)) < 1e-12
 
     def test_assembled_hermitian_with_drive(self):
-        from canonflow.gridspace import Grid
-        gen = GeneratorSpec.linear()
-        tr = general_f_transform(1.0, lambda x: 0.5 * np.asarray(x) ** 2,
-                                 gen, 0.1, 0.2)
         grid = Grid.from_interval(-5.0, 5.0, 48)
+        h = general_f_transform(1.0, lambda x: 0.5 * np.asarray(x) ** 2,
+                                GeneratorSpec.linear(), 0.1, grid, 0.2)
         for u in probes(grid):
             for v in probes(grid):
-                gap = np.vdot(u, tr.apply(v, grid)) - np.conj(np.vdot(v, tr.apply(u, grid)))
+                gap = np.vdot(u, h(v)) - np.conj(np.vdot(v, h(u)))
                 assert abs(grid.dx * gap) < 1e-12
 
 
 def probes(grid):
     """Unit-norm Gaussian grid values for operator checks."""
-    from canonflow.gridspace import GaussianState
     return [GaussianState(a=a, center=c, momentum=p).to_wavefunction(grid).values
             for a, c, p in [(1.0, 0.5, 0.0), (1.5, 1.0, 0.8), (2.0 - 0.5j, 0.2, -0.6)]]
