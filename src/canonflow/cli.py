@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .errors import CanonflowError, ScenarioError
-from .flowcore import GeneratorSpec, flow_evaluate
+from .flowcore import CLOSED_FORMS, flow_evaluate
 from .gridspace import (GaussianState, Grid, WaveFunction, _braket, expectation,
                         wavefunction_from_csv)
 from .hamiltonians import (QuadraticHamiltonian, SolvableFamily, TimeProfile,
@@ -38,7 +38,8 @@ from .hamiltonians import (QuadraticHamiltonian, SolvableFamily, TimeProfile,
 from .metricmap import (MetricProfile, generator_from_metric,
                         metric_from_generator)
 from .propagators import (ExactSolvablePropagator, apply_curved_kinetic,
-                          crank_nicolson_curved, split_step_propagate)
+                          crank_nicolson_curved, split_step_propagate,
+                          uniform_time_grid)
 
 TRAJECTORY_HEADER = "t,norm,fidelity_vs_exact,x_mean,p_mean,energy"
 OUTPUT_FORMATS = ("csv", "json", "gnuplot")
@@ -47,6 +48,7 @@ OUTPUT_FORMATS = ("csv", "json", "gnuplot")
 SUITE_NAMES = ("canonicality", "closed_forms", "brackets", "reduction",
                "solvability", "propagation", "spectrum", "metric_equivalence",
                "metric_inverse", "gauge_affine")
+F_CHOICES = [kind.replace("_", "-") for kind in CLOSED_FORMS]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -104,13 +106,9 @@ def _read_path(spec, where, read):
 
 def _build_generator(spec, where):
     kind = _require(spec, "type", str, where)
-    if kind == "linear":
-        return GeneratorSpec.linear()
-    if kind == "quadratic":
-        return GeneratorSpec.quadratic()
-    if kind == "exp_decay":
-        return GeneratorSpec.exp_decay(_require(spec, "rate", float, where))
-    raise ScenarioError(f"{where}.type: unknown generator {kind!r}")
+    if kind not in CLOSED_FORMS:
+        raise ScenarioError(f"{where}.type: unknown generator {kind!r}")
+    return CLOSED_FORMS[kind](lambda key: _require(spec, key, float, where))
 
 
 def _build_mass(spec, where):
@@ -253,7 +251,7 @@ def run_scenario(path, outdir=None):
     stride = _require(prop, "output_stride", int, "propagator", None)
     if stride is not None and stride < 1:
         raise ScenarioError("propagator.output_stride: must be at least 1")
-    t_grid = np.linspace(0.0, t_final, max(1, int(round(t_final / dt))) + 1)
+    t_grid = uniform_time_grid(t_final, dt)
 
     system = scenario["system"]
     sys_kind = _require(system, "kind", str, "system")
@@ -416,7 +414,7 @@ def _cmd_verify(args):
     from .verify import all_passed, run_suites
 
     results = run_suites(args.suite)
-    payload = {name: [c.as_dict() for c in checks]
+    payload = {name: [dataclasses.asdict(c) for c in checks]
                for name, checks in results.items()}
     ok = all_passed(results)
     print(json.dumps({"suites": payload, "all_passed": ok}, indent=2,
@@ -434,8 +432,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("flow", help="evaluate a generator's point map")
-    p.add_argument("--f", required=True,
-                   choices=["linear", "quadratic", "exp-decay"])
+    p.add_argument("--f", required=True, choices=F_CHOICES)
     p.add_argument("--rate", type=float, default=1.0,
                    help="decay rate for exp-decay")
     p.add_argument("--eps", type=float, required=True)
@@ -466,8 +463,7 @@ def build_parser():
     p.set_defaults(func=_cmd_solvable)
 
     p = sub.add_parser("metric", help="metric <-> generator tools")
-    p.add_argument("--f", required=True,
-                   choices=["linear", "quadratic", "exp-decay"])
+    p.add_argument("--f", required=True, choices=F_CHOICES)
     p.add_argument("--rate", type=float, default=1.0)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--xmin", type=float, default=-4.0)

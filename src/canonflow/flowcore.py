@@ -21,9 +21,10 @@ Closed forms are used for three generator families:
 
 Arbitrary smooth generators integrate the flow (jointly with its Jacobian)
 using an adaptive Runge-Kutta method in the flow parameter.  Domain limits
-are enforced eagerly: the quadratic generator escapes to infinity when
-eps*x -> 1 and the exponential one when e^(L x) + eps L -> 0, and such
-points raise ``DomainBlowup`` rather than returning clamped values.
+(``GeneratorSpec.flow_domain``) are enforced eagerly: the quadratic
+generator escapes to infinity when eps*x -> 1 and the exponential one when
+e^(L x) + eps L -> 0, and such points raise ``DomainBlowup`` rather than
+returning clamped values.  This module alone branches on the generator kind.
 """
 
 from __future__ import annotations
@@ -58,8 +59,8 @@ class GeneratorSpec:
     Use the classmethod constructors; ``kind`` selects a closed-form family
     or a user-supplied callable.  Custom generators must be continuously
     differentiable on their validity interval (the Jacobian integration
-    needs f'); if ``dfunc`` is omitted a central difference of ``func`` is
-    used.
+    needs f'); if ``dfunc`` is omitted f' is a five-point difference of
+    ``func``, and f'' is always one of f' (``_five_point``).
     """
 
     kind: str
@@ -120,8 +121,7 @@ class GeneratorSpec:
             return -self.lam * np.exp(-self.lam * x)
         if self.dfunc is not None:
             return np.asarray(self.dfunc(x), dtype=float)
-        h = 1e-6 * (1.0 + np.abs(x))
-        return (self.f(x + h) - self.f(x - h)) / (2.0 * h)
+        return _five_point(self.f, x, self.domain)
 
     def d2f(self, x):
         x = np.asarray(x, dtype=float)
@@ -131,13 +131,73 @@ class GeneratorSpec:
             return 2.0 * np.ones_like(x)
         if self.kind == EXP_DECAY:
             return self.lam ** 2 * np.exp(-self.lam * x)
-        h = 1e-5 * (1.0 + np.abs(x))
-        return (self.df(x + h) - self.df(x - h)) / (2.0 * h)
+        return _five_point(self.df, x, self.domain)
 
     def in_domain(self, x):
         lo, hi = self.domain
         x = np.asarray(x, dtype=float)
         return (x >= lo) & (x <= hi)
+
+    def _closed_flow(self, eps, x):
+        """Closed-form (phi, jacobian, w) for the three analytic families."""
+        if self.kind == LINEAR:
+            s = np.exp(eps)
+            phi = s * x
+            jac = s * np.ones_like(x)
+            w = np.exp(-eps) * np.ones_like(x)
+            return phi, jac, w
+        if self.kind == QUADRATIC:
+            q = 1.0 - eps * x
+            _check(q > 0.0, "quadratic generator requires eps*x < 1")
+            phi = x / q
+            jac = 1.0 / (q * q)
+            w = q * q
+            return phi, jac, w
+        # exp decay
+        lam = self.lam
+        with np.errstate(over="ignore"):      # a steep rate: infinite phi or w
+            arg = np.exp(lam * x) + eps * lam
+            _check(arg > 0.0, "exp-decay generator requires exp(lam*x) + eps*lam > 0")
+            phi = np.log(arg) / lam
+            w = 1.0 + eps * lam * np.exp(-lam * x)
+        jac = 1.0 / w
+        return phi, jac, w
+
+    def flow_domain(self, eps):
+        """The open interval (lo, hi) of the x at which phi_eps exists: those
+        ``_closed_flow`` accepts, or a custom generator's ``domain``."""
+        if self.kind == CUSTOM:
+            return self.domain
+        if self.kind == QUADRATIC and eps != 0:
+            return (-np.inf, 1.0 / eps) if eps > 0 else (1.0 / eps, np.inf)
+        if self.kind == EXP_DECAY and eps < 0:
+            return np.log(-eps * self.lam) / self.lam, np.inf
+        return -np.inf, np.inf
+
+
+# The closed-form kinds by name, each a constructor that reads its parameters
+# through ``param(key)``: only exp_decay reads one, its rate lam as "rate".
+CLOSED_FORMS = {LINEAR: lambda param: GeneratorSpec.linear(),
+                QUADRATIC: lambda param: GeneratorSpec.quadratic(),
+                EXP_DECAY: lambda param: GeneratorSpec.exp_decay(param("rate"))}
+
+# 12 h times the fourth-order weights of f' at x + (k + j) h, j = -2 .. 2, one
+# row per shift k = -2 .. 2 (k = 0 is the centred stencil).
+_FIVE_POINT = np.array([[3, -16, 36, -48, 25], [-1, 6, -18, 10, 3],
+                        [1, -8, 0, 8, -1], [-3, -10, 18, -6, 1],
+                        [-25, 48, -36, 16, -3]], dtype=float)
+
+
+def _five_point(fn, x, domain):
+    """fn'(x) from five points at step h = 1e-3 (1 + |x|), the stencil shifted
+    towards the inside where a centred one would leave a finite ``domain``."""
+    lo, hi = domain
+    h = 1e-3 * (1.0 + np.abs(x))
+    k = ((x - h < lo).astype(int) + (x - 2.0 * h < lo)
+         - (x + h > hi) - (x + 2.0 * h > hi))
+    points = x[..., None] + (np.arange(-2, 3) + k[..., None]) * h[..., None]
+    vals = fn(np.clip(points, lo, hi))
+    return np.sum(_FIVE_POINT[k + 2] * vals, axis=-1) / (12.0 * h)
 
 
 @dataclass(frozen=True)
@@ -159,32 +219,6 @@ def _check(cond, message):
     if np.any(bad):
         idx = np.flatnonzero(np.atleast_1d(bad))
         raise DomainBlowup(message, detail={"indices": idx.tolist()})
-
-
-def _closed_flow(gen, eps, x):
-    """Closed-form (phi, jacobian, w) for the three analytic families."""
-    if gen.kind == LINEAR:
-        s = np.exp(eps)
-        phi = s * x
-        jac = s * np.ones_like(x)
-        w = np.exp(-eps) * np.ones_like(x)
-        return phi, jac, w
-    if gen.kind == QUADRATIC:
-        q = 1.0 - eps * x
-        _check(q > 0.0, "quadratic generator requires eps*x < 1")
-        phi = x / q
-        jac = 1.0 / (q * q)
-        w = q * q
-        return phi, jac, w
-    # exp decay
-    lam = gen.lam
-    with np.errstate(over="ignore"):      # a steep rate: infinite phi or w
-        arg = np.exp(lam * x) + eps * lam
-        _check(arg > 0.0, "exp-decay generator requires exp(lam*x) + eps*lam > 0")
-        phi = np.log(arg) / lam
-        w = 1.0 + eps * lam * np.exp(-lam * x)
-    jac = 1.0 / w
-    return phi, jac, w
 
 
 def _ode_flow(gen, eps, x, rtol, atol, with_jacobian):
@@ -213,12 +247,9 @@ def _ode_flow(gen, eps, x, rtol, atol, with_jacobian):
         return e * gen.f(y)
 
     def escape(_, y):
-        phi = y[:n]
-        m = np.max(np.abs(phi))
-        if np.isfinite(lo) or np.isfinite(hi):
-            margin = np.min(np.minimum(phi - lo, hi - phi))
-            return min(BLOWUP_BOUND - m, margin)
-        return BLOWUP_BOUND - m
+        phi = y[:n]     # an infinite end leaves the margin infinite
+        return min(BLOWUP_BOUND - np.max(np.abs(phi)),
+                   np.min(np.minimum(phi - lo, hi - phi)))
 
     escape.terminal = True
 
@@ -265,7 +296,7 @@ def flow_evaluate(gen, eps, x, *, method="auto", rtol=FLOW_RTOL,
     if method == "closed":
         if gen.kind == CUSTOM:
             raise ValueError("no closed form for a custom generator")
-        phi, jac, w = _closed_flow(gen, ea, xa)
+        phi, jac, w = gen._closed_flow(ea, xa)
     elif method == "ode":
         phi, jac, w = _ode_flow(gen, ea, xa, rtol, atol, with_jacobian)
     else:

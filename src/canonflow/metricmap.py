@@ -36,7 +36,7 @@ import numpy as np
 from .errors import (FixedPointInInterval, NonMonotoneFlow, SingularMetric)
 from .flowcore import GeneratorSpec, flow_evaluate
 from .gridspace import WaveFunction, apply_point_unitary, apply_weighted_kinetic
-from .propagators import crank_nicolson_curved, free_propagate
+from .propagators import crank_nicolson_curved, free_propagate, uniform_time_grid
 
 TABLE_SAMPLES = 4097         # flow-table points on the extended interval
 MIN_DISPLACEMENT = 0.02      # displacement bump, as a fraction of the working span
@@ -97,16 +97,7 @@ def metric_from_generator(gen, eps, name=None):
         ev = flow_evaluate(gen, eps, x, with_jacobian=False)
         return np.asarray(ev.f2, dtype=float) ** -2.0
 
-    lo, hi = -np.inf, np.inf
-    if gen.kind == "quadratic" and eps > 0:
-        hi = 1.0 / eps
-    elif gen.kind == "quadratic" and eps < 0:
-        lo = 1.0 / eps
-    elif gen.kind == "exp_decay" and eps < 0:
-        lo = np.log(-eps * gen.lam) / gen.lam
-    elif gen.kind == "custom":
-        lo, hi = gen.domain
-    return MetricProfile(g=g, domain=(lo, hi),
+    return MetricProfile(g=g, domain=gen.flow_domain(eps),
                          name=name or f"from {gen.name}@eps={eps}")
 
 
@@ -435,8 +426,9 @@ def verify_metric_equivalence(gen, eps, psi0, t_final, *, m=1.0, dt=1e-3):
 
     Valid for constant eps only (a time-dependent eps adds a -(deps/2){f,p}
     drive, checked through the Hamiltonian transforms instead).  The curved
-    side runs Crank-Nicolson with g = w^(-2); the flat side the exact
-    spectral free step between the two point unitaries.
+    side runs Crank-Nicolson with g = w^(-2) in steps of about ``dt``, which
+    must be positive and finite (``uniform_time_grid``); the flat side the
+    exact spectral free step between the two point unitaries.
 
     An incomplete flow (e.g. f = e^(-x)) ends the curved line at a finite
     proper distance, which both pictures resolve as a low-amplitude pile-up
@@ -447,9 +439,7 @@ def verify_metric_equivalence(gen, eps, psi0, t_final, *, m=1.0, dt=1e-3):
     of magnitude below the 1e-4 scale the equivalence is checked at.
     """
     metric = metric_from_generator(gen, eps)
-    nsteps = max(1, int(round(t_final / dt)))
-    t_grid = np.linspace(0.0, t_final, nsteps + 1)
-    curved = crank_nicolson_curved(metric, m, psi0, t_grid)
+    curved = crank_nicolson_curved(metric, m, psi0, uniform_time_grid(t_final, dt))
 
     staged = apply_point_unitary(gen, -eps, psi0, leak_tol=EQUIVALENCE_LEAK_TOL)
     flown = free_propagate(staged, t_final, m=m)

@@ -73,13 +73,21 @@ class Trajectory:
         return self.states[-1]
 
 
+def uniform_time_grid(t_final, dt):
+    """The times 0 .. t_final (either sign) in max(1, round(|t_final| / dt)) steps."""
+    if not (dt > 0 and np.isfinite(dt) and np.isfinite(t_final)):
+        raise ValueError("dt must be positive and finite, and t_final finite")
+    return np.linspace(0.0, t_final, max(1, int(round(abs(t_final) / dt))) + 1)
+
+
 def _validate_time_grid(t_grid):
+    """(t, dt) of a uniform time grid; it may decrease, but not stand still."""
     t = np.asarray(t_grid, dtype=float)
-    if t.ndim != 1 or t.size < 2:
-        raise ValueError("time grid needs at least two points")
+    if t.ndim != 1 or t.size < 2 or not np.all(np.isfinite(t)):
+        raise ValueError("time grid needs at least two points, all finite")
     dt = np.diff(t)
-    if np.max(np.abs(dt - dt[0])) > 1e-9 * max(abs(dt[0]), 1e-300):
-        raise ValueError("time grid must be uniform (fixed-step integrators)")
+    if dt[0] == 0.0 or np.max(np.abs(dt - dt[0])) > 1e-9 * abs(dt[0]):
+        raise ValueError("time grid must be uniform with a nonzero step")
     return t, float(dt[0])
 
 
@@ -178,10 +186,7 @@ class HermiteBasis:
     functions = cached_property(lambda self: self.at(self.grid.x))
 
     def monic(self, points):
-        """The rows g_n = s_n phi_n at arbitrary points, shape (size, len(points)).
-
-        Three ufunc calls per degree, with no per-degree constant but n/2.
-        """
+        """The rows g_n = s_n phi_n at arbitrary points, shape (size, len(points))."""
         xi = np.asarray(points, dtype=float) / self.length_scale
         g = np.empty((self.size, xi.size))
         g[0] = (self.m0 * self.omega0 / np.pi) ** 0.25 * np.exp(-0.5 * xi * xi)
@@ -236,9 +241,7 @@ def _half_angle_cis(half, t, r, out):
     ``np.tan`` (vectorised, where numpy's float64 cos and sin are not) and
     cheap ufuncs.  |r - 1 + i t r| = 1 for every real t, so tan's rounding
     moves only the angle.  t and r are contiguous scratch arrays of half's
-    size; t may be half itself, which is then overwritten.  Callers: the
-    split-step phases (``_strang_step``) and the exact chain's quadratic
-    phase (``ExactSolvablePropagator._frames``).
+    size; t may be half itself, which is then overwritten.
     """
     np.tan(half, out=t)
     np.multiply(t, t, out=r)

@@ -13,7 +13,7 @@ functions.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List
 
 import numpy as np
@@ -22,8 +22,8 @@ import scipy.integrate  # noqa: F401
 import scipy.interpolate  # noqa: F401
 import scipy.linalg  # noqa: F401
 
-from . import flowcore, gridspace, hamiltonians, metricmap, propagators
-from .flowcore import GeneratorSpec, flow_evaluate
+from . import flowcore, hamiltonians, propagators
+from .flowcore import CLOSED_FORMS, GeneratorSpec, flow_evaluate
 from .gridspace import GaussianState, Grid, WaveFunction, verify_bracket_identities
 from .hamiltonians import (QuadraticHamiltonian, SolvableFamily, TimeProfile,
                            dilation_transform, effective_frequency,
@@ -44,12 +44,6 @@ class Check:
     tolerance: float
     detail: str = ""
     kind: str = "assert"       # "assert" or "documented"
-
-    def as_dict(self):
-        return {"name": self.name, "passed": bool(self.passed),
-                "residual": float(self.residual),
-                "tolerance": float(self.tolerance),
-                "detail": self.detail, "kind": self.kind}
 
 
 def _check(name, residual, tolerance, detail=""):
@@ -76,33 +70,19 @@ def _sampled_pairs(kind, rng, count=100):
     return eps[keep][:count], x[keep][:count]
 
 
-_CUSTOM_TWINS = {
-    "linear": lambda: GeneratorSpec.custom(lambda t: t, name="x (custom)"),
-    "quadratic": lambda: GeneratorSpec.custom(lambda t: t * t,
-                                              name="x^2 (custom)"),
-    "exp_decay": lambda: GeneratorSpec.custom(lambda t: np.exp(-t),
-                                              name="exp(-x) (custom)"),
-}
-
-_CLOSED = {
-    "linear": GeneratorSpec.linear,
-    "quadratic": GeneratorSpec.quadratic,
-    "exp_decay": lambda: GeneratorSpec.exp_decay(1.0),
-}
-
-
 def suite_canonicality(rng=None):
     """|w * phi' - 1| for closed forms and for the same f via the adaptive flow."""
     rng = rng or np.random.default_rng(20240901)
     checks = []
     start = time.perf_counter()
-    for kind in ("linear", "quadratic", "exp_decay"):
+    for kind, make in CLOSED_FORMS.items():
+        gen = make(lambda key: 1.0)
         eps, x = _sampled_pairs(kind, rng)
-        ev = flow_evaluate(_CLOSED[kind](), eps, x)
+        ev = flow_evaluate(gen, eps, x)
         checks.append(_check(f"canonicality_closed_{kind}",
                              np.max(np.abs(ev.f2 * ev.jacobian - 1.0)), 1e-12,
                              f"{x.size} sampled (eps, x) pairs"))
-        ev2 = flow_evaluate(_CUSTOM_TWINS[kind](), eps, x)
+        ev2 = flow_evaluate(GeneratorSpec.custom(gen.f), eps, x)
         checks.append(_check(f"canonicality_adaptive_{kind}",
                              np.max(np.abs(ev2.f2 * ev2.jacobian - 1.0)), 1e-8,
                              "same pairs through the adaptive flow"))
@@ -140,7 +120,7 @@ def suite_closed_forms():
     # flow-derived momentum weight, cross-checked against the adaptive flow
     xs = np.linspace(-1.5, 2.5, 9)
     w_closed = flowcore.conjugation_factor(exp1, 0.4, xs)
-    w_flow = flow_evaluate(_CUSTOM_TWINS["exp_decay"](), 0.4, xs).f2
+    w_flow = flow_evaluate(GeneratorSpec.custom(exp1.f), 0.4, xs).f2
     checks.append(_check("expdecay_momentum_weight_flow_derived",
                          np.max(np.abs(w_closed - w_flow)), 1e-8,
                          "w = 1 + eps lam e^(-lam x), against the adaptive flow"))

@@ -22,7 +22,8 @@ import canonflow
 from canonflow import cli, verify
 from canonflow.cli import (SUITE_NAMES, TRAJECTORY_HEADER, _row, build_parser, main,
                            run_scenario)
-from canonflow.errors import NotNormalized
+from canonflow.errors import NotNormalized, ScenarioError
+from canonflow.flowcore import CLOSED_FORMS, GeneratorSpec
 from canonflow.gridspace import (GaussianState, Grid, WaveFunction, expectation,
                                  wavefunction_to_csv)
 from canonflow.hamiltonians import QuadraticHamiltonian
@@ -723,6 +724,22 @@ class TestColdStart:
         assert SUITE_NAMES == tuple(verify.SUITES)
         args = build_parser().parse_args(["verify", "--suite", *verify.SUITES])
         assert args.suite == list(verify.SUITES)
+
+    def test_unknown_suite_is_value_error(self):
+        with pytest.raises(ValueError, match="unknown suite"):
+            verify.run_suites(["nope"])
+
+    @pytest.mark.parametrize("command,rest", [("flow", ["--x", "1.0"]), ("metric", [])])
+    def test_generator_choices_are_the_closed_forms(self, command, rest):
+        for kind in CLOSED_FORMS:
+            args = build_parser().parse_args([command, "--f", kind.replace("_", "-"),
+                                              "--eps", "0.1", *rest])
+            assert cli._generator_arg(args) == CLOSED_FORMS[kind](lambda key: 1.0)
+
+    def test_only_exp_decay_requires_a_rate(self):
+        assert cli._build_generator({"type": "quadratic"}, "g") == GeneratorSpec.quadratic()
+        with pytest.raises(ScenarioError, match="'rate'"):
+            cli._build_generator({"type": "exp_decay"}, "g")
 
 
 CSV_HASHES = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),

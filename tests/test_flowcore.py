@@ -209,6 +209,45 @@ class TestDomains:
         with pytest.raises(ValueError):
             GeneratorSpec.exp_decay(-1.0)
 
+    @pytest.mark.parametrize("gen,eps,want", [
+        (LIN, 0.7, (-np.inf, np.inf)), (LIN, -0.7, (-np.inf, np.inf)),
+        (QUAD, 0.5, (-np.inf, 2.0)), (QUAD, -0.5, (-2.0, np.inf)),
+        (QUAD, 0.0, (-np.inf, np.inf)),
+        (GeneratorSpec.exp_decay(2.0), -0.25, (np.log(0.5) / 2.0, np.inf)),
+        (EXP1, 0.4, (-np.inf, np.inf)), (EXP1, 0.0, (-np.inf, np.inf)),
+        (GeneratorSpec.custom(np.cos, domain=(-1.0, 1.5)), 0.3, (-1.0, 1.5)),
+        (GeneratorSpec.custom(np.cos, domain=(-1.0, 1.5)), -0.3, (-1.0, 1.5)),
+    ], ids=["linear+", "linear-", "quadratic+", "quadratic-", "quadratic0",
+            "exp_decay-", "exp_decay+", "exp_decay0", "custom+", "custom-"])
+    def test_flow_domain_is_where_the_closed_flow_exists(self, gen, eps, want):
+        lo, hi = gen.flow_domain(eps)
+        assert (lo, hi) == pytest.approx(want, rel=1e-15)
+        if gen.kind == "custom":
+            return
+        # just inside each finite end the closed flow is defined; just
+        # outside it raises
+        for end, inward in ((lo, 1.0), (hi, -1.0)):
+            if np.isfinite(end):
+                step = 1e-9 * inward
+                assert np.isfinite(flow_map(gen, eps, end + step))
+                with pytest.raises(DomainBlowup):
+                    flow_map(gen, eps, end - step)
+
+    def test_derivative_stencil_stays_inside_a_finite_domain(self):
+        seen = []
+
+        def f(t):
+            seen.append(t)
+            return np.sqrt(t)
+
+        gen = GeneratorSpec.custom(f, domain=(1.0, 2.0))
+        x = np.linspace(1.0, 2.0, 101)
+        # measured 1.0e-11 and 1.5e-8, the one-sided ends the worst
+        assert np.max(np.abs(gen.df(x) - 0.5 / np.sqrt(x))) < 1e-10
+        assert np.max(np.abs(gen.d2f(x) + 0.25 * x ** -1.5)) < 1e-7
+        points = np.concatenate([np.ravel(t) for t in seen])
+        assert points.min() >= 1.0 and points.max() <= 2.0
+
 
 class TestBracketGenerator:
     @staticmethod

@@ -241,6 +241,20 @@ class TestPointUnitary:
         with pytest.raises(SupportLeakage):
             apply_point_unitary(EXP1, -0.4, psi)
 
+    def test_mass_outside_the_read_window_raises_support_leakage(self):
+        # e^(-ln 4) x reads only |x| <= 2.5 of a state that decays at the
+        # edge but holds about 4e-4 of its mass beyond
+        psi = GaussianState(a=1.0).to_wavefunction(Grid.from_interval(-10.0, 10.0, 256))
+        with pytest.raises(SupportLeakage, match="outside the window"):
+            apply_point_unitary(LIN, -np.log(4.0), psi)
+
+    def test_transformed_support_at_the_edge_raises_support_leakage(self):
+        # e^(-ln 2) x loses only the mass beyond |x| = 5 (about 1e-12), but
+        # carries the amplitude at |x| = 5 (about 4e-6) to the grid edge
+        psi = GaussianState(a=1.0).to_wavefunction(Grid.from_interval(-10.0, 10.0, 256))
+        with pytest.raises(SupportLeakage, match="reaches the grid edge"):
+            apply_point_unitary(LIN, -np.log(2.0), psi, leak_tol=1e-6)
+
     def test_support_leakage_raised(self):
         # expanding transform pushes the support past the grid edge
         psi = GaussianState(a=0.6).to_wavefunction(Grid.from_interval(-8, 8, 256))

@@ -396,6 +396,7 @@ class TestProfiles:
 SQRT_1_X2 = GeneratorSpec.custom(lambda t: np.sqrt(1.0 + t * t),
                                   dfunc=lambda t: t / np.sqrt(1.0 + t * t),
                                   name="sqrt(1+x^2)")
+SQRT_1_X2_NO_DFUNC = dataclasses.replace(SQRT_1_X2, dfunc=None)
 
 
 class TestGeneralTransform:
@@ -422,10 +423,15 @@ class TestGeneralTransform:
             want = apply_momentum(v, grid, 2) / (2.0 * m) + np.cos(grid.x) * v
             assert np.max(np.abs(h(v) - want)) < 1e-14
 
+    # worst residuals measured 1.1e-12, 7.2e-13, 3.1e-11, and without dfunc
+    # (f' by the five-point stencil) 3.4e-11 and 8.7e-11: margins 8.8x to 14x
     @pytest.mark.parametrize("gen,eps,tol", [(GeneratorSpec.linear(), 0.3, 1e-11),
                                              (SQRT_1_X2, 0.3, 1e-11),
-                                             (SQRT_1_X2, -0.5, 3e-10)],
-                             ids=["x-0.3", "sqrt-0.3", "sqrt--0.5"])
+                                             (SQRT_1_X2, -0.5, 3e-10),
+                                             (SQRT_1_X2_NO_DFUNC, 0.3, 3e-10),
+                                             (SQRT_1_X2_NO_DFUNC, -0.5, 1e-9)],
+                             ids=["x-0.3", "sqrt-0.3", "sqrt--0.5",
+                                  "sqrt-no-dfunc-0.3", "sqrt-no-dfunc--0.5"])
     def test_conjugation_identity_with_potential(self, gen, eps, tol):
         # U (p^2/2 + V) U^dag psi = H_g psi + V(phi_eps) psi, the right side
         # staged through the point unitary; V at phi_(-eps) is the control

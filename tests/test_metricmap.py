@@ -49,6 +49,12 @@ class TestMetricFromGenerator:
         metric = metric_from_generator(LIN, 0.3)
         assert np.allclose(metric.g(np.linspace(-2, 2, 5)), np.exp(0.6), rtol=1e-13)
 
+    @pytest.mark.parametrize("gen,eps", [(QUAD, 0.2), (QUAD, -0.2), (EXP1, -0.4),
+                                         (GeneratorSpec.custom(np.cosh, domain=(-3.0, 2.0)),
+                                          0.1)])
+    def test_domain_is_the_flow_domain(self, gen, eps):
+        assert metric_from_generator(gen, eps).domain == gen.flow_domain(eps)
+
 
 def gaussian_probes(grid, specs):
     return [GaussianState(a=a, center=c, momentum=p).to_wavefunction(grid).values
@@ -281,6 +287,12 @@ class TestEquivalence:
         psi = GaussianState(a=0.5, momentum=0.25).to_wavefunction(grid)
         rep = verify_metric_equivalence(LIN, 0.0, psi, 0.5, dt=2e-4)
         assert rep.fidelity > 1.0 - 1e-10
+
+    @pytest.mark.parametrize("dt", [0.0, -1e-3])
+    def test_step_not_positive_is_value_error(self, dt):
+        psi = GaussianState(a=1.0).to_wavefunction(Grid.from_interval(-10.0, 10.0, 256))
+        with pytest.raises(ValueError):
+            verify_metric_equivalence(LIN, 0.3, psi, 1.0, dt=dt)
 
     def test_expdecay_equivalence(self):
         grid = Grid.from_interval(-4.0, 20.0, 2048)

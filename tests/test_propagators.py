@@ -27,7 +27,8 @@ from canonflow.propagators import (ExactSolvablePropagator, HermiteBasis,
                                    exact_solvable_propagate, free_propagate,
                                    gaussian_exact_propagate,
                                    gaussian_oscillator_evolve,
-                                   oscillator_spectrum, split_step_propagate)
+                                   oscillator_spectrum, split_step_propagate,
+                                   uniform_time_grid)
 
 GRID = Grid.from_interval(-12.0, 12.0, 2048)
 CK = SolvableFamily.caldirola_kanai(gamma=0.2, omega0=np.sqrt(1.01))
@@ -209,8 +210,10 @@ class TestSplitStep:
         with pytest.raises(ValueError):
             ExactSolvablePropagator(CK, psi).trajectory(t, stride)
 
-    @pytest.mark.parametrize("t_grid", [[0.0], [[0.0, 0.1]], [0.0, 0.1, 0.3]],
-                             ids=["one-point", "two-dimensional", "non-uniform"])
+    @pytest.mark.parametrize("t_grid", [[0.0], [[0.0, 0.1]], [0.0, 0.1, 0.3],
+                                        [0.0, 0.0], [0.0, np.inf], [0.0, np.nan]],
+                             ids=["one-point", "two-dimensional", "non-uniform",
+                                  "zero-step", "infinite", "nan"])
     def test_time_grid_a_stepped_run_refuses_is_value_error(self, t_grid):
         # the chain keeps the times a stepped run over t_grid would keep, so
         # it refuses the grids a stepped run refuses
@@ -219,7 +222,19 @@ class TestSplitStep:
             split_step_propagate(TimeProfile.constant(1.0),
                                  TimeProfile.constant(1.0), psi, t_grid)
         with pytest.raises(ValueError):
+            crank_nicolson_curved(MetricProfile.constant(1.0), 1.0, psi, t_grid)
+        with pytest.raises(ValueError):
             ExactSolvablePropagator(CK, psi).trajectory(t_grid)
+
+    @pytest.mark.parametrize("dt", [0.0, -1e-3, np.inf, np.nan])
+    def test_uniform_time_grid_refuses_a_step_not_positive_and_finite(self, dt):
+        with pytest.raises(ValueError):
+            uniform_time_grid(1.0, dt)
+
+    def test_uniform_time_grid_rounds_the_step_count(self):
+        assert np.array_equal(uniform_time_grid(1.0, 0.3), np.linspace(0.0, 1.0, 4))
+        assert np.array_equal(uniform_time_grid(0.1, 1.0), [0.0, 0.1])
+        assert np.array_equal(uniform_time_grid(-1.0, 0.25), np.linspace(0.0, -1.0, 5))
 
     def test_stride_past_the_last_step_keeps_both_ends(self):
         # a stride past the int64 range still indexes the time grid
@@ -489,6 +504,14 @@ class TestExactChain:
                                     psi, np.linspace(0.0, 5.0, 5001))
         assert exact.fidelity(traj.final) > 1.0 - 1e-6
         assert abs(exact.norm() - 1.0) < 1e-8
+
+    def test_dilated_initial_frame_needs_a_decaying_state(self):
+        # static mass 2 puts eps(0) = ln(2)/2 != 0, so the chain resamples
+        # psi0 dilated, which a state that reaches the grid edge refuses
+        psi = GaussianState(a=0.02).to_wavefunction(Grid.from_interval(-8.0, 8.0, 256))
+        assert not psi.edge_decay_ok()
+        with pytest.raises(SupportLeakage, match="initial state"):
+            ExactSolvablePropagator(CK, psi, static_mass=2.0)
 
     def test_gauge_independence(self):
         psi = GaussianState(a=1.0, center=1.0).to_wavefunction(GRID)
