@@ -7,9 +7,9 @@ docstrings and elided ``pass`` statements are not listed), and as executed
 when a line event fired on one of them; a compound statement's own lines are
 its header, up to its first nested statement.  One line is printed per
 unexecuted statement, ``module.py:line  source``, then a count; the exit
-code is pytest's.  Code reached only inside a subprocess (the CLI tests that
-start ``python -m canonflow``) is not traced and is listed.  Extra arguments
-go to pytest:
+code is pytest's.  Code reached only inside a subprocess (the tests'
+``python -c`` cold-start scripts and their runs of ``scripts/csv_hashes.py``)
+is not traced and is listed.  Extra arguments go to pytest:
 
     OPENBLAS_NUM_THREADS=1 python3 scripts/unexecuted.py [PYTEST ARGS]
 

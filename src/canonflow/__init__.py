@@ -17,8 +17,7 @@ from .errors import (
     FixedPointInInterval, ScenarioError,
 )
 from .flowcore import (
-    GeneratorSpec, FlowEvaluation, flow_evaluate, flow_map, flow_jacobian,
-    conjugation_factor, bracket_generator,
+    GeneratorSpec, FlowEvaluation, flow_evaluate, bracket_generator,
 )
 from .gridspace import (
     Grid, WaveFunction, GaussianState, apply_point_unitary,
@@ -32,7 +31,7 @@ from .hamiltonians import (
 )
 from .propagators import (
     HermiteBasis, StepperReport, Trajectory, split_step_propagate,
-    free_propagate, exact_solvable_propagate, ExactSolvablePropagator,
+    free_propagate, ExactSolvablePropagator,
     gaussian_exact_propagate, gaussian_oscillator_evolve,
     crank_nicolson_curved, apply_curved_kinetic, quadratic_hamiltonian_matrix,
     oscillator_spectrum,

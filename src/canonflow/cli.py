@@ -9,9 +9,11 @@ propagate   run a scenario file (split-step, exact chain, or Crank-Nicolson)
 metric      metric from a generator, or generator recovered from a metric
 verify      run the bundled verification suites
 
-Exit codes: 0 success, 1 failed verification checks, 2 domain errors (with a
-machine-readable error JSON on stdout), 64 usage, scenario-schema or
-invalid-argument errors (the latter two with the same error JSON).
+Exit codes: 0 success, 1 failed verification checks, 2 domain errors, 64
+usage, scenario-schema or invalid-argument errors (such as a number that is not
+finite); all but usage errors print a machine-readable error JSON on stdout.
+A result of ``flow``, ``transform``, ``solvable`` or ``metric`` that overflows
+is a domain error (``OverflowError``).
 The environment variable CANONFLOW_OUT overrides the output directory of
 ``propagate``.  Trajectory CSVs are byte-stable for identical inputs.
 """
@@ -62,6 +64,22 @@ class _Parser(argparse.ArgumentParser):
 def _fmt(x):
     """Full-precision, locale-free decimal text (byte-stable)."""
     return format(float(x), ".17g")
+
+
+def _finite(*values):
+    """Refuse an argument-level result that is not finite: it overflowed.  The
+    argument-level subcommands run with numpy's warnings off and check this."""
+    if not all(np.all(np.isfinite(v)) for v in values):
+        raise OverflowError("the result is not finite")
+
+
+def _print_csv(header, *columns):
+    """Print the columns of an argument-level result as CSV, once all are finite."""
+    _finite(*columns)
+    print(header)
+    for row in zip(*columns):
+        print(",".join(map(_fmt, row)))
+    return 0
 
 
 # -- scenario ingestion ---------------------------------------------------------
@@ -346,9 +364,11 @@ def _generator_arg(args):
                              "rate": args.rate}, "--f")
 
 
+@np.errstate(all="ignore")
 def _cmd_flow(args):
     xs = np.asarray(args.x, dtype=float)
     ev = flow_evaluate(_generator_arg(args), args.eps, xs)
+    _finite(ev.x_out, *(ev.jacobian, ev.f2) if args.all else ())
     if args.all:
         out = [{"x": float(xi), "x_out": float(o), "jacobian": float(j),
                 "weight": float(w)}
@@ -362,16 +382,19 @@ def _cmd_flow(args):
     return 0
 
 
+@np.errstate(all="ignore")
 def _cmd_transform(args):
     ham = QuadraticHamiltonian(args.a, args.b, args.c)
     if args.op == "dilation":
         out = dilation_transform(ham, args.eps, args.deps)
     else:
         out = quadratic_phase_transform(ham, args.chi, args.dchi)
+    _finite(out.a, out.b, out.c)
     print(json.dumps({"a": float(out.a), "b": float(out.b), "c": float(out.c)}))
     return 0
 
 
+@np.errstate(all="ignore")
 def _cmd_solvable(args):
     family = SolvableFamily(m0=args.m0, mu=args.mu, nu=args.nu,
                             alpha=args.alpha, Omega0=args.Omega0)
@@ -380,27 +403,18 @@ def _cmd_solvable(args):
     columns = (ts, *family.mass_with_derivatives(ts),
                omega_from_mass(mass, family.Omega0, ts),
                effective_frequency(mass, family.frequency_profile(), ts))
-    print("t,m,dm,ddm,omega,Omega")
-    for row in zip(*columns):
-        print(",".join(_fmt(v) for v in row))
-    return 0
+    return _print_csv("t,m,dm,ddm,omega,Omega", *columns)
 
 
+@np.errstate(all="ignore")
 def _cmd_metric(args):
     metric = metric_from_generator(_generator_arg(args), args.eps)
     xs = np.linspace(args.xmin, args.xmax, args.samples)
-    if args.invert:
-        rec = generator_from_metric(metric, args.eps, anchor=args.anchor,
-                                    working_interval=(args.xmin, args.xmax))
-        print("x,phi,f")
-        for xi in xs:
-            print(f"{_fmt(xi)},{_fmt(rec.flow(xi))},{_fmt(rec.generator.f(xi))}")
-        return 0
-    gs = metric.g(xs)
-    print("x,g")
-    for xi, gi in zip(xs, gs):
-        print(f"{_fmt(xi)},{_fmt(gi)}")
-    return 0
+    if not args.invert:
+        return _print_csv("x,g", xs, metric.check_positive(xs))
+    rec = generator_from_metric(metric, args.eps, anchor=args.anchor,
+                                working_interval=(args.xmin, args.xmax))
+    return _print_csv("x,phi,f", xs, rec.flow(xs), rec.generator.f(xs))
 
 
 def _cmd_propagate(args):
@@ -490,6 +504,9 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for key, val in vars(args).items():
+            if not all(np.isfinite(v) for v in np.ravel(val) if isinstance(v, float)):
+                raise ValueError(f"--{key.replace('_', '-')}: must be finite")
         return args.func(args)
     except CanonflowError as exc:
         code = 64 if isinstance(exc, ScenarioError) else 2
@@ -499,6 +516,8 @@ def main(argv=None):
     except ValueError as exc:
         # an argument value the library rejects, e.g. an empty interval
         code, error = 64, {"kind": "ValueError", "message": str(exc)}
+    except OverflowError as exc:
+        code, error = 2, {"kind": "OverflowError", "message": str(exc)}
     print(json.dumps({"error": error}))
     return code
 

@@ -19,7 +19,7 @@ class CanonflowError(Exception):
 
 
 class DomainBlowup(CanonflowError):
-    """The flow left its validity domain (finite-parameter escape)."""
+    """A flow left its validity domain, or a metric was sampled outside its own."""
 
 
 class StepFailure(CanonflowError):

@@ -308,23 +308,6 @@ def flow_evaluate(gen, eps, x, *, method="auto", rtol=FLOW_RTOL,
     return FlowEvaluation(phi, jac, w)
 
 
-def flow_map(gen, eps, x, **kw):
-    """phi_eps(x): the transformed position."""
-    kw.setdefault("with_jacobian", False)
-    return flow_evaluate(gen, eps, x, **kw).x_out
-
-
-def flow_jacobian(gen, eps, x, **kw):
-    """d(phi_eps)/dx > 0: the half-density weight of the point unitary is its square root."""
-    return flow_evaluate(gen, eps, x, **kw).jacobian
-
-
-def conjugation_factor(gen, eps, x, **kw):
-    """w(x) = f(x)/f(phi_eps(x)): the weight in the transformed momentum sqrt(w) p sqrt(w)."""
-    kw.setdefault("with_jacobian", False)
-    return flow_evaluate(gen, eps, x, **kw).f2
-
-
 def bracket_generator(f1, f2):
     """Generator h of the anticommutator form produced by a commutator.
 

@@ -34,7 +34,7 @@ import numpy as np
 # this module (and with it the CLI) loads numpy only.
 
 from .errors import (FixedPointInInterval, NonMonotoneFlow, SingularMetric)
-from .flowcore import GeneratorSpec, flow_evaluate
+from .flowcore import GeneratorSpec, _check, flow_evaluate
 from .gridspace import WaveFunction, apply_point_unitary, apply_weighted_kinetic
 from .propagators import crank_nicolson_curved, free_propagate, uniform_time_grid
 
@@ -85,6 +85,11 @@ class MetricProfile:
                    domain=(float(x[0]), float(x[-1])), name=name)
 
     def check_positive(self, x):
+        """g(x), the one way a metric is sampled: DomainBlowup at a point outside
+        ``domain`` (no extrapolation), SingularMetric where g is not positive and finite."""
+        x = np.asarray(x, dtype=float)
+        lo, hi = self.domain
+        _check((x >= lo) & (x <= hi), f"metric sampled outside its domain [{lo:g}, {hi:g}]")
         vals = np.asarray(self.g(x), dtype=float)
         if np.any(vals <= 0) or np.any(~np.isfinite(vals)):
             raise SingularMetric("metric must be positive and finite")
@@ -166,9 +171,6 @@ class ReconstructedGenerator:
 
     generator: GeneratorSpec
     flow: FlowTable
-    eps: float
-    anchor: float
-    seed_value: float          # phi(anchor)
 
 
 def _extend_domain(working, metric_domain):
@@ -238,8 +240,7 @@ def generator_from_metric(metric, eps, anchor, working_interval):
 
     flow = FlowTable(sqrt_g, c_val - p_anchor)
     gen = _abel_generator(flow, eps, anchor, (lo, hi), (elo, ehi))
-    return ReconstructedGenerator(generator=gen, flow=flow, eps=eps,
-                                  anchor=anchor, seed_value=float(c_val))
+    return ReconstructedGenerator(generator=gen, flow=flow)
 
 
 def _log_seed(flow, anchor, eps):

@@ -183,7 +183,7 @@ class HermiteBasis:
         self.length_scale = 1.0 / np.sqrt(self.m0 * self.omega0)
         self.scales = np.sqrt([math.factorial(n) / 2.0 ** n for n in range(self.size)])
 
-    functions = cached_property(lambda self: self.at(self.grid.x))
+    functions = cached_property(lambda self: self.monic(self.grid.x) / self.scales[:, None])
 
     def monic(self, points):
         """The rows g_n = s_n phi_n at arbitrary points, shape (size, len(points))."""
@@ -198,10 +198,6 @@ class HermiteBasis:
             row = np.multiply(xi, rows[n], out=rows[n + 1])
             row -= np.multiply(0.5 * n, rows[n - 1], out=scratch)
         return g
-
-    def at(self, points):
-        """The basis phi_n at arbitrary points, shape (size, len(points))."""
-        return self.monic(points) / self.scales[:, None]
 
     def energies(self):
         return (np.arange(self.size) + 0.5) * self.omega0
@@ -360,7 +356,7 @@ class ExactSolvablePropagator:
     grid's values are gathered.  One recurrence covers round(n/u) stored
     times for u distinct |x|, so it spans about n points: 2 times on a
     mirrored grid, 1 on a grid without mirror points.  The projection of
-    psi0 reads the same folded rows.
+    psi0 reads the same folded rows.  The states do not depend on the gauge ``static_mass``.
     """
 
     def __init__(self, family, psi0, *, static_mass=None):
@@ -441,15 +437,6 @@ class ExactSolvablePropagator:
         states = self(times)
         return Trajectory(times, states, StepperReport(
             steps=len(times) - 1, wall_time_s=time.perf_counter() - wall0))
-
-
-def exact_solvable_propagate(family, psi0, t, *, static_mass=None):
-    """psi(t) for the time-dependent oscillator (m(t), w) of a solvable family.
-
-    Results are independent of the ``static_mass`` gauge choice (tested);
-    the default m0 = m(0) makes the t = 0 dilation the identity.
-    """
-    return ExactSolvablePropagator(family, psi0, static_mass=static_mass)(t)
 
 
 # -- closed-form Gaussian transport ---------------------------------------------
@@ -563,7 +550,7 @@ def crank_nicolson_curved(metric, m, psi0, t_grid, *, stride=None):
     if not np.all(np.isfinite(psi0.values)):
         raise LinearSolveFailure("Crank-Nicolson initial state has non-finite values")
     grid = psi0.grid
-    diagonals = curved_kinetic_diagonals(metric.g(grid.x), float(m), grid.dx)
+    diagonals = curved_kinetic_diagonals(metric.check_positive(grid.x), float(m), grid.dx)
     main, off = diagonals
     quarter = 0.25j * dt
     *lu, info = zgttrf(quarter * off, 0.5 + quarter * main, quarter * off)

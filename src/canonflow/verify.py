@@ -102,35 +102,34 @@ def suite_closed_forms():
     exp1 = GeneratorSpec.exp_decay(1.0)
 
     checks.append(_check("linear_position_rule",
-                         abs(flowcore.flow_map(lin, 0.5, 2.0) - 2.0 * np.exp(0.5)),
+                         abs(flow_evaluate(lin, 0.5, 2.0).x_out - 2.0 * np.exp(0.5)),
                          1e-12, "x' = e^eps x"))
     checks.append(_check("linear_momentum_weight",
-                         abs(flowcore.conjugation_factor(lin, 0.5, 1.3)
-                             - np.exp(-0.5)), 1e-12, "w = e^-eps"))
+                         abs(flow_evaluate(lin, 0.5, 1.3).f2 - np.exp(-0.5)),
+                         1e-12, "w = e^-eps"))
     checks.append(_check("quadratic_position_rule",
-                         abs(flowcore.flow_map(quad, 0.25, 2.0) - 4.0), 1e-12,
+                         abs(flow_evaluate(quad, 0.25, 2.0).x_out - 4.0), 1e-12,
                          "x' = x / (1 - eps x)"))
     checks.append(_check("quadratic_momentum_weight",
-                         abs(flowcore.conjugation_factor(quad, 0.25, 2.0) - 0.25),
+                         abs(flow_evaluate(quad, 0.25, 2.0).f2 - 0.25),
                          1e-12, "w = (1 - eps x)^2"))
     checks.append(_check("expdecay_position_rule",
-                         abs(flowcore.flow_map(exp1, 0.5, 0.0) - np.log(1.5)),
+                         abs(flow_evaluate(exp1, 0.5, 0.0).x_out - np.log(1.5)),
                          1e-12, "x' = ln(e^x + eps)"))
 
     # flow-derived momentum weight, cross-checked against the adaptive flow
     xs = np.linspace(-1.5, 2.5, 9)
-    w_closed = flowcore.conjugation_factor(exp1, 0.4, xs)
+    closed = flow_evaluate(exp1, 0.4, xs)
     w_flow = flow_evaluate(GeneratorSpec.custom(exp1.f), 0.4, xs).f2
     checks.append(_check("expdecay_momentum_weight_flow_derived",
-                         np.max(np.abs(w_closed - w_flow)), 1e-8,
+                         np.max(np.abs(closed.f2 - w_flow)), 1e-8,
                          "w = 1 + eps lam e^(-lam x), against the adaptive flow"))
 
     # The e^(+lam x) variant of that weight does not satisfy w * phi' = 1;
     # the discrepancy is documented, not resolved.
     w_variant = 1.0 + 0.4 * np.exp(xs)
-    jac = flow_evaluate(exp1, 0.4, xs).jacobian
-    dev_variant = float(np.max(np.abs(w_variant * jac - 1.0)))
-    dev_flow = float(np.max(np.abs(w_closed * jac - 1.0)))
+    dev_variant = float(np.max(np.abs(w_variant * closed.jacobian - 1.0)))
+    dev_flow = float(np.max(np.abs(closed.f2 * closed.jacobian - 1.0)))
     checks.append(Check(
         name="expdecay_momentum_weight_variant_documented",
         passed=True, residual=dev_variant, tolerance=float("nan"),
@@ -142,7 +141,7 @@ def suite_closed_forms():
 
     # domain conditions are enforced, not clamped
     try:
-        flowcore.flow_map(quad, 0.5, 3.0)
+        flow_evaluate(quad, 0.5, 3.0)
         checks.append(Check("quadratic_domain_enforced", False, 1.0, 0.0,
                             detail="finite-parameter escape not detected"))
     except flowcore.DomainBlowup:
@@ -335,7 +334,7 @@ def suite_metric_inverse():
     ev = flow_evaluate(rec.generator, 0.4, sample, with_jacobian=False,
                        rtol=1e-12, atol=1e-14)
     g_rt = np.asarray(ev.f2) ** -2.0
-    g_ref = metric.g(sample)
+    g_ref = metric.check_positive(sample)
     checks.append(_check("metric_round_trip_sup",
                          float(np.max(np.abs(g_rt - g_ref) / g_ref)), 1e-6,
                          "adaptive flow of the reconstructed generator"))

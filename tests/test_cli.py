@@ -309,6 +309,33 @@ class TestErrorPaths:
         indices = error["detail"]["indices"]
         assert isinstance(indices, list) and indices
 
+    # a csv metric is a table on [x_0, x_last]: a grid past it was run on the
+    # spline's cubic extrapolation, and where that went negative the error
+    # named the metric's sign rather than its domain
+    @pytest.mark.parametrize("table_end,g,outcome", [
+        (8.0, lambda x: 1.0 + 0.1 * x * x, (0, None)),
+        (2.0, lambda x: 1.0 + 0.1 * x * x, (2, "DomainBlowup")),
+        (2.0, lambda x: 1.0 + 0.5 * np.exp(-x * x), (2, "DomainBlowup"))],
+        ids=["covers-grid", "quadratic-past-table", "gaussian-past-table"])
+    def test_csv_metric_is_read_inside_its_table(self, table_end, g, outcome,
+                                                  tmp_path, capsys):
+        xs = np.linspace(-table_end, table_end, 81)
+        np.savetxt(tmp_path / "g.csv", np.column_stack([xs, g(xs)]), delimiter=",",
+                   header="x,g", comments="")
+        scenario = {
+            "system": {"kind": "curved", "mass": 1.0,
+                       "metric": {"type": "csv", "path": str(tmp_path / "g.csv")}},
+            "initial_state": {"kind": "gaussian", "width_re": 1.0},
+            "grid": {"xmin": -8.0, "xmax": 8.0, "n": 128},
+            "propagator": {"method": "crank_nicolson", "dt": 0.01, "t_final": 0.1},
+            "outputs": {"directory": str(tmp_path / "out"), "formats": ["csv"]},
+        }
+        path = tmp_path / "csv_metric.json"
+        path.write_text(json.dumps(scenario))
+        code, out = invoke(capsys, "propagate", str(path))
+        kind = json.loads(out)["error"]["kind"] if code else None
+        assert (code, kind) == outcome
+
     def test_schema_error_exits_64(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text(json.dumps({"system": {}}))
@@ -575,6 +602,59 @@ def test_scenario_fuzz_exits_cleanly(scenario):
     assert ("error" in report) == (code != 0)
 
 
+# The argument-level subcommands, each with its float options; every option
+# takes a value from one pool of extreme values, a negative one written as
+# --eps=-1e300 so that argparse does not read it as an option.
+ARG_POOL = ("0", "1", "-2.5", "1e-300", "800", "-800", "1e300", "-1e300",
+            "nan", "inf", "-inf")
+ARG_COMMANDS = {
+    "flow": (["--f", "linear"], ["--f", "quadratic"], ["--f", "exp-decay"],
+             ["--f", "linear", "--all"], ["--f", "exp-decay", "--all"]),
+    "transform": (["--op", "dilation"], ["--op", "phase"]),
+    "solvable": ([],),
+    "metric": (["--f", "linear"], ["--f", "quadratic"], ["--f", "exp-decay"]),
+}
+ARG_OPTIONS = {"flow": ("--rate", "--eps", "--x"),
+               "transform": ("--a", "--b", "--c", "--eps", "--deps", "--chi", "--dchi"),
+               "solvable": ("--m0", "--mu", "--nu", "--alpha", "--Omega0", "--t-max"),
+               "metric": ("--rate", "--eps", "--xmin", "--xmax")}
+ARG_DEFAULTS = {"--eps": "0.3", "--x": "1", "--a": "1", "--b": "1", "--m0": "1",
+                "--mu": "1", "--nu": "0", "--alpha": "0.1", "--Omega0": "1"}
+
+
+@st.composite
+def fuzzed_arguments(draw):
+    command = draw(st.sampled_from(sorted(ARG_COMMANDS)))
+    argv = [command] + list(draw(st.sampled_from(ARG_COMMANDS[command])))
+    values = dict.fromkeys(ARG_OPTIONS[command])
+    for option in draw(st.lists(st.sampled_from(ARG_OPTIONS[command]),
+                                min_size=1, max_size=3)):
+        values[option] = draw(st.sampled_from(ARG_POOL))
+    for option, value in values.items():
+        value = value if value is not None else ARG_DEFAULTS.get(option)
+        if value is not None:
+            argv.append(f"{option}={value}")
+    return argv
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(argv=fuzzed_arguments())
+def test_argument_fuzz_exits_cleanly(argv):
+    # a non-finite argument is exit 64 and an overflowing result exit 2, each
+    # with an error JSON; a numpy warning raises, so it cannot reach stderr
+    out, err = io.StringIO(), io.StringIO()
+    with (warnings.catch_warnings(), contextlib.redirect_stdout(out),
+          contextlib.redirect_stderr(err)):
+        warnings.simplefilter("error")
+        code = main(argv)
+    assert err.getvalue() == ""
+    assert code in (0, 2, 64)
+    if code:
+        assert "error" in json.loads(out.getvalue())
+    else:
+        assert not any(word in out.getvalue().lower() for word in ("nan", "inf"))
+
+
 # The stored row written from its definition, as the oracle of the row
 # below.  The position density re^2 + im^2 and the momentum density
 # (dx/n) |fft(v)|^2 of the stored state itself (no normalized copy) are
@@ -640,7 +720,7 @@ def test_stored_row_is_bit_identical_to_the_expectation_row(
     # the chain's frames: the basis at dilated points, and on the grid
     basis = HermiteBasis(40, m, w, grid)
     points = np.exp(-eps) * grid.x
-    assert np.array_equal(basis.at(points), oracle_monic_hermite(40, m, w, points))
+    assert np.array_equal(basis.monic(points) / basis.scales[:, None], oracle_monic_hermite(40, m, w, points))
     assert np.array_equal(basis.functions, oracle_monic_hermite(40, m, w, grid.x))
 
 

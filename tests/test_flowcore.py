@@ -6,9 +6,7 @@ import sympy as sp
 from hypothesis import given, settings, strategies as st
 
 from canonflow.errors import DomainBlowup
-from canonflow.flowcore import (GeneratorSpec, bracket_generator,
-                                conjugation_factor, flow_evaluate,
-                                flow_jacobian, flow_map)
+from canonflow.flowcore import GeneratorSpec, bracket_generator, flow_evaluate
 
 LIN = GeneratorSpec.linear()
 QUAD = GeneratorSpec.quadratic()
@@ -28,30 +26,33 @@ def custom_twin(kind):
 class TestClosedForms:
     def test_linear_map(self):
         # x' = e^eps x
-        assert flow_map(LIN, 0.5, 2.0) == pytest.approx(3.2974425414002564, abs=1e-12)
+        assert flow_evaluate(LIN, 0.5, 2.0).x_out == pytest.approx(3.2974425414002564,
+                                                          abs=1e-12)
 
     def test_quadratic_map(self):
         # x' = x / (1 - eps x)
-        assert flow_map(QUAD, 0.25, 2.0) == pytest.approx(4.0, abs=1e-12)
+        assert flow_evaluate(QUAD, 0.25, 2.0).x_out == pytest.approx(4.0, abs=1e-12)
 
     def test_expdecay_map(self):
         # x' = ln(e^x + eps) for unit rate
-        assert flow_map(EXP1, 0.5, 0.0) == pytest.approx(0.4054651081081644, abs=1e-12)
+        assert flow_evaluate(EXP1, 0.5, 0.0).x_out == pytest.approx(0.4054651081081644,
+                                                           abs=1e-12)
 
     @pytest.mark.parametrize("gen,x", [(LIN, 1.3), (QUAD, -0.7), (EXP1, 0.4)])
     def test_zero_parameter_is_identity(self, gen, x):
-        assert flow_map(gen, 0.0, x) == x
-        assert flow_jacobian(gen, 0.0, x) == pytest.approx(1.0, abs=1e-15)
+        ev = flow_evaluate(gen, 0.0, x)
+        assert ev.x_out == x
+        assert ev.jacobian == pytest.approx(1.0, abs=1e-15)
 
     def test_linear_weight(self):
         # w = e^-eps, independent of x
         for x in (-2.0, 0.0, 1.7):
-            assert conjugation_factor(LIN, 0.5, x) == pytest.approx(
+            assert flow_evaluate(LIN, 0.5, x).f2 == pytest.approx(
                 0.6065306597126334, abs=1e-12)
 
     def test_quadratic_weight(self):
         # w = (1 - eps x)^2
-        assert conjugation_factor(QUAD, 0.25, 2.0) == pytest.approx(0.25, abs=1e-12)
+        assert flow_evaluate(QUAD, 0.25, 2.0).f2 == pytest.approx(0.25, abs=1e-12)
 
     def test_expdecay_weight_matches_flow_oracle(self):
         # oracle: w = f(x)/f(phi) with phi integrated independently
@@ -61,17 +62,18 @@ class TestClosedForms:
         phi = sol.y[0, -1]
         oracle = np.exp(-0.0) / np.exp(-phi)
         assert oracle == pytest.approx(1.5, abs=1e-9)
-        assert conjugation_factor(EXP1, 0.5, 0.0) == pytest.approx(1.5, abs=1e-12)
+        assert flow_evaluate(EXP1, 0.5, 0.0).f2 == pytest.approx(1.5, abs=1e-12)
 
     def test_linear_jacobian(self):
-        assert flow_jacobian(LIN, 0.5, 1.0) == pytest.approx(
+        assert flow_evaluate(LIN, 0.5, 1.0).jacobian == pytest.approx(
             1.6487212707001282, abs=1e-12)
 
     def test_quadratic_jacobian_finite_difference_oracle(self):
         h = 1e-6
-        fd = (flow_map(QUAD, 0.25, 2.0 + h) - flow_map(QUAD, 0.25, 2.0 - h)) / (2 * h)
+        fd = (flow_evaluate(QUAD, 0.25, 2.0 + h).x_out
+              - flow_evaluate(QUAD, 0.25, 2.0 - h).x_out) / (2 * h)
         assert fd == pytest.approx(4.0, abs=1e-6)
-        assert flow_jacobian(QUAD, 0.25, 2.0) == pytest.approx(4.0, abs=1e-12)
+        assert flow_evaluate(QUAD, 0.25, 2.0).jacobian == pytest.approx(4.0, abs=1e-12)
 
 
 class TestFlowProperties:
@@ -81,22 +83,24 @@ class TestFlowProperties:
         rng = np.random.default_rng(3)
         x = rng.uniform(-1.5, 1.5, 50)
         e1, e2 = 0.12, 0.08
-        once = flow_map(gen, e1 + e2, x)
-        twice = flow_map(gen, e2, flow_map(gen, e1, x))
+        once = flow_evaluate(gen, e1 + e2, x).x_out
+        twice = flow_evaluate(gen, e2, flow_evaluate(gen, e1, x).x_out).x_out
         assert np.max(np.abs(once - twice)) < 1e-9
 
     def test_group_law_custom(self):
         gen = GeneratorSpec.custom(lambda t: np.sin(t) + 1.5, name="sin+1.5")
         rng = np.random.default_rng(4)
         x = rng.uniform(-2.0, 2.0, 20)
-        once = flow_map(gen, 0.5, x)
-        twice = flow_map(gen, 0.3, flow_map(gen, 0.2, x))
+        once = flow_evaluate(gen, 0.5, x, with_jacobian=False).x_out
+        half = flow_evaluate(gen, 0.2, x, with_jacobian=False).x_out
+        twice = flow_evaluate(gen, 0.3, half, with_jacobian=False).x_out
         assert np.max(np.abs(once - twice)) < 1e-7
 
     @pytest.mark.parametrize("gen,eps,x", [(LIN, 0.4, 1.1), (QUAD, 0.2, 1.5),
                                            (EXP1, 0.6, -0.5)])
     def test_inversion(self, gen, eps, x):
-        assert flow_map(gen, -eps, flow_map(gen, eps, x)) == pytest.approx(x, abs=1e-9)
+        there = flow_evaluate(gen, eps, x).x_out
+        assert flow_evaluate(gen, -eps, there).x_out == pytest.approx(x, abs=1e-9)
 
     @pytest.mark.parametrize("kind", ["linear", "quadratic", "exp_decay"])
     def test_canonicality_closed(self, kind):
@@ -126,8 +130,8 @@ class TestFlowProperties:
         if kind == "exp_decay":
             keep = np.exp(x) + eps > 0.1
             x, eps = x[keep], eps[keep]
-        closed = flow_map(gen, eps, x)
-        adaptive = flow_map(custom_twin(kind), eps, x)
+        closed = flow_evaluate(gen, eps, x).x_out
+        adaptive = flow_evaluate(custom_twin(kind), eps, x, with_jacobian=False).x_out
         assert np.max(np.abs(closed - adaptive)) < 1e-8
 
     def test_fixed_point_limits(self):
@@ -156,8 +160,8 @@ def sine_generator(c0, ratio, k):
 def test_group_law_closed_property(kind, a, b, u):
     gen, (lo, hi) = GROUP_LAW_CLOSED[kind]
     x = lo + (hi - lo) * np.asarray(u)
-    once = flow_map(gen, a + b, x)
-    twice = flow_map(gen, b, flow_map(gen, a, x))
+    once = flow_evaluate(gen, a + b, x).x_out
+    twice = flow_evaluate(gen, b, flow_evaluate(gen, a, x).x_out).x_out
     assert np.max(np.abs(once - twice) / (1.0 + np.abs(once))) < 1e-12
 
 
@@ -167,8 +171,9 @@ def test_group_law_closed_property(kind, a, b, u):
 def test_group_law_ode_property(c0, ratio, k, a, b, u):
     gen = sine_generator(c0, ratio, k)
     x = -3.0 + 6.0 * np.asarray(u)
-    once = flow_map(gen, a + b, x)
-    twice = flow_map(gen, b, flow_map(gen, a, x))
+    once = flow_evaluate(gen, a + b, x, with_jacobian=False).x_out
+    half = flow_evaluate(gen, a, x, with_jacobian=False).x_out
+    twice = flow_evaluate(gen, b, half, with_jacobian=False).x_out
     assert np.max(np.abs(once - twice)) < 1e-8
 
 
@@ -184,26 +189,27 @@ def test_canonicality_ode_property(c0, ratio, k, eps, u):
 class TestDomains:
     def test_quadratic_blowup(self):
         with pytest.raises(DomainBlowup):
-            flow_map(QUAD, 0.5, 2.0)
+            flow_evaluate(QUAD, 0.5, 2.0)
 
     def test_quadratic_blowup_negative_side(self):
         with pytest.raises(DomainBlowup):
-            flow_map(QUAD, -0.5, -2.0)
+            flow_evaluate(QUAD, -0.5, -2.0)
 
     def test_expdecay_domain(self):
         with pytest.raises(DomainBlowup):
-            flow_map(EXP1, -0.5, -1.0)   # e^x + eps < 0
+            flow_evaluate(EXP1, -0.5, -1.0)   # e^x + eps < 0
 
     def test_custom_escape_detected(self):
         with pytest.raises(DomainBlowup):
-            flow_map(GeneratorSpec.custom(lambda t: t * t, name="x^2"), 0.5, 2.5)
+            flow_evaluate(GeneratorSpec.custom(lambda t: t * t, name="x^2"), 0.5, 2.5,
+                          with_jacobian=False)
 
     def test_custom_validity_interval(self):
         gen = GeneratorSpec.custom(lambda t: 1.0 + 0.0 * t, domain=(-1.0, 1.0))
         with pytest.raises(DomainBlowup):
-            flow_map(gen, 0.0, 3.0)
+            flow_evaluate(gen, 0.0, 3.0, with_jacobian=False)
         with pytest.raises(DomainBlowup):
-            flow_map(gen, 5.0, 0.0)      # constant drift exits the interval
+            flow_evaluate(gen, 5.0, 0.0, with_jacobian=False)   # drifts out of the interval
 
     def test_exp_decay_requires_positive_rate(self):
         with pytest.raises(ValueError):
@@ -229,9 +235,9 @@ class TestDomains:
         for end, inward in ((lo, 1.0), (hi, -1.0)):
             if np.isfinite(end):
                 step = 1e-9 * inward
-                assert np.isfinite(flow_map(gen, eps, end + step))
+                assert np.isfinite(flow_evaluate(gen, eps, end + step).x_out)
                 with pytest.raises(DomainBlowup):
-                    flow_map(gen, eps, end - step)
+                    flow_evaluate(gen, eps, end - step)
 
     def test_derivative_stencil_stays_inside_a_finite_domain(self):
         seen = []

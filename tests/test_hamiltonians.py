@@ -11,8 +11,7 @@ from hypothesis import given, settings, strategies as st
 from canonflow import hamiltonians
 from canonflow.errors import (ImaginaryFrequency, MassZeroCrossing,
                               NegativeRadicand)
-from canonflow.flowcore import (GeneratorSpec, conjugation_factor, flow_evaluate,
-                                flow_map)
+from canonflow.flowcore import GeneratorSpec, flow_evaluate
 from canonflow.gridspace import (GaussianState, Grid, WaveFunction, apply_momentum,
                                  apply_point_unitary)
 from canonflow.hamiltonians import (QuadraticHamiltonian, SolvableFamily,
@@ -442,7 +441,7 @@ class TestGeneralTransform:
 
         h = general_f_transform(1.0, potential, gen, eps, grid)
         kinetic = general_f_transform(1.0, lambda y: 0.0 * y, gen, eps, grid)
-        wrong = potential(flow_map(gen, -eps, grid.x))
+        wrong = potential(flow_evaluate(gen, -eps, grid.x, with_jacobian=False).x_out)
         for v in probes(grid):
             staged = apply_point_unitary(gen, -eps, WaveFunction(grid, v),
                                          leak_tol=1e-8).values
@@ -491,7 +490,7 @@ class TestGeneralTransform:
         n = grid.n
         fwd = (np.eye(n, k=1) - np.eye(n))[:-1] / grid.dx
         mean = 0.5 * (np.eye(n, k=1) + np.eye(n))[:-1]
-        w = np.asarray(conjugation_factor(gen, 0.4, grid.x))
+        w = flow_evaluate(gen, 0.4, grid.x).f2
         root, w_half = np.sqrt(w), mean @ w
         kinetic = curved_kinetic_diagonals(metric.g(grid.x), 1.0, grid.dx)
         for v in probes(grid):

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from canonflow import metricmap
 from canonflow.errors import FixedPointInInterval, NonMonotoneFlow, SingularMetric
-from canonflow.flowcore import GeneratorSpec, conjugation_factor, flow_evaluate
+from canonflow.flowcore import GeneratorSpec, flow_evaluate
 from canonflow.gridspace import (GaussianState, Grid, WaveFunction,
                                  apply_point_unitary)
 from canonflow.metricmap import (FlowTable, MetricProfile, curved_hamiltonian,
@@ -125,12 +125,12 @@ class TestGeneratorFromMetric:
         rec = generator_from_metric(MetricProfile.constant(1.0), 0.5,
                                     anchor=0.0, working_interval=(-3.0, 3.0))
         xs = np.linspace(-3.0, 3.0, 13)
-        shift = rec.seed_value
+        shift = float(rec.flow(0.0))      # phi(anchor)
         assert shift > 0
         assert np.max(np.abs(rec.flow(xs) - xs - shift)) < 1e-12
         fvals = rec.generator.f(np.linspace(-3.0, 3.0, 11))
         assert np.max(np.abs(fvals - shift / 0.5)) < 1e-10   # constant generator
-        w = conjugation_factor(rec.generator, 0.5, xs)
+        w = flow_evaluate(rec.generator, 0.5, xs, with_jacobian=False).f2
         assert np.max(np.abs(np.asarray(w) ** -2.0 - 1.0)) < 1e-9
 
     @pytest.mark.parametrize("value", [0.25, 1.0, 2.0, 4.0])
@@ -237,7 +237,8 @@ class TestGeneratorFromMetric:
         rec = generator_from_metric(metric, 0.2, anchor=0.0,
                                     working_interval=(-3.0, 3.0))
         xs = np.linspace(-3.0, 3.0, 13)
-        w = conjugation_factor(rec.generator, 0.2, xs, rtol=1e-12, atol=1e-14)
+        w = flow_evaluate(rec.generator, 0.2, xs, with_jacobian=False,
+                          rtol=1e-12, atol=1e-14).f2
         g_rt = np.asarray(w) ** -2.0
         assert np.max(np.abs(g_rt - metric.g(xs)) / metric.g(xs)) < 1e-6
 
@@ -246,7 +247,8 @@ class TestGeneratorFromMetric:
         rec = generator_from_metric(metric, -0.3, anchor=0.0,
                                     working_interval=(-2.0, 2.0))
         xs = np.linspace(-2.0, 2.0, 9)
-        w = conjugation_factor(rec.generator, -0.3, xs, rtol=1e-12, atol=1e-14)
+        w = flow_evaluate(rec.generator, -0.3, xs, with_jacobian=False,
+                          rtol=1e-12, atol=1e-14).f2
         assert np.max(np.abs(np.asarray(w) ** -2.0 - metric.g(xs))
                       / metric.g(xs)) < 1e-6
 

@@ -23,8 +23,7 @@ from canonflow.hamiltonians import (QuadraticHamiltonian, SolvableFamily,
 from canonflow.metricmap import MetricProfile, metric_from_generator
 from canonflow.propagators import (ExactSolvablePropagator, HermiteBasis,
                                    apply_curved_kinetic, crank_nicolson_curved,
-                                   curved_kinetic_diagonals,
-                                   exact_solvable_propagate, free_propagate,
+                                   curved_kinetic_diagonals, free_propagate,
                                    gaussian_exact_propagate,
                                    gaussian_oscillator_evolve,
                                    oscillator_spectrum, split_step_propagate,
@@ -73,7 +72,7 @@ HERMITE_POINTS = np.concatenate([np.linspace(-12.0, 12.0, 241),
                                         (40, 4e-15)])
 def test_basis_against_sympy_hermite(size, bound):
     basis = HermiteBasis(size, 2.0, 0.5, GRID)
-    got = basis.at(HERMITE_POINTS)
+    got = basis.monic(HERMITE_POINTS) / basis.scales[:, None]
     want = sympy_hermite_functions(size, HERMITE_POINTS)
     assert np.max(np.abs(got - want)) <= bound
     past = np.abs(HERMITE_POINTS) > np.sqrt(2.0 * np.arange(size)[:, None] + 1.0)
@@ -100,22 +99,22 @@ class TestHermiteBasis:
 
     def test_ground_state_phase(self):
         psi = GaussianState(a=1.0).to_wavefunction(GRID)
-        out = exact_solvable_propagate(STATIC, psi, 1.7)
+        out = ExactSolvablePropagator(STATIC, psi)(1.7)
         assert np.max(np.abs(out.values - psi.values * np.exp(-0.5j * 1.7))) < 1e-12
 
     def test_coherent_period(self):
         psi = GaussianState(a=1.0, center=1.0).to_wavefunction(GRID)
-        out = exact_solvable_propagate(STATIC, psi, 2.0 * np.pi)
+        out = ExactSolvablePropagator(STATIC, psi)(2.0 * np.pi)
         assert out.fidelity(psi) > 1.0 - 1e-9
 
     def test_zero_time_identity(self):
         psi = GaussianState(a=1.2, center=0.4).to_wavefunction(GRID)
-        out = exact_solvable_propagate(STATIC, psi, 0.0)
+        out = ExactSolvablePropagator(STATIC, psi)(0.0)
         assert l2diff(out, psi) < 1e-10
 
     def test_norm_preserved(self):
         psi = GaussianState(a=0.9, center=0.7, momentum=0.5).to_wavefunction(GRID)
-        out = exact_solvable_propagate(STATIC, psi, 3.3)
+        out = ExactSolvablePropagator(STATIC, psi)(3.3)
         assert abs(out.norm() - 1.0) < 1e-10
 
 
@@ -443,7 +442,8 @@ def complex_frame_chain(family, psi0, times, static_mass=None):
     def frame(t):
         e, de, _ = (float(v) for v in mass_epsilon(*family.mass_with_derivatives(t), m0))
         envelope = np.exp(-0.5 * e + 0.5j * m0 * de * np.exp(-2.0 * e) * x * x)
-        return envelope * basis.at(np.exp(-e) * x).astype(complex)
+        rows = basis.monic(np.exp(-e) * x) / basis.scales[:, None]
+        return envelope * rows.astype(complex)
 
     coeffs = grid.dx * (frame(0.0).conj() @ psi0.values)
     energies = (np.arange(40) + 0.5) * family.Omega0
@@ -494,12 +494,12 @@ class TestExactChain:
 
     def test_zero_time_identity(self):
         psi = GaussianState(a=1.0, center=1.0).to_wavefunction(GRID)
-        out = exact_solvable_propagate(CK, psi, 0.0)
+        out = ExactSolvablePropagator(CK, psi)(0.0)
         assert out.fidelity(psi) > 1.0 - 1e-12
 
     def test_ck_against_split_step(self):
         psi = GaussianState(a=1.0, center=1.0).to_wavefunction(GRID)
-        exact = exact_solvable_propagate(CK, psi, 5.0)
+        exact = ExactSolvablePropagator(CK, psi)(5.0)
         traj = split_step_propagate(CK.mass_profile(), CK.frequency_profile(),
                                     psi, np.linspace(0.0, 5.0, 5001))
         assert exact.fidelity(traj.final) > 1.0 - 1e-6
@@ -515,8 +515,8 @@ class TestExactChain:
 
     def test_gauge_independence(self):
         psi = GaussianState(a=1.0, center=1.0).to_wavefunction(GRID)
-        one = exact_solvable_propagate(CK, psi, 3.0)
-        two = exact_solvable_propagate(CK, psi, 3.0, static_mass=2.0)
+        one = ExactSolvablePropagator(CK, psi)(3.0)
+        two = ExactSolvablePropagator(CK, psi, static_mass=2.0)(3.0)
         overlap = one.normalized().inner(two.normalized())
         assert abs(overlap - 1.0) < 1e-8
 
@@ -543,14 +543,14 @@ class TestExactChain:
             traj = split_step_propagate(CK.mass_profile(), CK.frequency_profile(),
                                         psi, np.linspace(0.0, t, 1501))
             left = stage(traj.final, t)
-            right = exact_solvable_propagate(static, stage(psi, 0.0), t)
+            right = ExactSolvablePropagator(static, stage(psi, 0.0))(t)
             assert left.fidelity(right) > 1.0 - 1e-5
 
     def test_reuse_propagator(self):
         psi = GaussianState(a=1.0, center=1.0).to_wavefunction(GRID)
         prop = ExactSolvablePropagator(CK, psi)
         a = prop(1.0)
-        b = exact_solvable_propagate(CK, psi, 1.0)
+        b = ExactSolvablePropagator(CK, psi)(1.0)
         assert a.fidelity(b) > 1.0 - 1e-12
 
     @pytest.mark.parametrize("static_mass", [None, 2.0])
@@ -670,7 +670,7 @@ class TestGaussianTransport:
         # includes the phase
         for t in (0.37, 2.3, 11.0):
             g = GaussianState(a=1.3 - 0.25j, center=0.8, momentum=-0.6, phase=0.2)
-            wf = exact_solvable_propagate(STATIC, g.to_wavefunction(GRID), t)
+            wf = ExactSolvablePropagator(STATIC, g.to_wavefunction(GRID))(t)
             gt = gaussian_oscillator_evolve(g, 1.0, 1.0, t)
             overlap = wf.normalized().inner(gt.to_wavefunction(GRID).normalized())
             assert abs(overlap - 1.0) < 1e-9
@@ -686,7 +686,7 @@ class TestGaussianTransport:
     def test_ck_matches_grid_chain(self):
         g = GaussianState(a=1.0, center=1.0)
         psi = g.to_wavefunction(GRID)
-        grid_out = exact_solvable_propagate(CK, psi, 5.0)
+        grid_out = ExactSolvablePropagator(CK, psi)(5.0)
         gauss_out = gaussian_exact_propagate(CK, g, 5.0).to_wavefunction(GRID)
         assert grid_out.fidelity(gauss_out) > 1.0 - 1e-8
         overlap = grid_out.normalized().inner(gauss_out.normalized())
@@ -829,6 +829,16 @@ class TestCrankNicolson:
         bad = MetricProfile.from_callable(lambda x: np.asarray(x))  # negative left half
         with pytest.raises(SingularMetric):
             crank_nicolson_curved(bad, 1.0, psi, np.linspace(0, 0.1, 11))
+
+    # Crank-Nicolson samples g through ``check_positive``; the raw-array
+    # assembly keeps its own check
+    @pytest.mark.parametrize("entry", [-1.0, 0.0, np.inf, np.nan])
+    def test_kinetic_diagonals_refuse_raw_values(self, entry):
+        from canonflow.errors import SingularMetric
+        gvals = np.ones(16)
+        gvals[5] = entry
+        with pytest.raises(SingularMetric):
+            curved_kinetic_diagonals(gvals, 1.0, 0.1)
 
     # a non-finite initial state is refused before any step; one that
     # overflows during the run is caught at the next sampled step, before
