@@ -66,16 +66,18 @@ def _fmt(x):
     return format(float(x), ".17g")
 
 
-def _finite(*values):
+def _finite(names, *values):
     """Refuse an argument-level result that is not finite: it overflowed.  The
-    argument-level subcommands run with numpy's warnings off and check this."""
-    if not all(np.all(np.isfinite(v)) for v in values):
-        raise OverflowError("the result is not finite")
+    argument-level subcommands run with numpy's warnings off and check this;
+    the error names each output (one per value, in ``names``) that overflowed."""
+    bad = [name for name, v in zip(names, values) if not np.all(np.isfinite(v))]
+    if bad:
+        raise OverflowError(f"{', '.join(bad)} overflowed (not finite)")
 
 
 def _print_csv(header, *columns):
     """Print the columns of an argument-level result as CSV, once all are finite."""
-    _finite(*columns)
+    _finite(header.split(","), *columns)
     print(header)
     for row in zip(*columns):
         print(",".join(map(_fmt, row)))
@@ -366,16 +368,13 @@ def _generator_arg(args):
 
 @np.errstate(all="ignore")
 def _cmd_flow(args):
-    xs = np.asarray(args.x, dtype=float)
-    ev = flow_evaluate(_generator_arg(args), args.eps, xs)
-    _finite(ev.x_out, *(ev.jacobian, ev.f2) if args.all else ())
+    ev = flow_evaluate(_generator_arg(args), args.eps, np.asarray(args.x, dtype=float))
+    names, columns = ("x_out", "jacobian", "weight"), (ev.x_out, ev.jacobian, ev.f2)
+    _finite(names[:3 if args.all else 1], *columns)
     if args.all:
-        out = [{"x": float(xi), "x_out": float(o), "jacobian": float(j),
-                "weight": float(w)}
-               for xi, o, j, w in zip(xs, np.atleast_1d(ev.x_out),
-                                      np.atleast_1d(ev.jacobian),
-                                      np.atleast_1d(ev.f2))]
-        print(json.dumps(out, indent=2))
+        rows = zip(args.x, *map(np.atleast_1d, columns))
+        print(json.dumps([dict(zip(("x",) + names, map(float, row))) for row in rows],
+                         indent=2))
     else:
         for val in np.atleast_1d(ev.x_out):
             print(repr(float(val)))
@@ -389,7 +388,7 @@ def _cmd_transform(args):
         out = dilation_transform(ham, args.eps, args.deps)
     else:
         out = quadratic_phase_transform(ham, args.chi, args.dchi)
-    _finite(out.a, out.b, out.c)
+    _finite("abc", out.a, out.b, out.c)
     print(json.dumps({"a": float(out.a), "b": float(out.b), "c": float(out.c)}))
     return 0
 

@@ -23,8 +23,8 @@ class DomainBlowup(CanonflowError):
 
 
 class StepFailure(CanonflowError):
-    """An integrator could not go on: an adaptive one could not meet its
-    tolerance, or a split-step run met a non-finite initial state or
+    """A solver could not go on: a custom flow's Abel panel shrank below the
+    spacing of phi, or a split-step run met a non-finite initial state or
     frequency sample, or a state whose norm stopped being finite."""
 
 

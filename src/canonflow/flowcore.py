@@ -19,9 +19,11 @@ Closed forms are used for three generator families:
     f(x) = x^2        phi = x / (1 - eps x),         w = (1 - eps x)^2
     f(x) = e^(-L x)   phi = ln(e^(L x) + eps L) / L, w = 1 + eps L e^(-L x)
 
-Arbitrary smooth generators integrate the flow (jointly with its Jacobian)
-using an adaptive Runge-Kutta method in the flow parameter.  Domain limits
-(``GeneratorSpec.flow_domain``) are enforced eagerly: the quadratic
+Any other generator is solved through its Abel coordinate A, A' = 1/f:
+the flow is the shift A(phi_eps(x)) = A(x) + eps (for f = x, A = ln x and
+the shift is the dilation), so phi is the root of int_x^phi dy/f = eps and
+phi' = f(phi)/f(x) = 1/w (``_abel_flow``; no ODE is integrated).  Domain
+limits (``GeneratorSpec.flow_domain``) are enforced eagerly: the quadratic
 generator escapes to infinity when eps*x -> 1 and the exponential one when
 e^(L x) + eps L -> 0, and such points raise ``DomainBlowup`` rather than
 returning clamped values.  This module alone branches on the generator kind.
@@ -29,13 +31,11 @@ returning clamped values.  This module alone branches on the generator kind.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-
-# solve_ivp is imported inside _ode_flow: only custom generators integrate
-# their flow, so closed-form flows load numpy only.
 
 from .errors import DomainBlowup, StepFailure
 
@@ -46,9 +46,10 @@ CUSTOM = "custom"
 
 _KINDS = (LINEAR, QUADRATIC, EXP_DECAY, CUSTOM)
 
-# Tolerances for the adaptive flow integration (custom generators).
-FLOW_RTOL = 1e-10
-FLOW_ATOL = 1e-12
+# Panel tolerance of the Abel solver (custom generators), and the |phi| at
+# which a flow counts as escaped to infinity.
+FLOW_RTOL = 1e-12
+FLOW_ATOL = 1e-14
 BLOWUP_BOUND = 1e8
 
 
@@ -57,10 +58,10 @@ class GeneratorSpec:
     """A scaling-flow generator f(x).
 
     Use the classmethod constructors; ``kind`` selects a closed-form family
-    or a user-supplied callable.  Custom generators must be continuously
-    differentiable on their validity interval (the Jacobian integration
-    needs f'); if ``dfunc`` is omitted f' is a five-point difference of
-    ``func``, and f'' is always one of f' (``_five_point``).
+    or a user-supplied callable.  A custom flow samples only f, and f' only
+    at an exact zero of f; the brackets read f' and f''.  If ``dfunc`` is
+    omitted f' is a five-point difference of ``func``, and f'' is always one
+    of f' (``_five_point``).
     """
 
     kind: str
@@ -109,7 +110,7 @@ class GeneratorSpec:
             return x * x
         if self.kind == EXP_DECAY:
             return np.exp(-self.lam * x)
-        return np.asarray(self.func(x), dtype=float)
+        return np.broadcast_to(np.asarray(self.func(x), dtype=float), x.shape)
 
     def df(self, x):
         x = np.asarray(x, dtype=float)
@@ -134,34 +135,24 @@ class GeneratorSpec:
         return _five_point(self.df, x, self.domain)
 
     def in_domain(self, x):
-        lo, hi = self.domain
         x = np.asarray(x, dtype=float)
-        return (x >= lo) & (x <= hi)
+        return (x >= self.domain[0]) & (x <= self.domain[1])
 
     def _closed_flow(self, eps, x):
         """Closed-form (phi, jacobian, w) for the three analytic families."""
         if self.kind == LINEAR:
-            s = np.exp(eps)
-            phi = s * x
-            jac = s * np.ones_like(x)
-            w = np.exp(-eps) * np.ones_like(x)
-            return phi, jac, w
+            s = np.exp(eps) * np.ones_like(x)
+            return s * x, s, np.exp(-eps) * np.ones_like(x)
         if self.kind == QUADRATIC:
             q = 1.0 - eps * x
             _check(q > 0.0, "quadratic generator requires eps*x < 1")
-            phi = x / q
-            jac = 1.0 / (q * q)
-            w = q * q
-            return phi, jac, w
-        # exp decay
+            return x / q, 1.0 / (q * q), q * q
         lam = self.lam
         with np.errstate(over="ignore"):      # a steep rate: infinite phi or w
             arg = np.exp(lam * x) + eps * lam
             _check(arg > 0.0, "exp-decay generator requires exp(lam*x) + eps*lam > 0")
-            phi = np.log(arg) / lam
             w = 1.0 + eps * lam * np.exp(-lam * x)
-        jac = 1.0 / w
-        return phi, jac, w
+        return np.log(arg) / lam, 1.0 / w, w
 
     def flow_domain(self, eps):
         """The open interval (lo, hi) of the x at which phi_eps exists: those
@@ -204,8 +195,9 @@ def _five_point(fn, x, domain):
 class FlowEvaluation:
     """Result of evaluating the flow at (eps, x).
 
-    ``f2 * jacobian = 1`` exactly for closed forms and to integration
-    tolerance for custom generators; ``jacobian > 0`` on the validity domain
+    The jacobian is the closed form's phi', or 1/w = f(phi)/f(x) for a custom
+    generator (``verify.flow_slope`` gives an independent phi'), and None
+    when not requested; ``jacobian > 0`` on the validity domain
     (one-dimensional flows preserve orientation).
     """
 
@@ -215,62 +207,99 @@ class FlowEvaluation:
 
 
 def _check(cond, message):
-    bad = ~np.asarray(cond)
-    if np.any(bad):
-        idx = np.flatnonzero(np.atleast_1d(bad))
-        raise DomainBlowup(message, detail={"indices": idx.tolist()})
+    """Raise ``DomainBlowup`` where ``cond`` fails, with the count and the first
+    and last index of the failing points as its detail."""
+    idx = np.flatnonzero(~np.atleast_1d(cond))
+    if idx.size:
+        raise DomainBlowup(message, detail={"count": int(idx.size), "first": int(idx[0]),
+                                            "last": int(idx[-1])})
 
 
-def _ode_flow(gen, eps, x, rtol, atol, with_jacobian):
-    """Adaptive flow integration, optionally with the variational equation.
+@functools.cache
+def _panel_rule():
+    """The weights of the 24-node Gauss-Legendre rule on [-1, 1], and the nodes
+    of a panel as fractions of its length: the whole panel, then its two
+    halves.  Built on first use, so that importing the package does not load
+    ``numpy.polynomial``."""
+    x, w = np.polynomial.legendre.leggauss(24)
+    return w, np.concatenate([1.0 + x, 0.5 * (1.0 + x), 0.5 * (3.0 + x)]) / 2.0
 
-    The flow parameter is rescaled to s in [0, 1] so that entries with
-    different eps values integrate in a single vector solve:
 
-        d(phi_i)/ds = eps_i * f(phi_i)
-        d(J_i)/ds   = eps_i * f'(phi_i) * J_i      (if requested)
+def _abel_flow(gen, eps, x, rtol, atol):
+    """(phi, 1/w, w) at (eps, x) from the Abel relation: phi is the root of
+
+        G(phi) = int_x^phi dy / f(y) - eps.
+
+    Each moving point marches in the direction sign(eps f(x)) over 24-node
+    Gauss-Legendre panels of 1/f, taking the Abel time |int dy/f| of each
+    off |eps|; the first panel is |eps| times the larger |f| at x and at its
+    Euler step.  A panel is accepted when its rule and the rule on its two
+    halves agree to atol + rtol |eps|, and then doubles; it is halved when
+    they do not, or when f at a node is zero, has the other sign or is not
+    finite.  The panel that would pass |eps| is closed by Newton steps
+    phi <- phi - f(phi) G(phi), safeguarded by bisection inside it, until
+    |G| is within 4 machine epsilons of the Abel time left or phi stops
+    moving.  A march that reaches the end of the generator's domain or
+    +-BLOWUP_BOUND raises ``DomainBlowup``; one whose panel shrinks below the
+    spacing of phi raises ``StepFailure``.  Only f is sampled, and f' only at
+    exact fixed points (f(x) = 0), where phi = x and w is the limit
+    exp(-eps f'(x)).
     """
-    from scipy.integrate import solve_ivp
-
-    n = x.size
-    e = np.broadcast_to(eps, x.shape).astype(float).ravel()
-    x0 = x.ravel()
-    lo, hi = gen.domain
-    if not np.all(gen.in_domain(x0)):
-        raise DomainBlowup("initial point outside the generator's validity interval")
-    y0 = np.concatenate([x0, np.ones(n)]) if with_jacobian else x0
-
-    def rhs(_, y):
-        if with_jacobian:
-            phi = y[:n]
-            return np.concatenate([e * gen.f(phi), e * gen.df(phi) * y[n:]])
-        return e * gen.f(y)
-
-    def escape(_, y):
-        phi = y[:n]     # an infinite end leaves the margin infinite
-        return min(BLOWUP_BOUND - np.max(np.abs(phi)),
-                   np.min(np.minimum(phi - lo, hi - phi)))
-
-    escape.terminal = True
-
-    sol = solve_ivp(rhs, (0.0, 1.0), y0, method="DOP853",
-                    rtol=rtol, atol=atol, events=escape, dense_output=False)
-    if sol.status == 1:
-        raise DomainBlowup("flow escaped its validity domain before reaching eps")
-    if sol.status != 0:
-        raise StepFailure(f"flow integration failed: {sol.message}")
-    phi = sol.y[:n, -1].reshape(x.shape)
-    jac = sol.y[n:, -1].reshape(x.shape) if with_jacobian else None
-
-    # w = f(x)/f(phi), with the limit exp(-eps f'(x0)) at fixed points of f.
-    fx = gen.f(x)
-    fphi = gen.f(phi)
-    near_zero = np.abs(fx) <= 1e-13 * (1.0 + np.abs(x))
-    safe = np.where(near_zero, 1.0, fphi)
-    w = np.where(near_zero,
-                 np.exp(-np.broadcast_to(eps, x.shape) * gen.df(x)),
-                 fx / safe)
-    return phi, jac, w
+    e, x0 = eps.ravel(), x.ravel()
+    gl_w, panel = _panel_rule()
+    _check(gen.in_domain(x0), "initial point outside the generator's validity interval")
+    with np.errstate(all="ignore"):     # a node where f overflows is refused
+        fx = gen.f(x0)
+        _check(np.isfinite(fx), "f is not finite at the initial point")
+        move = np.flatnonzero((fx != 0.0) & (e != 0.0))
+        sign, way = np.sign(fx[move]), np.sign(fx[move] * e[move])
+        stop = np.where(way > 0, *np.clip(gen.domain[::-1], -BLOWUP_BOUND, BLOWUP_BOUND))
+        a, rest = x0[move], np.abs(e[move])    # panel start, Abel time left from it
+        tol = atol + rtol * rest
+        # first panel: |eps| times the larger |f| at x and at its Euler step
+        span = np.abs(e[move]) * np.fmax(np.abs(fx[move]), np.abs(
+            gen.f(np.clip(a + e[move] * fx[move], *gen.domain))))
+        u, live = np.empty(move.size), np.arange(move.size)   # u: the root's distance from a
+        while live.size:
+            d, room = way[live], way[live] * (stop[live] - a[live])
+            if np.any(room <= 0.0):
+                raise DomainBlowup("flow escaped its validity domain before reaching eps")
+            h = np.minimum(span[live], room)
+            inv = sign[live, None] / gen.f(a[live, None] + (d * h)[:, None] * panel)
+            halves = 0.25 * h * (inv[:, 24:] @ np.tile(gl_w, 2))
+            err = np.abs(0.5 * h * (inv[:, :24] @ gl_w) - halves)
+            ok = np.all(np.isfinite(inv) & (inv > 0.0), axis=1) & (err <= tol[live])
+            on, past = ok & (halves < rest[live]), ok & (halves >= rest[live])
+            i, j, k = live[on], live[past], live[~ok]
+            a[i] = np.where(h[on] < room[on], a[i] + d[on] * h[on], stop[i])
+            rest[i] -= halves[on]
+            u[j] = h[past] * rest[j] / halves[past]
+            span[live] = h * np.where(ok, 1.0 + on, 0.5)   # past: the closing panel
+            if np.any(a[k] + way[k] * span[k] == a[k]):
+                raise StepFailure("flow panel shrank below the spacing of phi")
+            live = live[~past]
+        # safeguarded Newton on each closing panel, bracketed in u by [0, span];
+        # its nodes on [a, phi] are the whole-panel rule's, then phi itself
+        close = np.append(panel[:24], 1.0)
+        bracket = np.stack([np.zeros(move.size), span], axis=1)
+        live = np.arange(move.size)
+        while live.size:
+            inv = sign[live, None] / gen.f(a[live, None] + (way * u)[live, None] * close)
+            g = 0.5 * u[live] * (inv[:, :24] @ gl_w) - rest[live]
+            bracket[live, (g >= 0.0).astype(int)] = u[live]
+            lo, hi = bracket[live].T
+            new = u[live] - g / inv[:, 24]
+            new = np.where((new > lo) & (new < hi), new, 0.5 * (lo + hi))
+            done = (np.abs(g) <= 4.0 * np.finfo(float).eps * rest[live]) | (new == u[live])
+            u[live[~done]] = new[~done]
+            live = live[~done]
+        phi = x0.copy()
+        phi[move] = a + way * u
+        w = fx / gen.f(phi)
+        fixed = fx == 0.0
+        if np.any(fixed):
+            w[fixed] = np.exp(-e[fixed] * gen.df(x0[fixed]))
+        return phi.reshape(x.shape), 1.0 / w.reshape(x.shape), w.reshape(x.shape)
 
 
 def flow_evaluate(gen, eps, x, *, method="auto", rtol=FLOW_RTOL,
@@ -278,19 +307,14 @@ def flow_evaluate(gen, eps, x, *, method="auto", rtol=FLOW_RTOL,
     """Evaluate phi_eps(x), its x-derivative, and the conjugation factor.
 
     ``eps`` and ``x`` may be scalars or broadcastable arrays.  With
-    ``method="ode"`` the adaptive integrator is used even for closed-form
-    generator kinds (useful as an independent cross-check).  The jacobian
-    of a custom generator comes from the variational equation (independent
-    of the f(x)/f(phi) route, so their product is a real consistency check).
-    ``with_jacobian=False`` skips it, leaving the jacobian None and f'
-    unsampled, which suits merely piecewise-smooth generators.
+    ``method="ode"`` the Abel solver (``_abel_flow``, whose panel tolerance
+    is ``rtol``, ``atol``) is used even for closed-form generator kinds
+    (useful as an independent cross-check).  Its jacobian is 1/w, so
+    ``verify`` checks w against an independent difference of phi in x
+    (``verify.flow_slope``).  ``with_jacobian=False`` leaves the jacobian None.
     """
     scalar = np.isscalar(x) and np.isscalar(eps)
-    xa, ea = np.broadcast_arrays(np.asarray(x, dtype=float),
-                                 np.asarray(eps, dtype=float))
-    xa = np.array(xa, dtype=float)
-    ea = np.array(ea, dtype=float)
-
+    xa, ea = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(eps, dtype=float))
     if method == "auto":
         method = "ode" if gen.kind == CUSTOM else "closed"
     if method == "closed":
@@ -298,13 +322,12 @@ def flow_evaluate(gen, eps, x, *, method="auto", rtol=FLOW_RTOL,
             raise ValueError("no closed form for a custom generator")
         phi, jac, w = gen._closed_flow(ea, xa)
     elif method == "ode":
-        phi, jac, w = _ode_flow(gen, ea, xa, rtol, atol, with_jacobian)
+        phi, jac, w = _abel_flow(gen, ea, xa, rtol, atol)
     else:
         raise ValueError(f"unknown flow method {method!r}")
-
+    jac = jac if with_jacobian else None
     if scalar:
-        return FlowEvaluation(float(phi),
-                              None if jac is None else float(jac), float(w))
+        return FlowEvaluation(float(phi), None if jac is None else float(jac), float(w))
     return FlowEvaluation(phi, jac, w)
 
 

@@ -157,7 +157,7 @@ def quadratic_phase_transform(ham, chi, dchi):
     """Coefficient map of exp(-i chi x^2/2); p -> p + chi x plus the dchi/2 x^2 drive."""
     chi, dchi = float(chi), float(dchi)
     return replace(ham,
-                   b=ham.b + ham.a * chi ** 2 + ham.c * chi + 0.5 * dchi,
+                   b=ham.b + ham.a * (chi * chi) + ham.c * chi + 0.5 * dchi,
                    c=ham.c + 2.0 * ham.a * chi)
 
 
@@ -239,6 +239,8 @@ class SolvableFamily:
             raise ValueError("mu and nu cannot both vanish")
         if self.alpha < 0:
             raise ValueError("alpha must be nonnegative")
+        if self.alpha * self.alpha == np.inf:
+            raise OverflowError("alpha^2 overflows: the mass's ddm and omega are not finite")
         if not self.Omega0 > 0:
             raise ValueError("Omega0 must be positive")
         if self.trigonometric and self.alpha >= self.Omega0:

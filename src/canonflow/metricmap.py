@@ -164,9 +164,9 @@ class FlowTable:
 class ReconstructedGenerator:
     """Output of ``generator_from_metric``: the flow map and one generator for it.
 
-    The generator is a C^2 cubic spline, so its flow map, its conjugation
-    factor and its variational flow Jacobian (the reciprocal of the
-    conjugation factor) are all meaningful.
+    The generator is a C^2 cubic spline of one sign, so its flow map and
+    its conjugation factor are meaningful, and the flow map's slope is the
+    reciprocal of the conjugation factor.
     """
 
     generator: GeneratorSpec
@@ -192,8 +192,8 @@ def generator_from_metric(metric, eps, anchor, working_interval):
     the displacement is bumped by ``MIN_DISPLACEMENT`` of the working span;
     the round-tripped metric does not depend on this choice.  Returns a
     :class:`ReconstructedGenerator` whose Custom ``generator``, tabulated by
-    the Abel construction, reproduces ``flow`` (and hence g) to integration
-    tolerance.
+    the Abel construction, reproduces ``flow`` (and hence g) to the flow
+    solver's tolerance.
     """
     eps = float(eps)
     if eps == 0.0:
@@ -313,12 +313,13 @@ def _abel_generator(flow, eps, anchor, working, extended):
     lo, hi = working
 
     # Evaluation domain of the returned generator: must cover the working
-    # interval, its flow image, and integrator overshoot.  Ahead of the flow
-    # the domain may exceed the metric table by one displacement (a single
-    # pullback re-enters the table) but never past the table's image under
-    # the flow; when that cap binds, the borderline seed has an attracting
-    # fixed point at the table's edge where the pieces shrink geometrically,
-    # so stop halfway between the deepest trajectory and the fixed point.
+    # interval, its flow image, and the flow solver's panels past it.  Ahead
+    # of the flow the domain may exceed the metric table by one displacement
+    # (a single pullback re-enters the table) but never past the table's
+    # image under the flow; when that cap binds, the borderline seed has an
+    # attracting fixed point at the table's edge where the pieces shrink
+    # geometrically, so stop halfway between the deepest trajectory and the
+    # fixed point.
     span = hi - lo
     pad = 0.1 * span
     if upward:
@@ -397,17 +398,7 @@ def _abel_generator(flow, eps, anchor, working, extended):
         raise NonMonotoneFlow("Abel spline nodes are not strictly increasing")
     y, logmul = transport_log(fill)
     spline = CubicSpline(nodes, sign * np.exp(np.insert(logs, at, ell(y) - logmul)))
-    dspline = spline.derivative()
-
-    def f(x):
-        out = spline(np.asarray(x, dtype=float))
-        return out if out.ndim else float(out)
-
-    def df(x):
-        out = dspline(np.asarray(x, dtype=float))
-        return out if out.ndim else float(out)
-
-    return GeneratorSpec.custom(f, dfunc=df, domain=(float(dlo), float(dhi)),
+    return GeneratorSpec.custom(spline, domain=(float(dlo), float(dhi)),
                                 name="abel-reconstructed")
 
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from canonflow import verify
+from canonflow.errors import DomainBlowup
 
 
 def report(number, title, checks):
@@ -44,6 +45,21 @@ def test_acceptance_02_closed_forms():
         "momentum-weight variant discrepancy must be logged"
     report(2, "closed-form position/momentum rules as printed, variant logged",
            checks)
+
+
+def test_closed_forms_flags_an_undetected_escape(monkeypatch):
+    # control: a flow that let the quadratic escape pass must fail the check
+    evaluate = verify.flow_evaluate
+
+    def undetected(*args, **kwargs):
+        try:
+            return evaluate(*args, **kwargs)
+        except DomainBlowup:
+            return None
+
+    monkeypatch.setattr(verify, "flow_evaluate", undetected)
+    failed = [c.name for c in verify.suite_closed_forms() if not c.passed]
+    assert failed == ["quadratic_domain_enforced"]
 
 
 def test_acceptance_03_bracket_identities():

@@ -123,6 +123,20 @@ class TestSubcommands:
         assert list(json.loads(out)) == ["error"]
         assert json.loads(out)["error"]["kind"] == "MassZeroCrossing"
 
+    @pytest.mark.parametrize("argv,names", [
+        (["transform", "--a", "1", "--b", "1", "--op", "phase", "--chi", "1e300"], "b"),
+        (["solvable", "--m0", "1", "--mu", "1", "--nu", "0", "--alpha", "1e300",
+          "--Omega0", "1"], "ddm and omega"),
+    ], ids=["transform-phase-b", "solvable-alpha-squared"])
+    def test_overflow_names_the_output(self, argv, names, capsys):
+        # Python's "(34, 'Numerical result out of range')" named neither
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (2, "")
+        error = json.loads(captured.out)["error"]
+        assert error["kind"] == "OverflowError"
+        assert names in error["message"] and "34" not in error["message"]
+
     def test_solvable_evaluates_the_family_once_per_column(self, capsys,
                                                          monkeypatch):
         from canonflow.hamiltonians import SolvableFamily
@@ -306,8 +320,11 @@ class TestErrorPaths:
         assert code == 2
         error = json.loads(out)["error"]
         assert error["kind"] == "DomainBlowup"
-        indices = error["detail"]["indices"]
-        assert isinstance(indices, list) and indices
+        # the offending grid points x > 1/eps = 4, summarized, not listed
+        x = np.linspace(-2.0, 6.0, 256, endpoint=False)
+        bad = np.flatnonzero(x > 4.0)
+        assert error["detail"] == {"count": bad.size, "first": int(bad[0]),
+                                   "last": int(bad[-1])}
 
     # a csv metric is a table on [x_0, x_last]: a grid past it was run on the
     # spline's cubic extrapolation, and where that went negative the error
@@ -514,6 +531,41 @@ class TestErrorPaths:
         monkeypatch.chdir(tmp_path)
         assert self.propagate_edited(tmp_path, capsys, method, keys,
                                      value) == (64, "ScenarioError")
+
+    @pytest.mark.parametrize("method,keys,value", [
+        ("split_step", ("grid", "xmin"), float("nan")),
+        ("split_step", ("system",), {"kind": "oscillator",
+                                     "mass": {"type": "constant", "value": 1.0},
+                                     "frequency": {"type": "chirped"}}),
+        ("split_step", ("initial_state",), {"kind": "csv", "path": "state.csv"}),
+        ("split_step", (), None),
+        ("split_step", (), "{"),
+        ("split_step", (), "3"),
+        ("exact", ("system",), {"kind": "oscillator",
+                                "mass": {"type": "constant", "value": 1.0},
+                                "frequency": {"type": "constant", "value": 1.0}}),
+        ("split_step", ("propagator", "method"), "crank_nicolson"),
+        ("split_step", ("system",), {"kind": "curved", "mass": 1.0,
+                                     "metric": {"type": "constant", "value": 1.0}}),
+    ], ids=["number-not-finite", "unknown-frequency", "csv-grid-mismatch",
+            "file-missing", "file-not-json", "root-not-object", "exact-needs-family",
+            "oscillator-crank-nicolson", "curved-split-step"])
+    def test_scenario_refusal_exits_64(self, method, keys, value, tmp_path, capsys,
+                                       monkeypatch):
+        # keys () stands for the scenario file itself: missing (None) or this
+        # text; a root that is a number has no fields to report missing
+        monkeypatch.chdir(tmp_path)
+        wavefunction_to_csv(GaussianState(a=1.0).to_wavefunction(
+            Grid.from_interval(-10.0, 10.0, 512)), tmp_path / "state.csv")
+        if keys:
+            outcome = self.propagate_edited(tmp_path, capsys, method, keys, value)
+        else:
+            path = tmp_path / "scenario.json"
+            if value is not None:
+                path.write_text(value)
+            code = main(["propagate", str(path)])
+            outcome = code, json.loads(capsys.readouterr().out)["error"]["kind"]
+        assert outcome == (64, "ScenarioError")
 
     def test_error_kind_is_class_name(self):
         exported = [obj for obj in vars(canonflow).values()
@@ -764,8 +816,21 @@ class TestColdStart:
         "grid = Grid.from_interval(-4.0, 4.0, 32)\n"
         "h = general_f_transform(1.0, np.cos, GeneratorSpec.linear(), 0.3, grid, 0.1)\n"
         "assert np.all(np.isfinite(h(np.exp(-grid.x ** 2))))",
+        # a custom flow is solved through its Abel relation, with no integrator
+        "import numpy as np\n"
+        "from canonflow import GaussianState, GeneratorSpec, Grid, apply_point_unitary\n"
+        "gen = GeneratorSpec.custom(lambda t: np.sqrt(1.0 + t * t))\n"
+        "psi = GaussianState(a=1.0).to_wavefunction(Grid.from_interval(-12.0, 12.0, 256))\n"
+        "assert apply_point_unitary(gen, 0.3, psi).norm() > 0.99",
+        "import numpy as np\n"
+        "from canonflow import GeneratorSpec, Grid, general_f_transform\n"
+        "grid = Grid.from_interval(-4.0, 4.0, 32)\n"
+        "gen = GeneratorSpec.custom(lambda t: np.sqrt(1.0 + t * t))\n"
+        "h = general_f_transform(1.0, np.cos, gen, 0.3, grid, 0.1)\n"
+        "assert np.all(np.isfinite(h(np.exp(-grid.x ** 2))))",
     ], ids=["parser", "flow-quadratic", "propagate-exact", "propagate-split_step",
-            "general-f-transform-linear"])
+            "general-f-transform-linear", "point-unitary-custom",
+            "general-f-transform-custom"])
     def test_no_scipy_loaded(self, code, tmp_path):
         (tmp_path / "scenario.json").write_text(json.dumps(README_SCENARIO))
         split_step = dict(README_SCENARIO, propagator=dict(
@@ -781,9 +846,10 @@ class TestColdStart:
         assert [m for m in loaded if m.startswith("scipy.integrate")] == []
 
     def test_verify_loads_scipy_up_front(self, tmp_path):
-        # so that no timed suite pays for the import
+        # so that no timed suite pays for the import; no suite integrates an ODE
         loaded = scipy_modules_after("import canonflow.verify", tmp_path)
-        assert {"scipy.integrate", "scipy.interpolate", "scipy.linalg"} <= set(loaded)
+        assert {"scipy.interpolate", "scipy.linalg"} <= set(loaded)
+        assert [m for m in loaded if m.startswith("scipy.integrate")] == []
 
     def test_parser_is_built_once(self, capsys, monkeypatch):
         built = []

@@ -5,8 +5,9 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
-from canonflow.errors import DomainBlowup
+from canonflow.errors import DomainBlowup, StepFailure
 from canonflow.flowcore import GeneratorSpec, bracket_generator, flow_evaluate
+from canonflow.verify import flow_slope
 
 LIN = GeneratorSpec.linear()
 QUAD = GeneratorSpec.quadratic()
@@ -113,13 +114,13 @@ class TestFlowProperties:
 
     @pytest.mark.parametrize("kind", ["linear", "quadratic", "exp_decay"])
     def test_canonicality_adaptive(self, kind):
-        # the Jacobian comes from the variational equation, the weight from
-        # f(x)/f(phi); their product tests both routes at once
+        # the weight f(x)/f(phi) against phi' differenced from the map itself
         rng = np.random.default_rng(12)
         x = rng.uniform(-1.5, 1.5, 60)
         eps = rng.uniform(0.02, 0.3, 60)
-        ev = flow_evaluate(custom_twin(kind), eps, x)
-        assert np.max(np.abs(ev.f2 * ev.jacobian - 1.0)) < 1e-8
+        gen = custom_twin(kind)
+        ev = flow_evaluate(gen, eps, x, with_jacobian=False)
+        assert np.max(np.abs(ev.f2 * flow_slope(gen, eps, x) - 1.0)) < 1e-8
 
     @pytest.mark.parametrize("kind", ["linear", "quadratic", "exp_decay"])
     def test_adaptive_matches_closed(self, kind):
@@ -139,6 +140,51 @@ class TestFlowProperties:
         ev = flow_evaluate(GeneratorSpec.custom(lambda t: t, name="x"), 0.5, 0.0)
         assert ev.f2 == pytest.approx(np.exp(-0.5), abs=1e-9)
         assert ev.jacobian == pytest.approx(np.exp(0.5), abs=1e-9)
+
+
+class TestAbelSolver:
+    """Custom flows against closed forms, including stiff and long ones."""
+
+    GRID = -12.0 + 24.0 * np.arange(2048) / 2048
+
+    @pytest.mark.parametrize("eps", [0.5, -0.5])
+    def test_exp_decay_twin(self, eps):
+        # eps = 0.5: 1/f = e^x spans e^-12 .. e^12, so the first panel of the
+        # left points overflows and must be refused, not accepted
+        x = self.GRID
+        if eps < 0:
+            x = x[np.exp(x) - 0.5 > 1e-3]       # the flow escapes where e^x <= 0.5
+        ev = flow_evaluate(custom_twin("exp_decay"), eps, x)
+        closed = flow_evaluate(EXP1, eps, x)
+        # measured 5.0e-15 (eps = 0.5) and 4.0e-15 (eps = -0.5, where f(phi) nears 1e3)
+        assert np.max(np.abs(ev.x_out - closed.x_out)) <= 1e-12
+        assert np.max(np.abs(ev.f2 / closed.f2 - 1.0)) <= 1e-12
+
+    @pytest.mark.parametrize("eps", [0.5, -0.5, 5.0, -5.0])
+    def test_cosine_flow(self, eps):
+        # f = cos: the Abel coordinate is asinh(tan x), and the zeros of f at
+        # +-pi/2 stop the flow, which a long eps runs into
+        x = np.linspace(-1.5, 1.5, 301)
+        ev = flow_evaluate(GeneratorSpec.custom(np.cos, name="cos"), eps, x)
+        oracle = np.arctan(np.sinh(np.arcsinh(np.tan(x)) + eps))
+        # measured 4.4e-16 (|eps| = 0.5) and 1.6e-15 (|eps| = 5)
+        assert np.max(np.abs(ev.x_out - oracle)) <= 1e-12
+
+    def test_constant_generator_translates(self):
+        # f = 2 given as a callable that returns a scalar: phi = x + 2 eps
+        x = np.linspace(-3.0, 3.0, 7)
+        ev = flow_evaluate(GeneratorSpec.custom(lambda t: 2.0, name="2"), -0.75, x)
+        assert np.max(np.abs(ev.x_out - (x - 1.5))) <= 1e-14
+        assert np.all(ev.f2 == 1.0)
+
+    def test_flow_into_a_square_root_zero(self):
+        # f = sqrt(1 - x) reaches its zero at x = 1 in Abel time 2 from x = 0:
+        # phi = 1 - (1 - eps/2)^2 before that, and after it every panel that
+        # would pass x = 1 is refused until the panel stalls
+        gen = GeneratorSpec.custom(lambda t: np.sqrt(np.clip(1.0 - t, 0.0, None)))
+        assert flow_evaluate(gen, 1.0, 0.0).x_out == pytest.approx(0.75, abs=1e-12)
+        with pytest.raises(StepFailure):
+            flow_evaluate(gen, 5.0, np.array([0.0, 0.5]))
 
 
 # x ranges on which phi_a, phi_b and phi_(a+b) stay defined for |a|, |b| <= 0.3
@@ -181,9 +227,11 @@ def test_group_law_ode_property(c0, ratio, k, a, b, u):
 @given(c0=st.floats(0.5, 2.0), ratio=st.floats(-0.9, 0.9), k=st.floats(0.2, 3.0),
        eps=st.floats(-0.5, 0.5), u=unit_points)
 def test_canonicality_ode_property(c0, ratio, k, eps, u):
-    # the weight f(x)/f(phi) against the variational Jacobian, as suite_canonicality
-    ev = flow_evaluate(sine_generator(c0, ratio, k), eps, -3.0 + 6.0 * np.asarray(u))
-    assert np.max(np.abs(ev.f2 * ev.jacobian - 1.0)) < 1e-8
+    # the weight f(x)/f(phi) against phi' differenced from the map, as
+    # suite_canonicality
+    gen, x = sine_generator(c0, ratio, k), -3.0 + 6.0 * np.asarray(u)
+    ev = flow_evaluate(gen, eps, x, with_jacobian=False)
+    assert np.max(np.abs(ev.f2 * flow_slope(gen, eps, x) - 1.0)) < 1e-8
 
 
 class TestDomains:
@@ -204,6 +252,11 @@ class TestDomains:
             flow_evaluate(GeneratorSpec.custom(lambda t: t * t, name="x^2"), 0.5, 2.5,
                           with_jacobian=False)
 
+    def test_custom_generator_not_finite_at_the_start(self):
+        gen = GeneratorSpec.custom(lambda t: np.sqrt(1.0 - t * t), name="sqrt(1-x^2)")
+        with pytest.raises(DomainBlowup):
+            flow_evaluate(gen, 0.1, np.array([0.0, 2.0]))
+
     def test_custom_validity_interval(self):
         gen = GeneratorSpec.custom(lambda t: 1.0 + 0.0 * t, domain=(-1.0, 1.0))
         with pytest.raises(DomainBlowup):
@@ -214,6 +267,20 @@ class TestDomains:
     def test_exp_decay_requires_positive_rate(self):
         with pytest.raises(ValueError):
             GeneratorSpec.exp_decay(-1.0)
+
+    @pytest.mark.parametrize("make", [lambda: GeneratorSpec(kind="cubic"),
+                                      lambda: GeneratorSpec(kind="custom")],
+                             ids=["unknown-kind", "custom-without-callable"])
+    def test_malformed_generator_refused(self, make):
+        with pytest.raises(ValueError):
+            make()
+
+    @pytest.mark.parametrize("gen,method", [(custom_twin("linear"), "closed"),
+                                            (LIN, "euler")],
+                             ids=["closed-on-custom", "unknown-method"])
+    def test_unavailable_method_refused(self, gen, method):
+        with pytest.raises(ValueError):
+            flow_evaluate(gen, 0.3, 1.0, method=method)
 
     @pytest.mark.parametrize("gen,eps,want", [
         (LIN, 0.7, (-np.inf, np.inf)), (LIN, -0.7, (-np.inf, np.inf)),
