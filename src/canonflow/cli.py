@@ -368,13 +368,16 @@ def _generator_arg(args):
 
 @np.errstate(all="ignore")
 def _cmd_flow(args):
-    ev = flow_evaluate(_generator_arg(args), args.eps, np.asarray(args.x, dtype=float))
-    names, columns = ("x_out", "jacobian", "weight"), (ev.x_out, ev.jacobian, ev.f2)
-    _finite(names[:3 if args.all else 1], *columns)
+    xs = np.asarray(args.x, dtype=float)
+    ev = flow_evaluate(_generator_arg(args), args.eps, xs)
+    _finite(("x_out", "jacobian", "weight"), ev.x_out, *(ev.jacobian, ev.f2) if args.all else ())
     if args.all:
-        rows = zip(args.x, *map(np.atleast_1d, columns))
-        print(json.dumps([dict(zip(("x",) + names, map(float, row))) for row in rows],
-                         indent=2))
+        out = [{"x": float(xi), "x_out": float(o), "jacobian": float(j),
+                "weight": float(w)}
+               for xi, o, j, w in zip(xs, np.atleast_1d(ev.x_out),
+                                      np.atleast_1d(ev.jacobian),
+                                      np.atleast_1d(ev.f2))]
+        print(json.dumps(out, indent=2))
     else:
         for val in np.atleast_1d(ev.x_out):
             print(repr(float(val)))
@@ -388,7 +391,7 @@ def _cmd_transform(args):
         out = dilation_transform(ham, args.eps, args.deps)
     else:
         out = quadratic_phase_transform(ham, args.chi, args.dchi)
-    _finite("abc", out.a, out.b, out.c)
+    _finite(("a", "b", "c"), out.a, out.b, out.c)
     print(json.dumps({"a": float(out.a), "b": float(out.b), "c": float(out.c)}))
     return 0
 

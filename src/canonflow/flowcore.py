@@ -59,9 +59,9 @@ class GeneratorSpec:
 
     Use the classmethod constructors; ``kind`` selects a closed-form family
     or a user-supplied callable.  A custom flow samples only f, and f' only
-    at an exact zero of f; the brackets read f' and f''.  If ``dfunc`` is
-    omitted f' is a five-point difference of ``func``, and f'' is always one
-    of f' (``_five_point``).
+    at a fixed point (|f(x)| <= 1e-13 (1 + |x|)); the brackets read f' and
+    f''.  If ``dfunc`` is omitted f' is a five-point difference of ``func``,
+    and f'' is always one of f' (``_five_point``).
     """
 
     kind: str
@@ -135,24 +135,34 @@ class GeneratorSpec:
         return _five_point(self.df, x, self.domain)
 
     def in_domain(self, x):
+        lo, hi = self.domain
         x = np.asarray(x, dtype=float)
-        return (x >= self.domain[0]) & (x <= self.domain[1])
+        return (x >= lo) & (x <= hi)
 
     def _closed_flow(self, eps, x):
         """Closed-form (phi, jacobian, w) for the three analytic families."""
         if self.kind == LINEAR:
-            s = np.exp(eps) * np.ones_like(x)
-            return s * x, s, np.exp(-eps) * np.ones_like(x)
+            s = np.exp(eps)
+            phi = s * x
+            jac = s * np.ones_like(x)
+            w = np.exp(-eps) * np.ones_like(x)
+            return phi, jac, w
         if self.kind == QUADRATIC:
             q = 1.0 - eps * x
             _check(q > 0.0, "quadratic generator requires eps*x < 1")
-            return x / q, 1.0 / (q * q), q * q
+            phi = x / q
+            jac = 1.0 / (q * q)
+            w = q * q
+            return phi, jac, w
+        # exp decay
         lam = self.lam
         with np.errstate(over="ignore"):      # a steep rate: infinite phi or w
             arg = np.exp(lam * x) + eps * lam
             _check(arg > 0.0, "exp-decay generator requires exp(lam*x) + eps*lam > 0")
+            phi = np.log(arg) / lam
             w = 1.0 + eps * lam * np.exp(-lam * x)
-        return np.log(arg) / lam, 1.0 / w, w
+        jac = 1.0 / w
+        return phi, jac, w
 
     def flow_domain(self, eps):
         """The open interval (lo, hi) of the x at which phi_eps exists: those
@@ -196,8 +206,8 @@ class FlowEvaluation:
     """Result of evaluating the flow at (eps, x).
 
     The jacobian is the closed form's phi', or 1/w = f(phi)/f(x) for a custom
-    generator (``verify.flow_slope`` gives an independent phi'), and None
-    when not requested; ``jacobian > 0`` on the validity domain
+    generator (``verify.flow_slope`` gives an independent phi'), which is
+    None when not requested; ``jacobian > 0`` on the validity domain
     (one-dimensional flows preserve orientation).
     """
 
@@ -216,90 +226,130 @@ def _check(cond, message):
 
 
 @functools.cache
-def _panel_rule():
-    """The weights of the 24-node Gauss-Legendre rule on [-1, 1], and the nodes
-    of a panel as fractions of its length: the whole panel, then its two
-    halves.  Built on first use, so that importing the package does not load
-    ``numpy.polynomial``."""
-    x, w = np.polynomial.legendre.leggauss(24)
-    return w, np.concatenate([1.0 + x, 0.5 * (1.0 + x), 0.5 * (3.0 + x)]) / 2.0
+def _gauss(n):
+    """The n-node Gauss-Legendre rule on [0, 1], as (nodes, weights).  Built on
+    first use, so that importing the package does not load ``numpy.polynomial``."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    return 0.5 * (1.0 + x), 0.5 * w
 
 
-def _abel_flow(gen, eps, x, rtol, atol):
-    """(phi, 1/w, w) at (eps, x) from the Abel relation: phi is the root of
+_BLOCK = 8192      # samples of f per call in _inverse_f
 
-        G(phi) = int_x^phi dy / f(y) - eps.
 
-    Each moving point marches in the direction sign(eps f(x)) over 24-node
+def _inverse_f(gen, sign, start, length, nodes):
+    """sign / f at start + nodes * length: one row per node, one column per
+    point.  f is called on whole rows of at most ``_BLOCK`` samples at a time,
+    so that its temporaries stay small; at 2048 points that measured faster
+    than one call on every sample (CHANGES.md)."""
+    out = np.empty((nodes.size, start.size))
+    rows = max(1, _BLOCK // start.size)
+    for i in range(0, nodes.size, rows):
+        out[i:i + rows] = sign / gen.f(start + nodes[i:i + rows, None] * length)
+    return out
+
+
+def _abel_flow(gen, eps, x, rtol, atol, with_jacobian):
+    """(phi, jacobian, w) at (eps, x) from the Abel relation: phi is the root of
+
+        G(phi) = int_x^phi dy / f(y) - eps,
+
+    and the jacobian is 1/w (None unless ``with_jacobian``).
+
+    Each moving point marches in the direction sign(eps f(x)) over 8-node
     Gauss-Legendre panels of 1/f, taking the Abel time |int dy/f| of each
     off |eps|; the first panel is |eps| times the larger |f| at x and at its
-    Euler step.  A panel is accepted when its rule and the rule on its two
-    halves agree to atol + rtol |eps|, and then doubles; it is halved when
-    they do not, or when f at a node is zero, has the other sign or is not
-    finite.  The panel that would pass |eps| is closed by Newton steps
-    phi <- phi - f(phi) G(phi), safeguarded by bisection inside it, until
-    |G| is within 4 machine epsilons of the Abel time left or phi stops
-    moving.  A march that reaches the end of the generator's domain or
-    +-BLOWUP_BOUND raises ``DomainBlowup``; one whose panel shrinks below the
-    spacing of phi raises ``StepFailure``.  Only f is sampled, and f' only at
-    exact fixed points (f(x) = 0), where phi = x and w is the limit
-    exp(-eps f'(x)).
+    Euler step, and at least the spacing of x.  A panel is accepted when its
+    rule and the rule on its two halves agree to atol + rtol |eps|, and then
+    doubles; it is halved when they do not, or when f at a node is zero, has
+    the other sign or is not finite.  The panel that would pass |eps| is
+    closed from a guess interpolated through the Abel times of its ends and
+    middle.  Each closing step integrates 1/f only from the last iterate or,
+    the first, from the nearest of those three knots: with the panel's rule
+    on a step longer than 1/64 of the panel, 3 nodes on a shorter one, then
+    f at its end.  The steps are Halley's, Newton's phi <- phi - f(phi) G(phi)
+    corrected by the curvature of the Abel coordinate read from the step's
+    last node and its end, where that stays inside the bracket of the root,
+    else bisection, until a step is below 1e-8 of the panel (the steps
+    converge at least quadratically, so it lands within rounding of the
+    root) or phi stops moving.  A march that reaches the end of the
+    generator's domain or +-BLOWUP_BOUND raises ``DomainBlowup``; one whose
+    panel shrinks below the spacing of phi raises ``StepFailure``.  Only f
+    is sampled, and f' only at fixed points (|f(x)| <= 1e-13 (1 + |x|)),
+    where phi = x and w is the limit exp(-eps f'(x)).
     """
     e, x0 = eps.ravel(), x.ravel()
-    gl_w, panel = _panel_rule()
+    nodes, gl_w = _gauss(8)
+    m, panel = nodes.size, np.concatenate([nodes, 0.5 * nodes, 0.5 + 0.5 * nodes])
     _check(gen.in_domain(x0), "initial point outside the generator's validity interval")
     with np.errstate(all="ignore"):     # a node where f overflows is refused
         fx = gen.f(x0)
         _check(np.isfinite(fx), "f is not finite at the initial point")
-        move = np.flatnonzero((fx != 0.0) & (e != 0.0))
-        sign, way = np.sign(fx[move]), np.sign(fx[move] * e[move])
+        fixed = np.abs(fx) <= 1e-13 * (1.0 + np.abs(x0))
+        move = np.flatnonzero(~fixed & (e != 0.0))
+        sign = np.sign(fx[move])
+        way = sign * np.sign(e[move])      # the product f(x) eps may underflow
         stop = np.where(way > 0, *np.clip(gen.domain[::-1], -BLOWUP_BOUND, BLOWUP_BOUND))
         a, rest = x0[move], np.abs(e[move])    # panel start, Abel time left from it
         tol = atol + rtol * rest
-        # first panel: |eps| times the larger |f| at x and at its Euler step
-        span = np.abs(e[move]) * np.fmax(np.abs(fx[move]), np.abs(
-            gen.f(np.clip(a + e[move] * fx[move], *gen.domain))))
-        u, live = np.empty(move.size), np.arange(move.size)   # u: the root's distance from a
+        span = np.fmax(np.spacing(np.abs(a)), rest * np.fmax(np.abs(fx[move]), np.abs(
+            gen.f(np.clip(a + e[move] * fx[move], *gen.domain)))))
+        # u: the guessed root's distance from a; at, g: the closing's iterate and
+        # G there, first the knot nearest u
+        (u, at, g), live = np.empty((3, move.size)), np.arange(move.size)
         while live.size:
             d, room = way[live], way[live] * (stop[live] - a[live])
             if np.any(room <= 0.0):
                 raise DomainBlowup("flow escaped its validity domain before reaching eps")
             h = np.minimum(span[live], room)
-            inv = sign[live, None] / gen.f(a[live, None] + (d * h)[:, None] * panel)
-            halves = 0.25 * h * (inv[:, 24:] @ np.tile(gl_w, 2))
-            err = np.abs(0.5 * h * (inv[:, :24] @ gl_w) - halves)
-            ok = np.all(np.isfinite(inv) & (inv > 0.0), axis=1) & (err <= tol[live])
+            inv = _inverse_f(gen, sign[live], a[live], d * h, panel)
+            first = 0.5 * h * (gl_w @ inv[m:2 * m])
+            halves = first + 0.5 * h * (gl_w @ inv[2 * m:])
+            err = np.abs(h * (gl_w @ inv[:m]) - halves)     # NaN where f is not finite
+            ok = (inv > 0.0).all(axis=0) & (err <= tol[live])
             on, past = ok & (halves < rest[live]), ok & (halves >= rest[live])
-            i, j, k = live[on], live[past], live[~ok]
+            i, j = live[on], live[past]
             a[i] = np.where(h[on] < room[on], a[i] + d[on] * h[on], stop[i])
             rest[i] -= halves[on]
-            u[j] = h[past] * rest[j] / halves[past]
+            # u through the Abel times (0, first, halves) at u = (0, h/2, h)
+            r, s, t, hp = rest[j], first[past], halves[past], h[past]
+            q = hp * r * (0.5 * (r - t) / (s * (s - t)) + (r - s) / (t * (t - s)))
+            u[j] = np.where((q > 0.0) & (q < hp), q, hp * r / t)
+            near = np.rint(2.0 * u[j] / hp)
+            at[j], g[j] = 0.5 * hp * near, np.choose(near.astype(int), [-r, s - r, t - r])
             span[live] = h * np.where(ok, 1.0 + on, 0.5)   # past: the closing panel
-            if np.any(a[k] + way[k] * span[k] == a[k]):
-                raise StepFailure("flow panel shrank below the spacing of phi")
             live = live[~past]
-        # safeguarded Newton on each closing panel, bracketed in u by [0, span];
-        # its nodes on [a, phi] are the whole-panel rule's, then phi itself
-        close = np.append(panel[:24], 1.0)
-        bracket = np.stack([np.zeros(move.size), span], axis=1)
-        live = np.arange(move.size)
-        while live.size:
-            inv = sign[live, None] / gen.f(a[live, None] + (way * u)[live, None] * close)
-            g = 0.5 * u[live] * (inv[:, :24] @ gl_w) - rest[live]
-            bracket[live, (g >= 0.0).astype(int)] = u[live]
-            lo, hi = bracket[live].T
-            new = u[live] - g / inv[:, 24]
-            new = np.where((new > lo) & (new < hi), new, 0.5 * (lo + hi))
-            done = (np.abs(g) <= 4.0 * np.finfo(float).eps * rest[live]) | (new == u[live])
-            u[live[~done]] = new[~done]
-            live = live[~done]
+            if np.any(a[live] + way[live] * span[live] == a[live]):
+                raise StepFailure("flow panel shrank below the spacing of phi")
+        # close each last panel.  The points still open keep compact copies of
+        # their start a, direction, sign and panel width, the iterate `at` and G
+        # there, the bracket [lo, hi] of the root in u, and the next iterate
         phi = x0.copy()
-        phi[move] = a + way * u
+        state = [np.arange(move.size), a, way, sign, span, at, g, np.zeros(move.size), span, u]
+        while state[0].size:
+            pts, a_, d, sg, width, at_, g_, lo, hi, new = state
+            step = new - at_
+            nodes, weights = _gauss(m if np.any(np.abs(step) > width / 64.0) else 3)
+            inv = _inverse_f(gen, sg, a_ + d * at_, d * step, np.append(nodes, 1.0))
+            g_ = g_ + step * (weights @ inv[:-1])
+            below = g_ < 0.0
+            lo, hi = np.where(below, new, lo), np.where(below, hi, new)
+            # Halley's step: Newton's, corrected by A'' = d(1/|f|)/du read from the
+            # step's last node and its end
+            curv = np.where(step != 0.0, (inv[-1] - inv[-2]) / ((1.0 - nodes[-1]) * step), 0.0)
+            at_, cand = new, new - g_ / inv[-1] / (1.0 - 0.5 * g_ * curv / inv[-1] ** 2)
+            # a step below 1e-8 of the panel is the last; a longer one is taken
+            # inside the bracket, else bisection
+            small = np.abs(cand - at_) <= 1e-8 * width
+            new = np.where(small | (cand > lo) & (cand < hi), np.clip(cand, lo, hi),
+                           0.5 * (lo + hi))
+            done = small | (new == at_)
+            phi[move[pts[done]]] = (a_ + d * new)[done]
+            state = [v[~done] for v in (pts, a_, d, sg, width, at_, g_, lo, hi, new)]
         w = fx / gen.f(phi)
-        fixed = fx == 0.0
         if np.any(fixed):
             w[fixed] = np.exp(-e[fixed] * gen.df(x0[fixed]))
-        return phi.reshape(x.shape), 1.0 / w.reshape(x.shape), w.reshape(x.shape)
+        phi, w = phi.reshape(x.shape), w.reshape(x.shape)
+        return phi, 1.0 / w if with_jacobian else None, w
 
 
 def flow_evaluate(gen, eps, x, *, method="auto", rtol=FLOW_RTOL,
@@ -311,10 +361,15 @@ def flow_evaluate(gen, eps, x, *, method="auto", rtol=FLOW_RTOL,
     is ``rtol``, ``atol``) is used even for closed-form generator kinds
     (useful as an independent cross-check).  Its jacobian is 1/w, so
     ``verify`` checks w against an independent difference of phi in x
-    (``verify.flow_slope``).  ``with_jacobian=False`` leaves the jacobian None.
+    (``verify.flow_slope``).  ``with_jacobian=False`` leaves a custom
+    generator's jacobian None; the closed forms ignore it.
     """
     scalar = np.isscalar(x) and np.isscalar(eps)
-    xa, ea = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(eps, dtype=float))
+    xa, ea = np.broadcast_arrays(np.asarray(x, dtype=float),
+                                 np.asarray(eps, dtype=float))
+    xa = np.array(xa, dtype=float)
+    ea = np.array(ea, dtype=float)
+
     if method == "auto":
         method = "ode" if gen.kind == CUSTOM else "closed"
     if method == "closed":
@@ -322,12 +377,13 @@ def flow_evaluate(gen, eps, x, *, method="auto", rtol=FLOW_RTOL,
             raise ValueError("no closed form for a custom generator")
         phi, jac, w = gen._closed_flow(ea, xa)
     elif method == "ode":
-        phi, jac, w = _abel_flow(gen, ea, xa, rtol, atol)
+        phi, jac, w = _abel_flow(gen, ea, xa, rtol, atol, with_jacobian)
     else:
         raise ValueError(f"unknown flow method {method!r}")
-    jac = jac if with_jacobian else None
+
     if scalar:
-        return FlowEvaluation(float(phi), None if jac is None else float(jac), float(w))
+        return FlowEvaluation(float(phi),
+                              None if jac is None else float(jac), float(w))
     return FlowEvaluation(phi, jac, w)
 
 

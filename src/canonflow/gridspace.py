@@ -286,9 +286,12 @@ def apply_point_unitary(gen, eps, psi, *, leak_tol=LEAK_TOL):
         except DomainBlowup:
             pass                # no preimage: that side stays open
     read = gen.in_domain(x) & (x >= pre[0]) & (x <= pre[1])
-    y, jac = np.full(grid.n, np.nan), np.zeros(grid.n)
-    ev = flow_evaluate(gen, eps, x[read])
-    y[read], jac[read] = ev.x_out, ev.jacobian
+    y = np.full(grid.n, np.nan)
+    jac = np.zeros(grid.n)
+    if np.any(read):
+        ev = flow_evaluate(gen, eps, x[read])
+        y[read] = ev.x_out
+        jac[read] = ev.jacobian
 
     in_grid = (y >= grid.x0) & (y <= grid.xmax)
     if not np.any(in_grid):

@@ -106,22 +106,26 @@ def suite_canonicality(rng=None):
 
 def suite_closed_forms():
     """The closed-form transformation rules, pinned value by value."""
+    checks = []
     lin = GeneratorSpec.linear()
     quad = GeneratorSpec.quadratic()
     exp1 = GeneratorSpec.exp_decay(1.0)
 
-    # (name, flow value, the value its rule prints, the rule)
-    rules = [("linear_position_rule", flow_evaluate(lin, 0.5, 2.0).x_out, 2.0 * np.exp(0.5),
-              "x' = e^eps x"),
-             ("linear_momentum_weight", flow_evaluate(lin, 0.5, 1.3).f2, np.exp(-0.5),
-              "w = e^-eps"),
-             ("quadratic_position_rule", flow_evaluate(quad, 0.25, 2.0).x_out, 4.0,
-              "x' = x / (1 - eps x)"),
-             ("quadratic_momentum_weight", flow_evaluate(quad, 0.25, 2.0).f2, 0.25,
-              "w = (1 - eps x)^2"),
-             ("expdecay_position_rule", flow_evaluate(exp1, 0.5, 0.0).x_out, np.log(1.5),
-              "x' = ln(e^x + eps)")]
-    checks = [_check(name, abs(got - want), 1e-12, rule) for name, got, want, rule in rules]
+    checks.append(_check("linear_position_rule",
+                         abs(flow_evaluate(lin, 0.5, 2.0).x_out - 2.0 * np.exp(0.5)),
+                         1e-12, "x' = e^eps x"))
+    checks.append(_check("linear_momentum_weight",
+                         abs(flow_evaluate(lin, 0.5, 1.3).f2 - np.exp(-0.5)),
+                         1e-12, "w = e^-eps"))
+    checks.append(_check("quadratic_position_rule",
+                         abs(flow_evaluate(quad, 0.25, 2.0).x_out - 4.0), 1e-12,
+                         "x' = x / (1 - eps x)"))
+    checks.append(_check("quadratic_momentum_weight",
+                         abs(flow_evaluate(quad, 0.25, 2.0).f2 - 0.25),
+                         1e-12, "w = (1 - eps x)^2"))
+    checks.append(_check("expdecay_position_rule",
+                         abs(flow_evaluate(exp1, 0.5, 0.0).x_out - np.log(1.5)),
+                         1e-12, "x' = ln(e^x + eps)"))
 
     # flow-derived momentum weight, cross-checked against the adaptive flow
     xs = np.linspace(-1.5, 2.5, 9)
@@ -337,7 +341,8 @@ def suite_metric_inverse():
                          "against the known flow of e^(-x) at eps=0.4"))
 
     sample = np.linspace(-4.0, 4.0, 17)
-    ev = flow_evaluate(rec.generator, 0.4, sample, with_jacobian=False)
+    ev = flow_evaluate(rec.generator, 0.4, sample, with_jacobian=False,
+                       rtol=1e-12, atol=1e-14)
     g_rt = np.asarray(ev.f2) ** -2.0
     g_ref = metric.check_positive(sample)
     checks.append(_check("metric_round_trip_sup",

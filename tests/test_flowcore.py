@@ -156,7 +156,7 @@ class TestAbelSolver:
             x = x[np.exp(x) - 0.5 > 1e-3]       # the flow escapes where e^x <= 0.5
         ev = flow_evaluate(custom_twin("exp_decay"), eps, x)
         closed = flow_evaluate(EXP1, eps, x)
-        # measured 5.0e-15 (eps = 0.5) and 4.0e-15 (eps = -0.5, where f(phi) nears 1e3)
+        # measured 2.6e-15 (eps = 0.5) and 2.1e-14 (eps = -0.5, where f(phi) nears 1e3)
         assert np.max(np.abs(ev.x_out - closed.x_out)) <= 1e-12
         assert np.max(np.abs(ev.f2 / closed.f2 - 1.0)) <= 1e-12
 
@@ -167,7 +167,7 @@ class TestAbelSolver:
         x = np.linspace(-1.5, 1.5, 301)
         ev = flow_evaluate(GeneratorSpec.custom(np.cos, name="cos"), eps, x)
         oracle = np.arctan(np.sinh(np.arcsinh(np.tan(x)) + eps))
-        # measured 4.4e-16 (|eps| = 0.5) and 1.6e-15 (|eps| = 5)
+        # measured 2.2e-16 (|eps| = 0.5) and 4.4e-16 (|eps| = 5)
         assert np.max(np.abs(ev.x_out - oracle)) <= 1e-12
 
     def test_constant_generator_translates(self):
@@ -185,6 +185,34 @@ class TestAbelSolver:
         assert flow_evaluate(gen, 1.0, 0.0).x_out == pytest.approx(0.75, abs=1e-12)
         with pytest.raises(StepFailure):
             flow_evaluate(gen, 5.0, np.array([0.0, 0.5]))
+
+    @pytest.mark.parametrize("eps", [0.3, -0.3])
+    def test_rounded_zero_is_a_fixed_point(self, eps):
+        # sin(+-pi) is 1.2e-16, not 0: a fixed point, where w is the limit
+        # e^(-eps f') = e^eps (f' a five-point difference, 1e-11 off), not
+        # f(x)/f(phi) = 1
+        x = np.array([-np.pi, np.pi])
+        ev = flow_evaluate(GeneratorSpec.custom(np.sin, name="sin"), eps, x)
+        assert np.all(ev.x_out == x)
+        assert np.max(np.abs(ev.f2 / np.exp(eps) - 1.0)) <= 1e-10
+
+    def test_subnormal_generator_is_fixed(self):
+        # e^(-x^2) is below 5.6e-309 for |x| > 26.6, so 1/f overflows at every
+        # node there; those points (like all where |f| <= 1e-13 (1 + |x|)) stay put
+        x = -30.0 + 60.0 * np.arange(2048) / 2048
+        ev = flow_evaluate(GeneratorSpec.custom(lambda t: np.exp(-t * t)), 0.3, x)
+        assert np.all(ev.x_out[np.abs(x) > 5.3] == x[np.abs(x) > 5.3])
+        assert np.all(ev.f2[np.abs(x) > 26.6] == 1.0)
+        assert np.all(np.isfinite(ev.x_out)) and np.all(ev.f2 > 0.0)
+
+    @pytest.mark.parametrize("func,eps,x", [(lambda t: t, 1e-30, 1e-300),
+                                            (lambda t: 0.5 + 0.0 * t, 5e-324, 1.0)],
+                             ids=["eps-f-underflows-at-a-zero", "eps-f-underflows"])
+    def test_underflowing_first_panel_ends(self, func, eps, x):
+        # |eps f(x)| rounds to 0: the first panel is at least the spacing of x,
+        # so the march cannot stall at a zero-width panel
+        ev = flow_evaluate(GeneratorSpec.custom(func), eps, x)
+        assert ev.x_out == x and ev.f2 == 1.0
 
 
 # x ranges on which phi_a, phi_b and phi_(a+b) stay defined for |a|, |b| <= 0.3
