@@ -170,8 +170,7 @@ def _build_metric(spec, where):
     if kind == "csv":
         data = _read_path(spec, where, lambda path: np.genfromtxt(
             path, delimiter=",", names=True))
-        return MetricProfile.from_samples(np.atleast_1d(data["x"]),
-                                          np.atleast_1d(data["g"]))
+        return MetricProfile.from_samples(data["x"], data["g"])
     raise ScenarioError(f"{where}.type: unknown metric {kind!r}")
 
 

@@ -272,8 +272,9 @@ def _abel_flow(gen, eps, x, rtol, atol, with_jacobian):
     else bisection, until a step is below 1e-8 of the panel (the steps
     converge at least quadratically, so it lands within rounding of the
     root) or phi stops moving.  A march that reaches the end of the
-    generator's domain or +-BLOWUP_BOUND raises ``DomainBlowup``; one whose
-    panel shrinks below the spacing of phi raises ``StepFailure``.  Only f
+    generator's domain or +-BLOWUP_BOUND raises ``DomainBlowup``, and so does
+    one whose panel shrinks below the spacing of phi with f infinite at a
+    node of its last panel; any other such panel raises ``StepFailure``.  Only f
     is sampled, and f' only at fixed points (|f(x)| <= 1e-13 (1 + |x|)),
     where phi = x and w is the limit exp(-eps f'(x)).
     """
@@ -317,9 +318,10 @@ def _abel_flow(gen, eps, x, rtol, atol, with_jacobian):
             near = np.rint(2.0 * u[j] / hp)
             at[j], g[j] = 0.5 * hp * near, np.choose(near.astype(int), [-r, s - r, t - r])
             span[live] = h * np.where(ok, 1.0 + on, 0.5)   # past: the closing panel
-            live = live[~past]
-            if np.any(a[live] + way[live] * span[live] == a[live]):
-                raise StepFailure("flow panel shrank below the spacing of phi")
+            live, stalled = live[~past], (a[live] + d * span[live] == a[live])[~past]
+            if np.any(stalled):     # a blowup if 1/f = 0 at a node: f overflows ahead
+                raise (DomainBlowup if np.any(inv[:, ~past][:, stalled] == 0.0) else StepFailure)(
+                    "flow panel shrank below the spacing of phi")
         # close each last panel.  The points still open keep compact copies of
         # their start a, direction, sign and panel width, the iterate `at` and G
         # there, the bracket [lo, hi] of the root in u, and the next iterate

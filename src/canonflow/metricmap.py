@@ -26,12 +26,13 @@ produces it - has two stages (``generator_from_metric``):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Tuple
 
 import numpy as np
 
-# scipy is imported inside the functions that call it, so that importing
-# this module (and with it the CLI) loads numpy only.
+# scipy.linalg is imported inside the spline builder, so that importing this
+# module (and with it the CLI) loads numpy only.
 
 from .errors import (FixedPointInInterval, NonMonotoneFlow, SingularMetric)
 from .flowcore import GeneratorSpec, _check, flow_evaluate
@@ -45,6 +46,71 @@ MAX_JUNCTIONS = 200000       # anchor-orbit length before the seed is rejected
 # Relative amplitude the equivalence check lets the point unitaries truncate
 # (see ``verify_metric_equivalence``).
 EQUIVALENCE_LEAK_TOL = 1e-3
+
+
+class _Piecewise:
+    """A piecewise polynomial laid out as scipy's ``PPoly``: breakpoints ``x``
+    and one column of coefficients ``c`` per piece, highest power first.  A
+    point left of x[1] is on the first piece and one right of x[-2] on the
+    last, so the end pieces extrapolate.  Values and the antiderivative's
+    constants are summed term by term from the lowest power, in ``PPoly``'s
+    order, so they round as it does."""
+
+    def __init__(self, c, x):
+        self.c, self.x = c, x
+
+    def locate(self, x):
+        """The piece of every point, and the powers 1 .. degree of the point's
+        offset s from the piece's left breakpoint, as s, s * s, (s * s) * s, ..."""
+        i = self.x[1:-1].searchsorted(x, "right")
+        return i, list(accumulate([x - self.x[i]] * (len(self.c) - 1), np.multiply))
+
+    def at(self, located, nu=0):
+        """The nu-th derivative at points given by ``locate`` (on this or on a
+        polynomial of higher degree with the same breakpoints)."""
+        i, powers = located
+        c = self.c.take(i, axis=1)[len(self.c) - 1 - nu::-1]    # powers nu, nu + 1, ...
+        val = c[0] * np.prod(np.arange(1, nu + 1)) if nu else c[0]
+        for p in range(1, len(c)):
+            term = c[p] * powers[p - 1]
+            val = val + (term * np.prod(np.arange(p + 1, p + nu + 1)) if nu else term)
+        return val
+
+    def __call__(self, x, nu=0):
+        return self.at(self.locate(x), nu)
+
+    def antiderivative(self):
+        """The antiderivative that is 0 at x[0].  Each piece starts at the value
+        of the one before at their breakpoint, so the pieces' constants are one
+        running sum over their non-constant terms there."""
+        k = len(self.c)
+        c = np.vstack([self.c / np.arange(k, 0, -1)[:, None], np.zeros(self.c.shape[1])])
+        powers = list(accumulate([np.diff(self.x)[:-1]] * k, np.multiply))
+        terms = np.stack([c[-2 - p, :-1] * powers[p] for p in range(k)], axis=1)
+        c[-1, 1:] = np.cumsum(terms)[k - 1::k]
+        return _Piecewise(c, self.x)
+
+
+def _spline(x, y):
+    """The not-a-knot cubic spline through (x, y) (de Boor 1978), built as
+    scipy's ``CubicSpline`` builds it: the slopes at the knots from one
+    tridiagonal solve, or the line through 2 points, the parabola through 3."""
+    from scipy.linalg.lapack import dgtsv
+
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    if x.size < 4:
+        bend = (slope[-1] - slope[0]) / (x[-1] - x[0])      # 0 for a line
+        s = np.concatenate([slope - bend * dx, slope[-1:] + bend * dx[-1:]])
+    else:
+        d0, d1 = x[2] - x[0], x[-1] - x[-3]
+        rhs = np.r_[((dx[0] + 2 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0,
+                    3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:]),
+                    (dx[-1] ** 2 * slope[-2] + (2 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1]
+        diag = np.r_[dx[1], 2 * (dx[:-1] + dx[1:]), dx[-2]]
+        s = dgtsv(np.r_[dx[1:], d1], diag, np.r_[d0, dx[:-1]], rhs)[3]
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    return _Piecewise(np.array([t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]]), x)
 
 
 @dataclass(frozen=True)
@@ -71,18 +137,15 @@ class MetricProfile:
 
     @classmethod
     def from_samples(cls, x, g, name="tabulated metric"):
-        """Cubic interpolation of monotone samples (the CSV interchange format)."""
+        """The not-a-knot cubic spline through monotone samples (the CSV
+        interchange format): a line through 2 rows, a parabola through 3."""
         x = np.asarray(x, dtype=float)
         g = np.asarray(g, dtype=float)
-        if np.any(np.diff(x) <= 0):
-            raise ValueError("sample abscissae must be strictly increasing")
         if np.any(g <= 0):
             raise SingularMetric("metric samples must be positive")
-        from scipy.interpolate import CubicSpline
-
-        spline = CubicSpline(x, g)
-        return cls(g=lambda q: np.asarray(spline(q), dtype=float),
-                   domain=(float(x[0]), float(x[-1])), name=name)
+        if x.size < 2 or not (np.all(np.diff(x) > 0) and np.all(np.isfinite(np.append(x, g)))):
+            raise ValueError("metric samples need two or more finite rows, x increasing")
+        return cls(g=_spline(x, g), domain=(float(x[0]), float(x[-1])), name=name)
 
     def check_positive(self, x):
         """g(x), the one way a metric is sampled: DomainBlowup at a point outside
@@ -121,19 +184,19 @@ def curved_hamiltonian(metric, m, grid):
 # -- inverse problem -----------------------------------------------------------
 
 class FlowTable:
-    """Monotone flow map phi = C + int sqrt(g) on one spline of sqrt(g).
+    """Monotone flow map phi = C + int sqrt(g) on one cubic spline of sqrt(g).
 
-    phi is the exact antiderivative of the spline ``sqrt_g``, shifted by
-    ``offset``, so ``derivative`` is the spline itself.  The inverse refines
-    a spline guess with Newton steps on the forward map through that same
-    spline, so forward and inverse agree to rounding: the Abel construction
-    maps its nodes with both hundreds of times, and a mismatch would shift
-    the reconstructed generator's junction structure.
+    phi is the exact antiderivative of the spline ``sqrt_g`` (a
+    ``_Piecewise`` quartic on the same breakpoints), shifted by ``offset``,
+    so ``derivative`` is the spline itself and ``with_slope`` reads phi and
+    phi' from one lookup of the piece.  The inverse refines a spline guess
+    with Newton steps on the forward map through that same spline, so
+    forward and inverse agree to rounding: the Abel construction maps its
+    nodes with both hundreds of times, and a mismatch would shift the
+    reconstructed generator's junction structure.
     """
 
     def __init__(self, sqrt_g, offset):
-        from scipy.interpolate import CubicSpline
-
         self._sqrt_g = sqrt_g
         self._phi = sqrt_g.antiderivative()
         self._offset = float(offset)
@@ -141,18 +204,24 @@ class FlowTable:
         phis = self(xs)
         if np.any(np.diff(phis) <= 0):
             raise NonMonotoneFlow("tabulated flow map is not strictly increasing")
-        self._inv = CubicSpline(phis, xs)
+        self._inv = _spline(phis, xs)
         self.x_range = (float(xs[0]), float(xs[-1]))
         self.phi_range = (float(phis[0]), float(phis[-1]))
 
     def __call__(self, x):
         return self._phi(x) + self._offset
 
+    def with_slope(self, x):
+        """(phi(x), phi'(x)), through one search for the pieces of x."""
+        located = self._phi.locate(x)
+        return self._phi.at(located) + self._offset, self._sqrt_g.at(located)
+
     def inverse(self, y):
         y = np.asarray(y, dtype=float)
         x = np.clip(self._inv(y), self.x_range[0], self.x_range[1])
         for _ in range(3):
-            x = x - (self(x) - y) / self._sqrt_g(x)
+            phi, slope = self.with_slope(x)
+            x = x - (phi - y) / slope
         return x
 
     def derivative(self, x, order=1):
@@ -206,11 +275,9 @@ def generator_from_metric(metric, eps, anchor, working_interval):
         raise ValueError("anchor must lie in the working interval")
     elo, ehi = _extend_domain((lo, hi), metric.domain)
 
-    from scipy.interpolate import CubicSpline
-
     # cumulative proper length P(x) = int_anchor^x sqrt(g), exact on the spline
     xs = np.linspace(elo, ehi, TABLE_SAMPLES)
-    sqrt_g = CubicSpline(xs, np.sqrt(metric.check_positive(xs)))
+    sqrt_g = _spline(xs, np.sqrt(metric.check_positive(xs)))
     proper = sqrt_g.antiderivative()
     p_anchor = float(proper(anchor))
     pvals = proper(xs) - p_anchor
@@ -263,8 +330,6 @@ def _log_seed(flow, anchor, eps):
     constant f; an exp-decay metric gives a linear l, so f = e^(-x) is
     recovered.
     """
-    from scipy.interpolate import BPoly
-
     a = float(anchor)
     b = float(flow(a))
     d1, d2, d3 = (float(flow.derivative(a, k)) for k in (1, 2, 3))
@@ -278,7 +343,12 @@ def _log_seed(flow, anchor, eps):
     ends = (at_a, at_b) if b > a else (at_b, at_a)
 
     def hermite(coef):
-        return BPoly.from_derivatives([lo, hi], [ends[0] @ coef, ends[1] @ coef])
+        """The quintic on [lo, hi] with these end data (Hermite, in powers of x - lo)."""
+        (v0, s0, k0), (v1, s1, k1), h = ends[0] @ coef, ends[1] @ coef, hi - lo
+        # the (x - lo)^3 .. ^5 terms make up what the quadratic at lo misses at hi
+        gaps = [v1 - v0 - h * (s0 + 0.5 * h * k0), h * (s1 - s0 - h * k0), h * h * (k1 - k0)]
+        top = np.array([[6, -3, 0.5], [-15, 7, -1], [10, -4, 0.5]]) @ gaps / h ** np.arange(5, 2, -1)
+        return _Piecewise(np.append(top, [0.5 * k0, s0, v0])[:, None], np.array([lo, hi]))
 
     nodes, weights = np.polynomial.legendre.leggauss(16)
     xq = lo + 0.5 * (hi - lo) * (nodes + 1.0)
@@ -286,8 +356,8 @@ def _log_seed(flow, anchor, eps):
     third = np.array([hermite(col)(xq, 3) for col in np.eye(3)]) * np.sqrt(wq)
     free = np.linalg.lstsq(third[1:].T, -third[0], rcond=None)[0]
     ell = hermite(np.concatenate([[1.0], free]))
-    const = np.log(np.dot(wq, np.exp(-ell(xq))) / abs(eps))
-    return BPoly(ell.c + const, ell.x), np.sign((b - a) / eps)
+    ell.c[-1] += np.log(np.dot(wq, np.exp(-ell(xq))) / abs(eps))
+    return ell, np.sign((b - a) / eps)
 
 
 def _abel_generator(flow, eps, anchor, working, extended):
@@ -303,8 +373,6 @@ def _abel_generator(flow, eps, anchor, working, extended):
     pieces stretch, and to the domain ends) is filled with evenly spaced
     nodes moved into the fundamental domain one piece per step.
     """
-    from scipy.interpolate import CubicSpline
-
     a = float(anchor)
     fa = float(flow(a))
     lo_dom, hi_dom = min(a, fa), max(a, fa)
@@ -338,7 +406,8 @@ def _abel_generator(flow, eps, anchor, working, extended):
     seeds = np.linspace(lo_dom, hi_dom, count + 2)[1:-1]
 
     def push(x, logf):
-        return flow(x), logf + np.log(flow.derivative(x))
+        phi, slope = flow.with_slope(x)
+        return phi, logf + np.log(slope)
 
     def pull(x, logf):
         prev = flow.inverse(x)
@@ -397,7 +466,7 @@ def _abel_generator(flow, eps, anchor, working, extended):
     if np.any(np.diff(nodes) <= 0):
         raise NonMonotoneFlow("Abel spline nodes are not strictly increasing")
     y, logmul = transport_log(fill)
-    spline = CubicSpline(nodes, sign * np.exp(np.insert(logs, at, ell(y) - logmul)))
+    spline = _spline(nodes, sign * np.exp(np.insert(logs, at, ell(y) - logmul)))
     return GeneratorSpec.custom(spline, domain=(float(dlo), float(dhi)),
                                 name="abel-reconstructed")
 

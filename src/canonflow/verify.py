@@ -17,8 +17,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Dict, List
 
 import numpy as np
-# Loaded here, not first inside a suite's timed region (the library defers them).
-import scipy.interpolate  # noqa: F401
+# Loaded here, not first inside a suite's timed region (the library defers it).
 import scipy.linalg  # noqa: F401
 
 from . import flowcore, hamiltonians, propagators

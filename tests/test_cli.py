@@ -68,6 +68,23 @@ def curved_scenario(tmp_path, outdir):
     return path
 
 
+def csv_metric_scenario(tmp_path, x, g):
+    """A short curved run on [-8, 8) over the csv metric table (x, g)."""
+    np.savetxt(tmp_path / "g.csv", np.column_stack([x, g]), delimiter=",",
+               header="x,g", comments="")
+    scenario = {
+        "system": {"kind": "curved", "mass": 1.0,
+                   "metric": {"type": "csv", "path": str(tmp_path / "g.csv")}},
+        "initial_state": {"kind": "gaussian", "width_re": 1.0},
+        "grid": {"xmin": -8.0, "xmax": 8.0, "n": 128},
+        "propagator": {"method": "crank_nicolson", "dt": 0.01, "t_final": 0.1},
+        "outputs": {"directory": str(tmp_path / "out"), "formats": ["csv"]},
+    }
+    path = tmp_path / "csv_metric.json"
+    path.write_text(json.dumps(scenario))
+    return path
+
+
 class TestSubcommands:
     def test_flow_quadratic_example(self, capsys):
         code, out = invoke(capsys, "flow", "--f", "quadratic",
@@ -337,21 +354,24 @@ class TestErrorPaths:
     def test_csv_metric_is_read_inside_its_table(self, table_end, g, outcome,
                                                   tmp_path, capsys):
         xs = np.linspace(-table_end, table_end, 81)
-        np.savetxt(tmp_path / "g.csv", np.column_stack([xs, g(xs)]), delimiter=",",
-                   header="x,g", comments="")
-        scenario = {
-            "system": {"kind": "curved", "mass": 1.0,
-                       "metric": {"type": "csv", "path": str(tmp_path / "g.csv")}},
-            "initial_state": {"kind": "gaussian", "width_re": 1.0},
-            "grid": {"xmin": -8.0, "xmax": 8.0, "n": 128},
-            "propagator": {"method": "crank_nicolson", "dt": 0.01, "t_final": 0.1},
-            "outputs": {"directory": str(tmp_path / "out"), "formats": ["csv"]},
-        }
-        path = tmp_path / "csv_metric.json"
-        path.write_text(json.dumps(scenario))
-        code, out = invoke(capsys, "propagate", str(path))
+        code, out = invoke(capsys, "propagate", str(csv_metric_scenario(tmp_path, xs, g(xs))))
         kind = json.loads(out)["error"]["kind"] if code else None
         assert (code, kind) == outcome
+
+    # a csv metric that cannot be splined is a ValueError (exit 64); one that
+    # is not positive is a SingularMetric (exit 2)
+    @pytest.mark.parametrize("x,g,outcome", [
+        ([-8.0, 0.0, 0.0, 8.0], [1.0, 1.0, 1.0, 1.0], (64, "ValueError")),
+        ([0.0], [1.0], (64, "ValueError")),
+        ([-8.0, np.nan, 8.0], [1.0, 1.0, 1.0], (64, "ValueError")),
+        ([-np.inf, 0.0, 8.0], [1.0, 1.0, 1.0], (64, "ValueError")),
+        ([-8.0, 0.0, 8.0], [1.0, np.nan, 1.0], (64, "ValueError")),
+        ([-8.0, 0.0, 8.0], [1.0, np.inf, 1.0], (64, "ValueError")),
+        ([-8.0, 0.0, 8.0], [1.0, 0.0, 1.0], (2, "SingularMetric"))],
+        ids=["x-not-increasing", "one-row", "x-nan", "x-inf", "g-nan", "g-inf", "g-zero"])
+    def test_csv_metric_refusal(self, x, g, outcome, tmp_path, capsys):
+        code, out = invoke(capsys, "propagate", str(csv_metric_scenario(tmp_path, x, g)))
+        assert (code, json.loads(out)["error"]["kind"]) == outcome
 
     def test_schema_error_exits_64(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -800,8 +820,15 @@ def scipy_modules_after(code, cwd):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+# scipy subpackages no command loads: the library's splines are numpy, and
+# scipy.linalg does not import these
+HEAVY_SCIPY = tuple(f"scipy.{name}" for name in ("interpolate", "integrate", "sparse",
+                                                 "special", "spatial", "optimize"))
+
+
 class TestColdStart:
-    """Commands that never call scipy do not import it."""
+    """Commands that never call scipy do not import it; the others load
+    ``scipy.linalg`` only."""
 
     @pytest.mark.parametrize("code", [
         "from canonflow.cli import build_parser\nbuild_parser()",
@@ -842,14 +869,23 @@ class TestColdStart:
         code = ("from canonflow.cli import main\n"
                 "assert main(['metric', '--f', 'exp-decay', '--eps', '0.4', '--invert']) == 0")
         loaded = scipy_modules_after(code, tmp_path)
-        assert "scipy.interpolate" in loaded
-        assert [m for m in loaded if m.startswith("scipy.integrate")] == []
+        assert "scipy.linalg" in loaded
+        assert [m for m in loaded if m.startswith(HEAVY_SCIPY)] == []
 
     def test_verify_loads_scipy_up_front(self, tmp_path):
         # so that no timed suite pays for the import; no suite integrates an ODE
         loaded = scipy_modules_after("import canonflow.verify", tmp_path)
-        assert {"scipy.interpolate", "scipy.linalg"} <= set(loaded)
-        assert [m for m in loaded if m.startswith("scipy.integrate")] == []
+        assert "scipy.linalg" in loaded
+        assert [m for m in loaded if m.startswith(HEAVY_SCIPY)] == []
+
+    def test_csv_metric_propagate_loads_linalg_only(self, tmp_path):
+        xs = np.linspace(-8.0, 8.0, 81)
+        csv_metric_scenario(tmp_path, xs, 1.0 + 0.1 * xs * xs)
+        loaded = scipy_modules_after("from canonflow.cli import main\n"
+                                     "assert main(['propagate', 'csv_metric.json']) == 0",
+                                     tmp_path)
+        assert "scipy.linalg" in loaded
+        assert [m for m in loaded if m.startswith(HEAVY_SCIPY)] == []
 
     def test_parser_is_built_once(self, capsys, monkeypatch):
         built = []

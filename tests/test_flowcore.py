@@ -186,6 +186,13 @@ class TestAbelSolver:
         with pytest.raises(StepFailure):
             flow_evaluate(gen, 5.0, np.array([0.0, 0.5]))
 
+    @pytest.mark.parametrize("gen", [custom_twin("exp_decay"), EXP1], ids=["custom", "closed"])
+    def test_overflowing_f_is_a_blowup(self, gen):
+        # e^x < 0.5 at x = -1: the flow of e^(-x) reaches -inf by eps = -0.5,
+        # and the custom f overflows near x = -709, where the march stalls
+        with pytest.raises(DomainBlowup):
+            flow_evaluate(gen, -0.5, -1.0)
+
     @pytest.mark.parametrize("eps", [0.3, -0.3])
     def test_rounded_zero_is_a_fixed_point(self, eps):
         # sin(+-pi) is 1.2e-16, not 0: a fixed point, where w is the limit

@@ -268,6 +268,49 @@ class TestGeneratorFromMetric:
         assert np.max(np.abs(metric.g(probe) - (1.0 + 0.4 * np.exp(-probe)) ** -2)) < 1e-8
 
 
+@st.composite
+def spline_tables(draw):
+    """Strictly increasing x (2 to 60 rows, gaps of 1/20 to 2) and y."""
+    n = draw(st.integers(2, 60))
+    gaps = draw(st.lists(st.floats(0.05, 2.0), min_size=n - 1, max_size=n - 1))
+    x = draw(st.floats(-10.0, 10.0)) + np.concatenate([[0.0], np.cumsum(gaps)])
+    y = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n)))
+    return x, y
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(table=spline_tables())
+def test_cubic_matches_scipy(table):
+    # the not-a-knot spline against scipy's: coefficients, then value, slope,
+    # curvature and antiderivative at the knots, between them and outside
+    from scipy.interpolate import CubicSpline
+    x, y = table
+    ours, ref = metricmap._spline(x, y), CubicSpline(x, y)
+    scale = 1.0 + np.max(np.abs(ref.c))
+    assert np.max(np.abs(ours.c - ref.c)) <= 1e-12 * scale
+    probe = np.concatenate([x, 0.5 * (x[1:] + x[:-1]), [x[0] - 1.0, x[-1] + 1.5]])
+    for nu in range(3):
+        want = ref(probe, nu)
+        assert np.max(np.abs(ours(probe, nu) - want)) <= 1e-11 * (1.0 + np.max(np.abs(want)))
+    want = ref.antiderivative()(probe)
+    assert (np.max(np.abs(ours.antiderivative()(probe) - want))
+            <= 1e-11 * (1.0 + np.max(np.abs(want))))
+
+
+@pytest.mark.parametrize("x,g", [([-1.0, 2.0], [1.0, 4.0]),
+                                 ([-1.0, 0.5, 2.0], [2.0, 1.25, 5.0])],
+                         ids=["line", "parabola"])
+def test_short_tables_are_a_line_and_a_parabola(x, g):
+    # 2 rows give their line and 3 their parabola (here 1 + x^2), as scipy's
+    # CubicSpline does
+    from scipy.interpolate import CubicSpline
+    metric = MetricProfile.from_samples(x, g)
+    probe = np.linspace(-1.0, 2.0, 13)
+    exact = 1.0 + probe ** 2 if len(x) == 3 else 2.0 + probe
+    assert np.max(np.abs(metric.g(probe) - exact)) <= 1e-14
+    assert np.max(np.abs(metric.g(probe) - CubicSpline(x, g)(probe))) <= 1e-14
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=10)
 @given(eps=st.floats(0.25, 0.8), interval=st.sampled_from([(-4.0, 4.0), (-2.0, 3.0)]))
 def test_expdecay_inverse_property(eps, interval):
