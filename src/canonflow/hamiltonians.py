@@ -161,15 +161,14 @@ def quadratic_phase_transform(ham, chi, dchi):
                    c=ham.c + 2.0 * ham.a * chi)
 
 
-def reduce_oscillator(mass, omega, t, m0=None):
+def reduce_oscillator(mass, omega, t):
     """Apply both transforms to p^2/(2m) + (1/2) m w^2 x^2 at time t.
 
-    Returns (QuadraticHamiltonian, eps(t), chi(t)).  With the canonical
-    choices eps = (1/2)ln(m0/m), chi = m0*deps the result is
-    (1/(2 m0), (1/2) m0 Omega(t)^2, 0).
+    Returns (QuadraticHamiltonian, eps(t), chi(t)).  With eps = (1/2)ln(m0/m)
+    in the gauge m0 = m(0), the exact chain's, and chi = m0*deps the result
+    is (1/(2 m0), (1/2) m0 Omega(t)^2, 0).
     """
-    if m0 is None:
-        m0 = float(mass.value(0.0))
+    m0 = float(mass.value(0.0))
     m, dm, ddm = mass.with_derivatives(t)
     e, de, dde = map(float, mass_epsilon(m, dm, ddm, m0))
     h0 = QuadraticHamiltonian.oscillator(float(m), float(omega.value(t)))
@@ -311,7 +310,8 @@ class SolvableFamily:
         return TimeProfile.constant(self.omega)
 
     def static_mass(self):
-        """Default gauge constant m0_static = m(0), making eps(0) = 0."""
+        """The gauge constant m0_static = m(0) of the exact chain and the
+        Gaussian oracle, making eps(0) = 0."""
         return float(self.mass_with_derivatives(0.0)[0])
 
     def constancy_residual(self, t):

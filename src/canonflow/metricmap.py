@@ -35,7 +35,7 @@ import numpy as np
 # module (and with it the CLI) loads numpy only.
 
 from .errors import (FixedPointInInterval, NonMonotoneFlow, SingularMetric)
-from .flowcore import GeneratorSpec, _check, flow_evaluate
+from .flowcore import GeneratorSpec, _check, _gauss, flow_evaluate
 from .gridspace import WaveFunction, apply_point_unitary, apply_weighted_kinetic
 from .propagators import crank_nicolson_curved, free_propagate, uniform_time_grid
 
@@ -186,22 +186,22 @@ def curved_hamiltonian(metric, m, grid):
 class FlowTable:
     """Monotone flow map phi = C + int sqrt(g) on one cubic spline of sqrt(g).
 
-    phi is the exact antiderivative of the spline ``sqrt_g`` (a
-    ``_Piecewise`` quartic on the same breakpoints), shifted by ``offset``,
-    so ``derivative`` is the spline itself and ``with_slope`` reads phi and
-    phi' from one lookup of the piece.  The inverse refines a spline guess
-    with Newton steps on the forward map through that same spline, so
-    forward and inverse agree to rounding: the Abel construction maps its
-    nodes with both hundreds of times, and a mismatch would shift the
-    reconstructed generator's junction structure.
+    phi is ``proper``, the exact antiderivative of the spline ``sqrt_g`` (a
+    ``_Piecewise`` quartic on the same breakpoints, ``at_knots`` its values
+    there), shifted by ``offset``, so ``derivative`` is the spline itself and
+    ``with_slope`` reads phi and phi' from one lookup of the piece.  The
+    inverse refines a spline guess with Newton steps on the forward map
+    through that same spline, so forward and inverse agree to rounding: the
+    Abel construction maps its nodes with both hundreds of times, and a
+    mismatch would shift the reconstructed generator's junction structure.
     """
 
-    def __init__(self, sqrt_g, offset):
+    def __init__(self, sqrt_g, proper, at_knots, offset):
         self._sqrt_g = sqrt_g
-        self._phi = sqrt_g.antiderivative()
+        self._phi = proper
         self._offset = float(offset)
         xs = sqrt_g.x
-        phis = self(xs)
+        phis = at_knots + self._offset
         if np.any(np.diff(phis) <= 0):
             raise NonMonotoneFlow("tabulated flow map is not strictly increasing")
         self._inv = _spline(phis, xs)
@@ -262,12 +262,15 @@ def generator_from_metric(metric, eps, anchor, working_interval):
     the round-tripped metric does not depend on this choice.  Returns a
     :class:`ReconstructedGenerator` whose Custom ``generator``, tabulated by
     the Abel construction, reproduces ``flow`` (and hence g) to the flow
-    solver's tolerance.
+    solver's tolerance.  An eps or interval end that is not finite, eps = 0,
+    an empty interval or an anchor outside it raise ``ValueError``.
     """
     eps = float(eps)
+    lo, hi = float(working_interval[0]), float(working_interval[1])
+    if not np.all(np.isfinite([eps, lo, hi])):
+        raise ValueError("eps and the working interval must be finite")
     if eps == 0.0:
         raise ValueError("eps must be nonzero to embed a map into a flow")
-    lo, hi = float(working_interval[0]), float(working_interval[1])
     if not lo < hi:
         raise ValueError("working interval must be nonempty")
     anchor = float(anchor)
@@ -279,8 +282,9 @@ def generator_from_metric(metric, eps, anchor, working_interval):
     xs = np.linspace(elo, ehi, TABLE_SAMPLES)
     sqrt_g = _spline(xs, np.sqrt(metric.check_positive(xs)))
     proper = sqrt_g.antiderivative()
+    at_knots = proper(xs)
     p_anchor = float(proper(anchor))
-    pvals = proper(xs) - p_anchor
+    pvals = at_knots - p_anchor
 
     # choose phi(anchor): smallest displacement without an interior fixed point
     disp_fn = xs - pvals        # phi_C(x) - x = C - (x - P(x))
@@ -305,7 +309,7 @@ def generator_from_metric(metric, eps, anchor, working_interval):
         raise FixedPointInInterval(
             "flow map has a fixed point inside the working interval")
 
-    flow = FlowTable(sqrt_g, c_val - p_anchor)
+    flow = FlowTable(sqrt_g, proper, at_knots, c_val - p_anchor)
     gen = _abel_generator(flow, eps, anchor, (lo, hi), (elo, ehi))
     return ReconstructedGenerator(generator=gen, flow=flow)
 
@@ -350,9 +354,9 @@ def _log_seed(flow, anchor, eps):
         top = np.array([[6, -3, 0.5], [-15, 7, -1], [10, -4, 0.5]]) @ gaps / h ** np.arange(5, 2, -1)
         return _Piecewise(np.append(top, [0.5 * k0, s0, v0])[:, None], np.array([lo, hi]))
 
-    nodes, weights = np.polynomial.legendre.leggauss(16)
-    xq = lo + 0.5 * (hi - lo) * (nodes + 1.0)
-    wq = 0.5 * (hi - lo) * weights
+    nodes, weights = _gauss(16)
+    xq = lo + (hi - lo) * nodes
+    wq = (hi - lo) * weights
     third = np.array([hermite(col)(xq, 3) for col in np.eye(3)]) * np.sqrt(wq)
     free = np.linalg.lstsq(third[1:].T, -third[0], rcond=None)[0]
     ell = hermite(np.concatenate([[1.0], free]))

@@ -5,12 +5,13 @@ Three routes to psi(t), cross-validated against each other:
 * ``ExactSolvablePropagator`` - for the solvable mass family the
   time-dependent oscillator is conjugated to a static one,
 
-      U(t) = D(eps(t))^dag Q(chi(t))^dag e^(-i H'' t) Q(chi(0)) D(eps(0)),
+      U(t) = D(eps(t))^dag Q(chi(t))^dag e^(-i H'' t) Q(chi(0)),
 
   with D the dilation point unitary, Q the quadratic phase, eps =
-  (1/2) ln(m0/m(t)), chi = m0 eps', and H'' the static oscillator of
-  frequency Omega0, evolved by exact phases in its Hermite eigenbasis, on
-  which D and Q act in closed form (no resampling).
+  (1/2) ln(m0/m(t)) in the gauge m0 = m(0), so that eps(0) = 0, chi =
+  m0 eps', and H'' the static oscillator of frequency Omega0, evolved by
+  exact phases in its Hermite eigenbasis, on which D and Q act in closed
+  form (no resampling).
 * ``split_step_propagate`` - Strang splitting of the same oscillator, the
   chain's independent reference.
 * ``crank_nicolson_curved`` - Crank-Nicolson for the position-dependent-mass
@@ -356,14 +357,15 @@ class ExactSolvablePropagator:
     grid's values are gathered.  One recurrence covers round(n/u) stored
     times for u distinct |x|, so it spans about n points: 2 times on a
     mirrored grid, 1 on a grid without mirror points.  The projection of
-    psi0 reads the same folded rows.  The states do not depend on the gauge ``static_mass``.
+    psi0 reads the same folded rows.  The gauge is fixed at m0 = m(0)
+    (``SolvableFamily.static_mass``), so eps(0) = 0 and the projection reads
+    psi0 undilated; the states do not depend on that choice.
     """
 
-    def __init__(self, family, psi0, *, static_mass=None):
+    def __init__(self, family, psi0):
         self.grid = psi0.grid
         self.family = family
-        self.m0_static = (family.static_mass() if static_mass is None
-                          else float(static_mass))
+        self.m0_static = family.static_mass()
         self.basis = HermiteBasis(BASIS_SIZE, self.m0_static, family.Omega0,
                                   psi0.grid)
         x = self.grid.x
@@ -372,13 +374,11 @@ class ExactSolvablePropagator:
         self._abs_x, _, at = np.unique(np.abs(x), return_index=True, return_inverse=True)
         # grid point j is entry _fold[j] of a (u, 2) array of (|x|, x > 0)
         self._fold = 2 * at + (x > 0)
-        e0, de0, _ = mass_epsilon(*family.mass_with_derivatives(0.0), self.m0_static)
-        if e0 != 0.0 and not psi0.edge_decay_ok():
-            raise SupportLeakage("initial state does not decay at the grid edge")
-        rows0, phase0 = self._frames(e0, de0)
+        _, de0, _ = mass_epsilon(*family.mass_with_derivatives(0.0), self.m0_static)
+        rows0, phase0 = self._frames(0.0, de0)
         sides = np.zeros((self._abs_x.size, 2), complex)
         sides.reshape(-1)[self._fold] = phase0.conj() * psi0.values
-        scale = self.grid.dx * math.exp(-0.5 * e0) / self.basis.scales
+        scale = self.grid.dx / self.basis.scales
         self.coeffs = scale * (_real_dot(rows0, sides) * _MIRROR_SIGNS).sum(axis=1)
         self._weights = (self.coeffs / self.basis.scales)[:, None] * _MIRROR_SIGNS
         self._rates = -1j * self.basis.energies()
@@ -478,13 +478,15 @@ def gaussian_oscillator_evolve(state, m, omega, t):
                              _continuous_arg(m, omega, complex(state.a), t))
 
 
-def gaussian_exact_propagate(family, state, t, *, static_mass=None):
+def gaussian_exact_propagate(family, state, t):
     """Closed-form Gaussian transport through the solvable-family chain's
-    maps, in the order of its U(t); the dilation and phase legs keep Q > 0."""
-    m0s = (family.static_mass() if static_mass is None else float(static_mass))
-    e0, de0, _ = map(float, mass_epsilon(*family.mass_with_derivatives(0.0), m0s))
+    maps, in the order of its U(t); the dilation and phase legs keep Q > 0.
+    The gauge is the chain's, m0 = m(0), so eps(0) = 0 and the first leg is
+    the phase alone."""
+    m0s = family.static_mass()
+    _, de0, _ = map(float, mass_epsilon(*family.mass_with_derivatives(0.0), m0s))
     et, det, _ = map(float, mass_epsilon(*family.mass_with_derivatives(t), m0s))
-    staged = state.transported(phase_map(m0s * de0) @ dilation_map(e0), 0.0)
+    staged = state.transported(phase_map(m0s * de0), 0.0)
     evolved = gaussian_oscillator_evolve(staged, m0s, family.Omega0, t)
     return evolved.transported(dilation_map(-et) @ phase_map(-m0s * det), 0.0)
 

@@ -203,7 +203,7 @@ def suite_reduction():
     ts = np.linspace(0.0, 5.0, 41)
     worst = 0.0
     for t in ts:
-        red, _, _ = reduce_oscillator(mass, omega, float(t), m0=m0)
+        red, _, _ = reduce_oscillator(mass, omega, float(t))
         worst = max(worst,
                     abs(red.a - 1.0 / (2.0 * m0)),
                     abs(red.b - 0.5 * m0 * fam.Omega0 ** 2),

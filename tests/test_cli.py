@@ -373,6 +373,34 @@ class TestErrorPaths:
         code, out = invoke(capsys, "propagate", str(csv_metric_scenario(tmp_path, x, g)))
         assert (code, json.loads(out)["error"]["kind"]) == outcome
 
+    # a csv initial state too short for a grid, or with uneven x, is a
+    # ValueError (exit 64)
+    @pytest.mark.parametrize("x,message", [
+        (np.linspace(-12.0, 12.0, 3), "CSV grid needs at least 8 points"),
+        (np.linspace(-12.0, 12.0, 512, endpoint=False) + 0.01 * (np.arange(512) == 100),
+         "CSV grid is not strictly uniform")],
+        ids=["three-rows", "uneven-x"])
+    def test_csv_state_refusal(self, x, message, tmp_path, capsys):
+        np.savetxt(tmp_path / "state.csv", np.column_stack([x, np.exp(-x * x), 0.0 * x]),
+                   delimiter=",", header="x,re,im", comments="")
+        path = ck_scenario(tmp_path, tmp_path / "out")
+        scenario = json.loads(path.read_text())
+        scenario["initial_state"] = {"kind": "csv", "path": str(tmp_path / "state.csv")}
+        path.write_text(json.dumps(scenario))
+        code, out = invoke(capsys, "propagate", str(path))
+        error = json.loads(out)["error"]
+        assert (code, error["kind"], error["message"]) == (64, "ValueError", message)
+
+    def test_negative_constant_metric_exits_2(self, tmp_path, capsys):
+        path = curved_scenario(tmp_path, tmp_path / "out")
+        scenario = json.loads(path.read_text())
+        scenario["system"]["metric"] = {"type": "constant", "value": -1.0}
+        path.write_text(json.dumps(scenario))
+        code, out = invoke(capsys, "propagate", str(path))
+        error = json.loads(out)["error"]
+        assert (code, error["kind"], error["message"]) == (
+            2, "SingularMetric", "constant metric must be positive")
+
     def test_schema_error_exits_64(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text(json.dumps({"system": {}}))

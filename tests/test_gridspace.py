@@ -68,6 +68,18 @@ class TestStates:
         with pytest.raises(ValueError, match=re.escape(f"grid x0={x0!r}, dx={dx!r}, n=16")):
             Grid(x0, dx, 16)
 
+    @pytest.mark.parametrize("shape", [(GRID.n + 1,), (1, GRID.n)],
+                             ids=["too-long", "two-dimensional"])
+    def test_values_must_match_the_grid(self, shape):
+        with pytest.raises(ValueError, match="does not match the grid"):
+            WaveFunction(GRID, np.zeros(shape))
+
+    def test_inner_refuses_states_on_different_grids(self):
+        # same n and spacing, so the arrays alone would pair up
+        shifted = Grid(GRID.x0 + GRID.dx / 2, GRID.dx, GRID.n)
+        with pytest.raises(ValueError, match="different grids"):
+            ground().inner(GaussianState(a=1.0).to_wavefunction(shifted))
+
     def test_values_immutable(self):
         psi = ground()
         with pytest.raises(ValueError):

@@ -251,6 +251,18 @@ class TestSolvableFamily:
         om = effective_frequency(fam.mass_profile(), fam.frequency_profile(), ts)
         assert np.max(np.abs(om - 1.5)) < 1e-10
 
+    @pytest.mark.parametrize("build,error,message", [
+        (lambda: SolvableFamily(m0=1.0, mu=1.0, nu=0.3, alpha=1.5, Omega0=1.5,
+                                trigonometric=True), ValueError, "alpha < Omega0"),
+        (lambda: SolvableFamily.caldirola_kanai(gamma=0.2), ValueError,
+         "provide omega0 or Omega0"),
+        (lambda: SolvableFamily.caldirola_kanai(gamma=3.0, omega0=1.0),
+         ImaginaryFrequency, "overdamped"),
+    ], ids=["trigonometric-alpha-at-Omega0", "ck-no-frequency", "ck-overdamped"])
+    def test_family_refusals(self, build, error, message):
+        with pytest.raises(error, match=message):
+            build()
+
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             SolvableFamily(m0=-1.0, mu=1.0, nu=0.0, alpha=0.1, Omega0=1.0)
@@ -264,7 +276,7 @@ class TestReduction:
         m0 = fam.static_mass()
         for t in np.linspace(0.0, 5.0, 21):
             red, _, _ = reduce_oscillator(fam.mass_profile(),
-                                          fam.frequency_profile(), float(t), m0=m0)
+                                          fam.frequency_profile(), float(t))
             assert red.a == pytest.approx(1.0 / (2.0 * m0), abs=1e-10)
             assert red.b == pytest.approx(0.5 * m0 * 4.0, abs=1e-10)
             assert red.c == pytest.approx(0.0, abs=1e-10)

@@ -260,12 +260,52 @@ class TestGeneratorFromMetric:
             generator_from_metric(MetricProfile.constant(1.0), 0.0,
                                   anchor=0.0, working_interval=(-1.0, 1.0))
 
+    @pytest.mark.parametrize("eps,interval", [
+        (np.nan, (-1.0, 1.0)), (np.inf, (-1.0, 1.0)), (-np.inf, (-1.0, 1.0)),
+        (0.5, (-np.inf, 1.0)), (0.5, (-1.0, np.inf))],
+        ids=["eps-nan", "eps-inf", "eps-minus-inf", "interval-from-minus-inf",
+             "interval-to-inf"])
+    def test_non_finite_argument_rejected(self, eps, interval):
+        with pytest.raises(ValueError, match="must be finite"):
+            generator_from_metric(MetricProfile.constant(1.0), eps,
+                                  anchor=0.0, working_interval=interval)
+
+    def test_flow_table_integrated_once(self, monkeypatch):
+        # cost guard: the proper length that picks the displacement is the
+        # flow table's phi, so sqrt(g)'s spline is integrated once
+        antiderivative = metricmap._Piecewise.antiderivative
+        calls = []
+
+        def counted(self):
+            calls.append(1)
+            return antiderivative(self)
+
+        monkeypatch.setattr(metricmap._Piecewise, "antiderivative", counted)
+        generator_from_metric(metric_from_generator(EXP1, 0.4), 0.4, anchor=0.0,
+                              working_interval=(-4.0, 4.0))
+        assert len(calls) == 1
+
     def test_metric_csv_round_trip(self, tmp_path):
         xs = np.linspace(-5.0, 5.0, 201)
         gs = (1.0 + 0.4 * np.exp(-xs)) ** -2
         metric = MetricProfile.from_samples(xs, gs)
         probe = np.linspace(-3.0, 3.0, 11)
         assert np.max(np.abs(metric.g(probe) - (1.0 + 0.4 * np.exp(-probe)) ** -2)) < 1e-8
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(c0=st.floats(0.5, 2.0), ratio=st.floats(-0.49, 0.49), k=st.floats(0.2, 3.0),
+       x0=st.floats(-2.0, 2.0), eps=st.floats(0.2, 1.0), sign=st.sampled_from([1, -1]))
+def test_flow_table_inverse_agrees_with_forward(c0, ratio, k, x0, eps, sign):
+    # FlowTable promises that phi(inverse(y)) = y to rounding, over its image
+    metric = MetricProfile.from_callable(
+        lambda x: (c0 + ratio * c0 * np.tanh(k * (x - x0))) ** 2)
+    flow = generator_from_metric(metric, sign * eps, anchor=0.0,
+                                 working_interval=(-2.0, 2.0)).flow
+    y = np.linspace(*flow.phi_range, 2001)
+    x = flow.inverse(y)
+    assert np.max(np.abs(flow(x) - y) / (1.0 + np.abs(y))) <= 1e-13
+    assert np.all(np.diff(x) >= 0)
 
 
 @st.composite

@@ -451,8 +451,10 @@ def complex_frame_chain(family, psi0, times, static_mass=None):
 
 
 def assert_matches_complex_frame_chain(family, static_mass, grid, times):
+    # the library's gauge is m(0); a reference in another gauge checks that
+    # the states do not depend on it
     psi = GaussianState(a=1.1 - 0.2j, center=0.7, momentum=-0.4).to_wavefunction(grid)
-    prop = ExactSolvablePropagator(family, psi, static_mass=static_mass)
+    prop = ExactSolvablePropagator(family, psi)
     for t, want in zip(times, complex_frame_chain(family, psi, times, static_mass)):
         assert np.max(np.abs(prop(t).values - want)) <= 1e-13
 
@@ -505,18 +507,10 @@ class TestExactChain:
         assert exact.fidelity(traj.final) > 1.0 - 1e-6
         assert abs(exact.norm() - 1.0) < 1e-8
 
-    def test_dilated_initial_frame_needs_a_decaying_state(self):
-        # static mass 2 puts eps(0) = ln(2)/2 != 0, so the chain resamples
-        # psi0 dilated, which a state that reaches the grid edge refuses
-        psi = GaussianState(a=0.02).to_wavefunction(Grid.from_interval(-8.0, 8.0, 256))
-        assert not psi.edge_decay_ok()
-        with pytest.raises(SupportLeakage, match="initial state"):
-            ExactSolvablePropagator(CK, psi, static_mass=2.0)
-
     def test_gauge_independence(self):
         psi = GaussianState(a=1.0, center=1.0).to_wavefunction(GRID)
         one = ExactSolvablePropagator(CK, psi)(3.0)
-        two = ExactSolvablePropagator(CK, psi, static_mass=2.0)(3.0)
+        two = WaveFunction(GRID, complex_frame_chain(CK, psi, [3.0], static_mass=2.0)[0])
         overlap = one.normalized().inner(two.normalized())
         assert abs(overlap - 1.0) < 1e-8
 
@@ -553,8 +547,7 @@ class TestExactChain:
         b = ExactSolvablePropagator(CK, psi)(1.0)
         assert a.fidelity(b) > 1.0 - 1e-12
 
-    @pytest.mark.parametrize("static_mass", [None, 2.0])
-    def test_never_resamples(self, monkeypatch, static_mass):
+    def test_never_resamples(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("the exact chain resampled a grid state")
 
@@ -563,18 +556,15 @@ class TestExactChain:
                          "flow_evaluate"):
                 monkeypatch.setattr(module, name, refuse, raising=False)
         psi = GaussianState(a=1.0, center=1.0).to_wavefunction(GRID)
-        prop = ExactSolvablePropagator(CK, psi, static_mass=static_mass)
+        prop = ExactSolvablePropagator(CK, psi)
         for t in (0.0, 0.7, 2.5, 5.0):
             assert abs(prop(t).norm() - 1.0) < 1e-12
 
-    @pytest.mark.parametrize("static_mass", [None, 2.0])
-    def test_pointwise_against_gaussian_oracle(self, static_mass):
+    def test_pointwise_against_gaussian_oracle(self):
         g = GaussianState(a=1.0, center=1.0)
-        prop = ExactSolvablePropagator(CK, g.to_wavefunction(GRID),
-                                       static_mass=static_mass)
+        prop = ExactSolvablePropagator(CK, g.to_wavefunction(GRID))
         for t in np.linspace(0.0, 5.0, 11):
-            oracle = gaussian_exact_propagate(CK, g, float(t),
-                                              static_mass=static_mass)
+            oracle = gaussian_exact_propagate(CK, g, float(t))
             gap = np.abs(prop(t).values - oracle.to_wavefunction(GRID).values)
             assert np.max(gap) < 2.2e-15
 
@@ -704,11 +694,9 @@ class TestGaussianTransport:
           for m, w, a0 in [(1.0, 1.0, 1.3 - 0.25j), (0.4, 2.7, 0.2 + 3.0j),
                            (2.5, 0.3, 4.0 - 1.0j)]),
         # the chain past Omega0 t = 2 pi, beyond the t <= 5 the other tests reach
-        *(pytest.param(partial(gaussian_exact_propagate, CK,
-                               GaussianState(a=1.1 - 0.2j, center=0.7, momentum=-0.4),
-                               static_mass=static_mass),
-                       CK.Omega0, False, id=f"chain-static-mass-{static_mass}")
-          for static_mass in (None, 2.0))])
+        pytest.param(partial(gaussian_exact_propagate, CK,
+                             GaussianState(a=1.1 - 0.2j, center=0.7, momentum=-0.4)),
+                     CK.Omega0, False, id="chain")])
     def test_width_phase_continuous_at_half_periods(self, evolve, w, rotation_only):
         # at w t = k pi, sin(w t) rounds to either sign: the phase of the
         # float below, at and above k pi/w must still agree
@@ -729,7 +717,6 @@ class TestGaussianTransport:
 
         def routes():
             return [gaussian_exact_propagate(CK, g, 3.0),
-                    gaussian_exact_propagate(CK, g, 3.0, static_mass=2.0),
                     gaussian_oscillator_evolve(g, 1.0, 1.0, 3.0)]
 
         def refuse(*args, **kwargs):
