@@ -521,7 +521,3 @@ def main(argv=None):
         code, error = 2, {"kind": "OverflowError", "message": str(exc)}
     print(json.dumps({"error": error}))
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -35,6 +35,7 @@ from .flowcore import GeneratorSpec, bracket_generator, flow_evaluate
 
 EDGE_FRACTION = 0.02     # outer fraction of points used by the edge-decay check
 LEAK_TOL = 1e-10         # default relative amplitude threshold
+STORED_EDGE_TOL = 1e-9   # edge amplitude a propagated or transformed state may keep
 NORM_TOL = 1e-6          # norm deviation ``expectation`` accepts as normalized
 _OVERSAMPLE = 2          # R: band_limited_values grids on M = R*n nodes
 _HALF_WIDTH = 14         # W: each point sums the Gaussian over 2W nodes
@@ -311,7 +312,7 @@ def apply_point_unitary(gen, eps, psi, *, leak_tol=LEAK_TOL):
     out = np.zeros(grid.n, dtype=complex)
     out[in_grid] = np.sqrt(jac[in_grid]) * band_limited_values(psi, y[in_grid])
     result = WaveFunction(grid, out)
-    if not result.edge_decay_ok(tol=max(leak_tol, 1e-9)):
+    if not result.edge_decay_ok(tol=max(leak_tol, STORED_EDGE_TOL)):
         raise SupportLeakage("transformed support reaches the grid edge")
     return result
 
@@ -331,7 +332,12 @@ def expectation(observable, psi):
     a, b, c meaning H = a p^2 + b x^2 + (c/2){x,p}, whose {x,p} term is
     evaluated only when c != 0; H sums the normalized moments.  The state
     is read as it is, with no normalized copy, but must be normalized
-    (checked once per call).  An imaginary {x,p} residue above 1e-10 warns.
+    (checked once per call).  {x,p} is Hermitian, so the imaginary part of
+    its moment is rounding error.  The moment is taken about the origin,
+    which loses digits in proportion to |x| |p| over the state, so an
+    imaginary residue above 1e-10 max(1, |Re <{x,p}>|) warns that the real
+    part is inexact by about as much (a state centred near x = 1e7 on 2048
+    points reads 3.5e-10).
     """
     if not abs(psi.norm() - 1.0) <= NORM_TOL:
         raise NotNormalized(f"state norm is {psi.norm():.6g}, expected 1")
@@ -443,12 +449,11 @@ def wavefunction_from_csv(path):
     data = np.genfromtxt(path, delimiter=",", names=True)
     x = np.atleast_1d(data["x"])
     vals = np.atleast_1d(data["re"]) + 1j * np.atleast_1d(data["im"])
-    if x.size < 8:
-        raise ValueError("CSV grid needs at least 8 points")
+    if x.size < 2:      # no spacing; 2 to 7 rows are refused by Grid
+        raise ValueError("CSV state needs at least two rows")
     # the spacing from the endpoints keeps the rebuilt points within a few
     # ulps of the written ones; neighbour differences drift by up to n ulps
     dx = (x[-1] - x[0]) / (x.size - 1)
     if np.max(np.abs(np.diff(x) - dx)) > 1e-9 * abs(dx):
         raise ValueError("CSV grid is not strictly uniform")
-    grid = Grid(float(x[0]), float(dx), int(x.size))
-    return WaveFunction(grid, vals)
+    return WaveFunction(Grid(float(x[0]), float(dx), int(x.size)), vals)

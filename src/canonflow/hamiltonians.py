@@ -96,15 +96,6 @@ class TimeProfile:
         return cls(lambda t: np.asarray(fn(np.asarray(t, dtype=float)), dtype=float),
                    triple, name=name)
 
-    def derivative_consistency(self, ts):
-        """Max mismatch between stored and finite-difference derivatives."""
-        ts = np.asarray(ts, dtype=float)
-        fd = TimeProfile.from_callable(self.value, timescale=max(np.ptp(ts), 1.0))
-        _, fd1, fd2 = fd.with_derivatives(ts)
-        v, d1, d2 = self.with_derivatives(ts)
-        scale = 1.0 + np.max(np.abs(v))
-        return float(max(np.max(np.abs(fd1 - d1)), np.max(np.abs(fd2 - d2))) / scale)
-
 
 def mass_epsilon(m, dm, ddm, m0):
     """(eps, deps, ddeps) of eps = (1/2) ln(m0 / m), so that m e^(2 eps) = m0.

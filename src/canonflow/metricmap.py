@@ -364,18 +364,32 @@ def _log_seed(flow, anchor, eps):
     return ell, np.sign((b - a) / eps)
 
 
+def _spread(x):
+    """Indices of the increasing points x that a walk from the first keeps when
+    it steps to the farthest point within NODE_SPACING, or to the next one
+    where none is: the last point is kept, and neighbours end up at most
+    NODE_SPACING apart where the points allow."""
+    far = x.searchsorted(x + NODE_SPACING, "right").tolist()
+    kept = [0]
+    while kept[-1] < x.size - 1:
+        kept.append(max(far[kept[-1]] - 1, kept[-1] + 1))
+    return kept
+
+
 def _abel_generator(flow, eps, anchor, working, extended):
     """Generator construction through the Abel recursion.
 
     log|f| is the C^2 seed of ``_log_seed`` on the fundamental domain
     between anchor and phi(anchor); f o phi = f * phi' carries it to the
     rest of the line, and f is compiled into one cubic spline.  Its nodes
-    are the orbit images of one seed set strictly inside the fundamental
+    are orbit images of one seed set strictly inside the fundamental
     domain: each sweep maps the set one piece further with phi or its
-    inverse and adds log phi' (a sqrt(g) value) to each image's log|f|, one
-    map call per node.  Every gap wider than ``NODE_SPACING`` (where the
-    pieces stretch, and to the domain ends) is filled with evenly spaced
-    nodes moved into the fundamental domain one piece per step.
+    inverse, one map call, and adds log phi' (a sqrt(g) value) to each
+    image's log|f|; where the pieces shrink, ``_spread`` keeps the images
+    moved on and the nodes about NODE_SPACING apart.  Every gap wider than
+    ``NODE_SPACING`` (where the pieces stretch, and to the domain ends) is
+    filled with evenly spaced nodes moved into the fundamental domain one
+    piece per step.
     """
     a = float(anchor)
     fa = float(flow(a))
@@ -418,25 +432,31 @@ def _abel_generator(flow, eps, anchor, working, extended):
         return prev, logf - np.log(flow.derivative(prev))
 
     # A step applies on its table only.  The images move monotonically away
-    # from the seeds, so an image past dlo or dhi is not moved on.
+    # from the seeds, so an image past dlo or dhi is not moved on.  Of more
+    # than two images, only those ``_spread`` keeps are moved on: the first
+    # and last stay, so the sweeps end where they would with every image,
+    # and where the pieces shrink the next images stay at most NODE_SPACING
+    # apart.  The nodes are the images ``_spread`` keeps of the whole orbit.
     sweeps, sides = 0, []
     for step, (t_lo, t_hi) in ((push, flow.x_range), (pull, flow.phi_range)):
-        side = [(seeds, ell(seeds))]
+        side = [np.array([seeds, ell(seeds)])]
+        orbit = side[0]
         while True:
-            cur, logf = side[-1]
-            live = (cur > max(dlo, t_lo)) & (cur < min(dhi, t_hi))
-            if not np.any(live):
+            live = (orbit[0] > max(dlo, t_lo)) & (orbit[0] < min(dhi, t_hi))
+            if not live.any():
                 break
             sweeps += 1
             if sweeps > MAX_JUNCTIONS:
                 raise FixedPointInInterval(
                     "anchor orbit does not traverse the domain (displacement too small)")
-            cur, logf = step(cur[live], logf[live])
-            inside = (cur > dlo) & (cur < dhi)
-            side.append((cur[inside], logf[inside]))
+            orbit = np.array(step(*orbit.compress(live, axis=1)))
+            side.append(orbit.compress((orbit[0] > dlo) & (orbit[0] < dhi), axis=1))
+            orbit = side[-1]
+            orbit = orbit.take(_spread(orbit[0]), axis=1) if orbit.shape[1] > 2 else orbit
         sides.append(side)
     down, up = sides[::-1] if upward else sides
-    images, logs = (np.concatenate(parts) for parts in zip(*(down[::-1] + up[1:])))
+    orbits = np.concatenate(down[::-1] + up[1:], axis=1)
+    images, logs = orbits[:, _spread(orbits[0])]
 
     def transport_log(x):
         """(y, L): y in the fundamental domain with log|f(x)| = log|f(y)| - L.

@@ -39,7 +39,7 @@ import numpy as np
 from .errors import (LinearSolveFailure, MassZeroCrossing, ResolutionError,
                      SingularMetric, StepFailure, SupportLeakage,
                      TruncationError)
-from .gridspace import WaveFunction, _density, _mass, apply_momentum
+from .gridspace import STORED_EDGE_TOL, WaveFunction, _density, _mass, apply_momentum
 from .hamiltonians import _positive_mass, mass_epsilon
 
 BASIS_SIZE = 40              # Hermite functions in the exact chain's frame
@@ -297,9 +297,9 @@ def split_step_propagate(mass, omega, psi0, t_grid, *, stride=None):
     order in dt, which the suite's Richardson self-test checks.  The step is
     exactly unitary, so norm drift is at rounding level.  The FFT wraps
     through the periodic boundary, so a stored state that fails
-    ``edge_decay_ok(tol=1e-9)`` raises ``SupportLeakage``.  A non-finite
-    initial state or frequency sample raises ``StepFailure`` before any
-    step, and so does a non-finite norm at the next sampled step.
+    ``edge_decay_ok(tol=STORED_EDGE_TOL)`` raises ``SupportLeakage``.  A
+    non-finite initial state or frequency sample raises ``StepFailure``
+    before any step, and so does a non-finite norm at the next sampled step.
     """
     t, dt = _validate_time_grid(t_grid)
     grid = psi0.grid
@@ -323,7 +323,7 @@ def split_step_propagate(mass, omega, psi0, t_grid, *, stride=None):
 
     traj = _drive(psi0, t, dt, stride,
                   lambda i, values: step(*coeffs[i], values), apply_h, StepFailure)
-    if not all(state.edge_decay_ok(tol=1e-9) for state in traj.states):
+    if not all(state.edge_decay_ok(tol=STORED_EDGE_TOL) for state in traj.states):
         raise SupportLeakage("split-step support reaches the grid edge, where "
                              "the FFT wraps it through the periodic boundary")
     return traj
@@ -365,7 +365,7 @@ class ExactSolvablePropagator:
     def __init__(self, family, psi0):
         self.grid = psi0.grid
         self.family = family
-        self.m0_static = family.static_mass()
+        self.m0_static, dm0, ddm0 = map(float, family.mass_with_derivatives(0.0))
         self.basis = HermiteBasis(BASIS_SIZE, self.m0_static, family.Omega0,
                                   psi0.grid)
         x = self.grid.x
@@ -374,7 +374,7 @@ class ExactSolvablePropagator:
         self._abs_x, _, at = np.unique(np.abs(x), return_index=True, return_inverse=True)
         # grid point j is entry _fold[j] of a (u, 2) array of (|x|, x > 0)
         self._fold = 2 * at + (x > 0)
-        _, de0, _ = mass_epsilon(*family.mass_with_derivatives(0.0), self.m0_static)
+        _, de0, _ = mass_epsilon(self.m0_static, dm0, ddm0, self.m0_static)
         rows0, phase0 = self._frames(0.0, de0)
         sides = np.zeros((self._abs_x.size, 2), complex)
         sides.reshape(-1)[self._fold] = phase0.conj() * psi0.values
@@ -412,7 +412,7 @@ class ExactSolvablePropagator:
         states = []
         for i in range(0, times.size, per):
             states += self._block(weights[i:i + per], e[i:i + per], de[i:i + per])
-        if not all(state.edge_decay_ok(tol=1e-9) for state in states):
+        if not all(state.edge_decay_ok(tol=STORED_EDGE_TOL) for state in states):
             raise SupportLeakage("evolved support reaches the grid edge")
         return states if np.ndim(t) else states[0]
 
@@ -483,8 +483,8 @@ def gaussian_exact_propagate(family, state, t):
     maps, in the order of its U(t); the dilation and phase legs keep Q > 0.
     The gauge is the chain's, m0 = m(0), so eps(0) = 0 and the first leg is
     the phase alone."""
-    m0s = family.static_mass()
-    _, de0, _ = map(float, mass_epsilon(*family.mass_with_derivatives(0.0), m0s))
+    m0s, dm0, ddm0 = map(float, family.mass_with_derivatives(0.0))
+    _, de0, _ = map(float, mass_epsilon(m0s, dm0, ddm0, m0s))
     et, det, _ = map(float, mass_epsilon(*family.mass_with_derivatives(t), m0s))
     staged = state.transported(phase_map(m0s * de0), 0.0)
     evolved = gaussian_oscillator_evolve(staged, m0s, family.Omega0, t)

@@ -398,9 +398,10 @@ SUITES: Dict[str, Callable[[], List[Check]]] = {
 }
 
 
-def run_suites(names=None):
-    """Run the requested suites (all by default); returns {name: [Check, ...]}."""
-    if names is None or names == ["all"]:
+def run_suites(names):
+    """Run the named suites, or every suite in ``SUITES`` order for ["all"];
+    returns {name: [Check, ...]}."""
+    if names == ["all"]:
         names = list(SUITES)
     unknown = [n for n in names if n not in SUITES]
     if unknown:

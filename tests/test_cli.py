@@ -373,13 +373,16 @@ class TestErrorPaths:
         code, out = invoke(capsys, "propagate", str(csv_metric_scenario(tmp_path, x, g)))
         assert (code, json.loads(out)["error"]["kind"]) == outcome
 
-    # a csv initial state too short for a grid, or with uneven x, is a
+    # a csv initial state too short for a grid (refused by Grid, or before
+    # it for one row, which has no spacing), or with uneven x, is a
     # ValueError (exit 64)
     @pytest.mark.parametrize("x,message", [
-        (np.linspace(-12.0, 12.0, 3), "CSV grid needs at least 8 points"),
+        (np.array([1.0]), "CSV state needs at least two rows"),
+        (np.linspace(-12.0, 12.0, 3), "grid needs at least 8 points"),
+        (np.linspace(-12.0, 12.0, 7), "grid needs at least 8 points"),
         (np.linspace(-12.0, 12.0, 512, endpoint=False) + 0.01 * (np.arange(512) == 100),
          "CSV grid is not strictly uniform")],
-        ids=["three-rows", "uneven-x"])
+        ids=["one-row", "three-rows", "seven-rows", "uneven-x"])
     def test_csv_state_refusal(self, x, message, tmp_path, capsys):
         np.savetxt(tmp_path / "state.csv", np.column_stack([x, np.exp(-x * x), 0.0 * x]),
                    delimiter=",", header="x,re,im", comments="")
@@ -400,6 +403,18 @@ class TestErrorPaths:
         error = json.loads(out)["error"]
         assert (code, error["kind"], error["message"]) == (
             2, "SingularMetric", "constant metric must be positive")
+
+    def test_failed_cayley_factorization_exits_2(self, tmp_path, capsys, monkeypatch):
+        # zgttrf reports an exactly singular factor through info > 0, which
+        # 1/2 + i H dt/4 with H real symmetric never is; a stand-in reports it
+        from scipy.linalg import lapack
+        zgttrf = lapack.zgttrf
+        monkeypatch.setattr(lapack, "zgttrf", lambda *args: (*zgttrf(*args)[:-1], 1))
+        code, out = invoke(capsys, "propagate",
+                           str(curved_scenario(tmp_path, tmp_path / "out")))
+        error = json.loads(out)["error"]
+        assert (code, error["kind"], error["message"]) == (
+            2, "LinearSolveFailure", "Cayley factorization failed (info 1)")
 
     def test_schema_error_exits_64(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -938,6 +953,14 @@ class TestColdStart:
     def test_unknown_suite_is_value_error(self):
         with pytest.raises(ValueError, match="unknown suite"):
             verify.run_suites(["nope"])
+
+    def test_all_runs_every_suite_in_order(self, monkeypatch):
+        ran = []
+        monkeypatch.setattr(verify, "SUITES", {
+            name: (lambda name=name: ran.append(name) or [name]) for name in verify.SUITES})
+        results = verify.run_suites(["all"])
+        assert ran == list(results) == list(SUITE_NAMES)
+        assert all(results[name] == [name] for name in SUITE_NAMES)
 
     @pytest.mark.parametrize("command,rest", [("flow", ["--x", "1.0"]), ("metric", [])])
     def test_generator_choices_are_the_closed_forms(self, command, rest):

@@ -5,6 +5,7 @@ import dataclasses
 import pathlib
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -516,6 +517,19 @@ class TestExpectation:
     def test_unknown_observable(self):
         with pytest.raises(ValueError):
             expectation("x3", ground())
+
+    def test_far_state_warns_of_an_imaginary_anticommutator_residue(self):
+        # <{x,p}> about the origin loses digits in proportion to |x| |p|: a
+        # real Gaussian at 1e7 reads an imaginary residue of about 3.5e-10
+        def far(x0):
+            grid = Grid.from_interval(x0, x0 + 24.0, 2048)
+            return GaussianState(a=1.0, center=x0 + 12.0).to_wavefunction(grid)
+
+        with pytest.warns(UserWarning, match="imaginary residue .* in <xp_anticomm>"):
+            expectation("xp_anticomm", far(1e7))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            expectation("xp_anticomm", far(1e5))
 
 
 class TestBracketIdentities:

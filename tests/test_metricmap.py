@@ -188,6 +188,41 @@ class TestGeneratorFromMetric:
                               working_interval=(-4.0, 4.0))
         assert 0 < sum(points) <= 2000
 
+    def test_expdecay_spline_nodes(self):
+        # cost guard: where the exp-decay orbit piles up (above x = 3) the
+        # nodes stay about NODE_SPACING apart instead of one per image
+        rec = generator_from_metric(metric_from_generator(EXP1, 0.4), 0.4, anchor=0.0,
+                                    working_interval=(-4.0, 4.0))
+        assert rec.generator.func.x.size <= 2500
+
+    def test_unresolved_metric_spike_raises_non_monotone_flow(self):
+        # a spike narrower than the table spacing lands on one knot (x = 0);
+        # the cubic of sqrt(g) rings below zero beside it, so the tabulated
+        # phi decreases there
+        spike = MetricProfile.from_callable(lambda x: 1.0 + 1e4 * np.exp(-(x / 1e-4) ** 2))
+        with pytest.raises(NonMonotoneFlow, match="tabulated flow map"):
+            generator_from_metric(spike, 0.5, anchor=-2.0, working_interval=(-4.0, 4.0))
+
+    def test_borderline_displacement_inside_the_interval_raises(self, monkeypatch):
+        # phi(x) - x peaks at x = 0 for sqrt(g) = 1 + tanh(x)/2, and with no
+        # displacement bump that peak is a fixed point; the bump keeps every
+        # input away from it, so only a zero bump reaches the refusal
+        monkeypatch.setattr(metricmap, "MIN_DISPLACEMENT", 0.0)
+        metric = MetricProfile.from_callable(lambda x: (1.0 + 0.5 * np.tanh(x)) ** 2)
+        with pytest.raises(FixedPointInInterval, match="inside the working interval"):
+            generator_from_metric(metric, 0.5, anchor=0.0, working_interval=(-4.0, 4.0))
+
+    def test_fill_node_that_never_reaches_the_domain_raises(self, monkeypatch):
+        # an inverse that leaves points above x = 0.5 in place, as if phi had
+        # a fixed point there: the sweeps pull only points below phi(0) ~ 0.34,
+        # so only the fill node at 0.59 is caught, and it never arrives
+        inverse = FlowTable.inverse
+        monkeypatch.setattr(FlowTable, "inverse",
+                            lambda self, y: np.where(y > 0.5, y, inverse(self, y)))
+        with pytest.raises(FixedPointInInterval, match="did not reach the fundamental"):
+            generator_from_metric(metric_from_generator(EXP1, 0.4), 0.4, anchor=0.0,
+                                  working_interval=(-4.0, 4.0))
+
     def test_orbit_sweep_limit_raises(self, monkeypatch):
         monkeypatch.setattr(metricmap, "MAX_JUNCTIONS", 3)
         with pytest.raises(FixedPointInInterval):

@@ -473,10 +473,13 @@ class TestExactChain:
         monkeypatch.setattr(SolvableFamily, "mass_with_derivatives", counted)
         psi = GaussianState(a=1.0, center=1.0).to_wavefunction(GRID)
         prop = ExactSolvablePropagator(CK, psi)
-        assert len(calls) == 2          # the static mass and the frame at t = 0
+        assert len(calls) == 1          # m(0) and the frame at t = 0 together
         traj = prop.trajectory(np.linspace(0.0, 5.0, 5001), 250)
         assert len(traj.states) == 21
-        assert len(calls) == 2 + 1
+        assert len(calls) == 1 + 1
+        # the Gaussian oracle: one evaluation at t = 0 and one at t
+        gaussian_exact_propagate(CK, GaussianState(a=1.0, center=1.0), 3.0)
+        assert len(calls) == 2 + 2
 
     def test_times_array_equals_scalar_calls(self):
         psi = GaussianState(a=1.1 - 0.2j, center=0.7, momentum=-0.4).to_wavefunction(GRID)
