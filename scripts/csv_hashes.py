@@ -55,7 +55,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
 from canonflow.cli import main  # noqa: E402
 
 PINNED = {
-    "family_exact": "7e3596e73e4ae91c3b2c56f5a4e2b79d2a8f9e7758456eff7986f9468126def0",
+    "family_exact": "6e5e66fea07305efaf328123ab4781ef1ef6d30007021d1351201119a8c1f99e",
     "family_split_step": "e2f6e7e2cae747f130f08c70d6a26616e72041c854c143fb0fc49a862566465b",
     "profiles_split_step": "650c35b1415d094afd5a52819fb75c56ebd3f6fe83438c89fa29642e4048ae07",
     "curved_exp_decay": "94917744d21eda0fd0c300d97dc0e63237f85e2f79a7f099831c85aef22506de",

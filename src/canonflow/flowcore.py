@@ -358,30 +358,23 @@ def flow_evaluate(gen, eps, x, *, method="auto", rtol=FLOW_RTOL,
                   atol=FLOW_ATOL, with_jacobian=True):
     """Evaluate phi_eps(x), its x-derivative, and the conjugation factor.
 
-    ``eps`` and ``x`` may be scalars or broadcastable arrays.  With
-    ``method="ode"`` the Abel solver (``_abel_flow``, whose panel tolerance
-    is ``rtol``, ``atol``) is used even for closed-form generator kinds
-    (useful as an independent cross-check).  Its jacobian is 1/w, so
-    ``verify`` checks w against an independent difference of phi in x
-    (``verify.flow_slope``).  ``with_jacobian=False`` leaves a custom
-    generator's jacobian None; the closed forms ignore it.
+    ``eps`` and ``x`` may be scalars or broadcastable arrays.  The generator's
+    kind picks the route: the closed form, or for a custom generator the
+    Abel solver (``_abel_flow``, whose panel tolerance is ``rtol``, ``atol``);
+    ``method`` must be ``"auto"``.  A closed form is cross-checked through its
+    custom twin ``GeneratorSpec.custom(gen.f)``, which takes the Abel route.
+    The Abel jacobian is 1/w, so ``verify`` checks w against an independent
+    difference of phi in x (``verify.flow_slope``).  ``with_jacobian=False``
+    leaves a custom generator's jacobian None; the closed forms ignore it.
     """
+    if method != "auto":
+        raise ValueError(f"unknown flow method {method!r}")
     scalar = np.isscalar(x) and np.isscalar(eps)
-    xa, ea = np.broadcast_arrays(np.asarray(x, dtype=float),
-                                 np.asarray(eps, dtype=float))
-    xa = np.array(xa, dtype=float)
-    ea = np.array(ea, dtype=float)
-
-    if method == "auto":
-        method = "ode" if gen.kind == CUSTOM else "closed"
-    if method == "closed":
-        if gen.kind == CUSTOM:
-            raise ValueError("no closed form for a custom generator")
-        phi, jac, w = gen._closed_flow(ea, xa)
-    elif method == "ode":
+    xa, ea = (np.array(v, dtype=float) for v in np.broadcast_arrays(x, eps))
+    if gen.kind == CUSTOM:
         phi, jac, w = _abel_flow(gen, ea, xa, rtol, atol, with_jacobian)
     else:
-        raise ValueError(f"unknown flow method {method!r}")
+        phi, jac, w = gen._closed_flow(ea, xa)
 
     if scalar:
         return FlowEvaluation(float(phi),

@@ -22,7 +22,6 @@ would lose (``apply_point_unitary``).
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -31,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainBlowup, NotNormalized, SupportLeakage
-from .flowcore import GeneratorSpec, bracket_generator, flow_evaluate
+from .flowcore import bracket_generator, flow_evaluate
 
 EDGE_FRACTION = 0.02     # outer fraction of points used by the edge-decay check
 LEAK_TOL = 1e-10         # default relative amplitude threshold
@@ -437,12 +436,12 @@ def verify_bracket_identities(f1, f2, grid, probes):
 # -- CSV interchange ----------------------------------------------------------
 
 def wavefunction_to_csv(psi, path):
-    """Write columns x,re,im in full double precision."""
+    """Write columns x,re,im in full double precision: ``\\n`` lines of
+    ``.17g`` text, the dialect of ``trajectory.csv``."""
+    rows = (f"{xi:.17g},{vi.real:.17g},{vi.imag:.17g}"
+            for xi, vi in zip(psi.grid.x, psi.values))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "re", "im"])
-        for xi, vi in zip(psi.grid.x, psi.values):
-            writer.writerow([f"{xi:.17g}", f"{vi.real:.17g}", f"{vi.imag:.17g}"])
+        fh.write("\n".join(["x,re,im", *rows]) + "\n")
 
 
 def wavefunction_from_csv(path):

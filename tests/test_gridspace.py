@@ -105,6 +105,26 @@ class TestStates:
         assert back.grid == psi.grid
         assert np.max(np.abs(back.values - psi.values)) < 1e-15
 
+    def test_csv_bytes_are_lf_lines_of_17g_text(self, tmp_path):
+        # the dialect of trajectory.csv: "\n" line ends and full-precision .17g text
+        grid = Grid(-1.5, 0.5, 8)
+        psi = WaveFunction(grid, grid.x / 3 + 0.1j * grid.x ** 2)
+        path = tmp_path / "state.csv"
+        wavefunction_to_csv(psi, path)
+        assert path.read_bytes() == (
+            b"x,re,im\n"
+            b"-1.5,-0.5,0.22500000000000001\n"
+            b"-1,-0.33333333333333331,0.10000000000000001\n"
+            b"-0.5,-0.16666666666666666,0.025000000000000001\n"
+            b"0,0,0\n"
+            b"0.5,0.16666666666666666,0.025000000000000001\n"
+            b"1,0.33333333333333331,0.10000000000000001\n"
+            b"1.5,0.5,0.22500000000000001\n"
+            b"2,0.66666666666666663,0.40000000000000002\n")
+        back = wavefunction_from_csv(path)
+        assert back.grid == grid
+        assert np.array_equal(back.values, psi.values)
+
     def test_fidelity_never_exceeds_one(self):
         # rounding in the overlap and the norms reads 1 + O(1e-16) unclamped
         rng = np.random.default_rng(7)
@@ -605,3 +625,23 @@ def test_grid_norms_and_overlaps_are_taken_in_one_place():
         finder.visit(ast.parse(path.read_text()))
         found += [f"{path.stem}.{fn}" for fn in finder.found]
     assert sorted(found) == ["gridspace._braket", "gridspace._mass"]
+
+
+def test_every_imported_name_is_used():
+    # __init__ imports the public names it re-exports, and an import marked
+    # "# noqa: F401" is kept for its side effect
+    src = pathlib.Path(gridspace.__file__).parent
+    unused = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        text = path.read_text()
+        lines, tree = text.splitlines(), ast.parse(text)
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    and "# noqa: F401" not in lines[node.lineno - 1]):
+                names = [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+                unused += [f"{path.stem}.{name}" for name in names if name not in used]
+    assert unused == []
