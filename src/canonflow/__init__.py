@@ -31,8 +31,7 @@ from .hamiltonians import (
 )
 from .propagators import (
     HermiteBasis, StepperReport, Trajectory, split_step_propagate,
-    free_propagate, ExactSolvablePropagator,
-    gaussian_exact_propagate, gaussian_oscillator_evolve,
+    free_propagate, ExactSolvablePropagator, gaussian_exact_propagate,
     crank_nicolson_curved, apply_curved_kinetic, quadratic_hamiltonian_matrix,
     oscillator_spectrum,
 )

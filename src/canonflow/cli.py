@@ -328,32 +328,24 @@ def run_scenario(path, outdir=None):
     lines = [TRAJECTORY_HEADER] + [_row(*row) for row in zip(traj.times, traj.states,
                                                              fids, energies)]
 
-    os.makedirs(directory, exist_ok=True)
-    paths = {}
-    if "csv" in formats:
-        csv_path = os.path.join(directory, "trajectory.csv")
-        with open(csv_path, "w", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
-        paths["csv"] = csv_path
-
     report_dict = {"library_version": __version__, "scenario": scenario,
                    "report": dataclasses.asdict(traj.report)}
-    if "json" in formats:
-        json_path = os.path.join(directory, "report.json")
-        with open(json_path, "w") as fh:
-            json.dump(report_dict, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        paths["json"] = json_path
-    if "gnuplot" in formats:
-        gp_path = os.path.join(directory, "plot.gp")
-        with open(gp_path, "w") as fh:
-            fh.write('set datafile separator ","\n'
-                     'set key autotitle columnhead\n'
-                     'set xlabel "t"\n'
-                     'plot "trajectory.csv" using 1:4 with lines, \\\n'
-                     '     "trajectory.csv" using 1:5 with lines, \\\n'
-                     '     "trajectory.csv" using 1:6 with lines\n')
-        paths["gnuplot"] = gp_path
+    texts = {"csv": ("trajectory.csv", "\n".join(lines) + "\n"),
+             "json": ("report.json", json.dumps(report_dict, indent=2, sort_keys=True) + "\n"),
+             "gnuplot": ("plot.gp", 'set datafile separator ","\n'
+                                    'set key autotitle columnhead\n'
+                                    'set xlabel "t"\n'
+                                    'plot "trajectory.csv" using 1:4 with lines, \\\n'
+                                    '     "trajectory.csv" using 1:5 with lines, \\\n'
+                                    '     "trajectory.csv" using 1:6 with lines\n')}
+    os.makedirs(directory, exist_ok=True)
+    paths = {}
+    for fmt in OUTPUT_FORMATS:
+        if fmt in formats:
+            name, text = texts[fmt]
+            paths[fmt] = os.path.join(directory, name)
+            with open(paths[fmt], "w", newline="") as fh:
+                fh.write(text)
     return report_dict, paths
 
 
@@ -397,8 +389,7 @@ def _cmd_transform(args):
 
 @np.errstate(all="ignore")
 def _cmd_solvable(args):
-    family = SolvableFamily(m0=args.m0, mu=args.mu, nu=args.nu,
-                            alpha=args.alpha, Omega0=args.Omega0)
+    family = _build_family(vars(args), "solvable")
     ts = np.linspace(0.0, args.t_max, args.samples)
     mass = family.mass_profile()
     columns = (ts, *family.mass_with_derivatives(ts),

@@ -354,21 +354,19 @@ def _abel_flow(gen, eps, x, rtol, atol, with_jacobian):
         return phi, 1.0 / w if with_jacobian else None, w
 
 
-def flow_evaluate(gen, eps, x, *, method="auto", rtol=FLOW_RTOL,
-                  atol=FLOW_ATOL, with_jacobian=True):
+def flow_evaluate(gen, eps, x, *, rtol=FLOW_RTOL, atol=FLOW_ATOL,
+                  with_jacobian=True):
     """Evaluate phi_eps(x), its x-derivative, and the conjugation factor.
 
     ``eps`` and ``x`` may be scalars or broadcastable arrays.  The generator's
     kind picks the route: the closed form, or for a custom generator the
-    Abel solver (``_abel_flow``, whose panel tolerance is ``rtol``, ``atol``);
-    ``method`` must be ``"auto"``.  A closed form is cross-checked through its
-    custom twin ``GeneratorSpec.custom(gen.f)``, which takes the Abel route.
-    The Abel jacobian is 1/w, so ``verify`` checks w against an independent
-    difference of phi in x (``verify.flow_slope``).  ``with_jacobian=False``
-    leaves a custom generator's jacobian None; the closed forms ignore it.
+    Abel solver (``_abel_flow``, whose panel tolerance is ``rtol``, ``atol``).
+    A closed form is cross-checked through its custom twin
+    ``GeneratorSpec.custom(gen.f)``, which takes the Abel route.  The Abel
+    jacobian is 1/w, so ``verify`` checks w against an independent difference
+    of phi in x (``verify.flow_slope``).  ``with_jacobian=False`` leaves a
+    custom generator's jacobian None; the closed forms ignore it.
     """
-    if method != "auto":
-        raise ValueError(f"unknown flow method {method!r}")
     scalar = np.isscalar(x) and np.isscalar(eps)
     xa, ea = (np.array(v, dtype=float) for v in np.broadcast_arrays(x, eps))
     if gen.kind == CUSTOM:

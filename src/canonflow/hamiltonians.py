@@ -49,7 +49,7 @@ class TimeProfile:
     ``with_derivatives(t)`` call; ``value`` serves readers of the value
     alone.  Closed-form constructors keep the derivatives exact;
     ``from_callable`` takes them from 4th-order central differences of step
-    h = 1e-4 * timescale, five evaluations of the callable per call.
+    h = 1e-4, five evaluations of the callable per call.
     """
 
     value: Callable
@@ -82,8 +82,8 @@ class TimeProfile:
         return cls(lambda t: triple(t)[0], triple, name=name)
 
     @classmethod
-    def from_callable(cls, fn, timescale=1.0, name="numeric"):
-        h = 1e-4 * float(timescale)
+    def from_callable(cls, fn, name="numeric"):
+        h = 1e-4
 
         def triple(t):
             t = np.asarray(t, dtype=float)
@@ -155,17 +155,15 @@ def quadratic_phase_transform(ham, chi, dchi):
 def reduce_oscillator(mass, omega, t):
     """Apply both transforms to p^2/(2m) + (1/2) m w^2 x^2 at time t.
 
-    Returns (QuadraticHamiltonian, eps(t), chi(t)).  With eps = (1/2)ln(m0/m)
-    in the gauge m0 = m(0), the exact chain's, and chi = m0*deps the result
-    is (1/(2 m0), (1/2) m0 Omega(t)^2, 0).
+    Returns the QuadraticHamiltonian.  With eps = (1/2)ln(m0/m) in the gauge
+    m0 = m(0), the exact chain's, and chi = m0*deps it is
+    (1/(2 m0), (1/2) m0 Omega(t)^2, 0).
     """
     m0 = float(mass.value(0.0))
     m, dm, ddm = mass.with_derivatives(t)
     e, de, dde = map(float, mass_epsilon(m, dm, ddm, m0))
     h0 = QuadraticHamiltonian.oscillator(float(m), float(omega.value(t)))
-    h1 = dilation_transform(h0, e, de)
-    h2 = quadratic_phase_transform(h1, m0 * de, m0 * dde)
-    return h2, e, m0 * de
+    return quadratic_phase_transform(dilation_transform(h0, e, de), m0 * de, m0 * dde)
 
 
 def effective_frequency(mass, omega, t):
@@ -237,21 +235,17 @@ class SolvableFamily:
             raise ValueError("trigonometric family needs alpha < Omega0")
 
     @classmethod
-    def caldirola_kanai(cls, gamma, omega0=None, m0=1.0, Omega0=None):
+    def caldirola_kanai(cls, gamma, omega0, m0=1.0):
         """Exponential mass m = m0 e^(gamma t): mu = 1, nu = 0, alpha = gamma/2.
 
-        Provide either the lab frequency omega0 (w^2 must exceed gamma^2/4)
-        or the reduced frequency Omega0 directly.
+        The lab frequency omega0 must exceed gamma/2; the reduced frequency
+        is Omega0 = sqrt(omega0^2 - (gamma/2)^2).
         """
         alpha = 0.5 * float(gamma)
-        if Omega0 is None:
-            if omega0 is None:
-                raise ValueError("provide omega0 or Omega0")
-            rad = float(omega0) ** 2 - alpha ** 2
-            if rad <= 0:
-                raise ImaginaryFrequency("overdamped: omega0^2 <= (gamma/2)^2")
-            Omega0 = np.sqrt(rad)
-        return cls(m0=float(m0), mu=1.0, nu=0.0, alpha=alpha, Omega0=float(Omega0))
+        rad = float(omega0) ** 2 - alpha ** 2
+        if rad <= 0:
+            raise ImaginaryFrequency("overdamped: omega0^2 <= (gamma/2)^2")
+        return cls(m0=float(m0), mu=1.0, nu=0.0, alpha=alpha, Omega0=float(np.sqrt(rad)))
 
     @property
     def omega(self):

@@ -136,7 +136,7 @@ class MetricProfile:
                    name=f"g={value}")
 
     @classmethod
-    def from_samples(cls, x, g, name="tabulated metric"):
+    def from_samples(cls, x, g):
         """The not-a-knot cubic spline through monotone samples (the CSV
         interchange format): a line through 2 rows, a parabola through 3."""
         x = np.asarray(x, dtype=float)
@@ -145,7 +145,8 @@ class MetricProfile:
             raise SingularMetric("metric samples must be positive")
         if x.size < 2 or not (np.all(np.diff(x) > 0) and np.all(np.isfinite(np.append(x, g)))):
             raise ValueError("metric samples need two or more finite rows, x increasing")
-        return cls(g=_spline(x, g), domain=(float(x[0]), float(x[-1])), name=name)
+        return cls(g=_spline(x, g), domain=(float(x[0]), float(x[-1])),
+                   name="tabulated metric")
 
     def check_positive(self, x):
         """g(x), the one way a metric is sampled: DomainBlowup at a point outside
@@ -159,14 +160,14 @@ class MetricProfile:
         return vals
 
 
-def metric_from_generator(gen, eps, name=None):
+def metric_from_generator(gen, eps):
     """Metric produced by the (f, eps) point transform: g = w^(-2) = (phi')^2."""
     def g(x):
         ev = flow_evaluate(gen, eps, x, with_jacobian=False)
         return np.asarray(ev.f2, dtype=float) ** -2.0
 
     return MetricProfile(g=g, domain=gen.flow_domain(eps),
-                         name=name or f"from {gen.name}@eps={eps}")
+                         name=f"from {gen.name}@eps={eps}")
 
 
 def curved_hamiltonian(metric, m, grid):

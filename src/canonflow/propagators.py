@@ -20,7 +20,9 @@ Three routes to psi(t), cross-validated against each other:
 ``gaussian_exact_propagate`` pushes a closed-form Gaussian through the
 chain's 2x2 canonical maps (``dilation_map``, ``phase_map``,
 ``rotation_map``), each by the one rule of ``GaussianState.transported``:
-an integrator-free oracle.
+an integrator-free oracle.  On the alpha = 0 family (constant mass) the
+dilation and phase maps are identities, so it evolves a Gaussian under the
+static oscillator p^2/(2m) + (1/2) m w^2 x^2.
 """
 
 from __future__ import annotations
@@ -471,23 +473,20 @@ def rotation_map(m, omega, t):
     return np.array([[c, s / mw], [-mw * s, c]])
 
 
-def gaussian_oscillator_evolve(state, m, omega, t):
-    """Exact evolution of a Gaussian under p^2/(2m) + (1/2) m w^2 x^2: the
-    rotation leg, whose arg Q is ``_continuous_arg`` (m w Q is its z)."""
-    return state.transported(rotation_map(m, omega, t),
-                             _continuous_arg(m, omega, complex(state.a), t))
-
-
 def gaussian_exact_propagate(family, state, t):
     """Closed-form Gaussian transport through the solvable-family chain's
-    maps, in the order of its U(t); the dilation and phase legs keep Q > 0.
+    maps, in the order of its U(t); the dilation and phase legs keep Q > 0,
+    and the rotation leg's arg Q is ``_continuous_arg`` (m w Q is its z).
     The gauge is the chain's, m0 = m(0), so eps(0) = 0 and the first leg is
-    the phase alone."""
+    the phase alone.  On the alpha = 0 family (constant mass) the phase and
+    dilation legs are exact identities, so this is the static oscillator's
+    evolution."""
     m0s, dm0, ddm0 = map(float, family.mass_with_derivatives(0.0))
     _, de0, _ = map(float, mass_epsilon(m0s, dm0, ddm0, m0s))
     et, det, _ = map(float, mass_epsilon(*family.mass_with_derivatives(t), m0s))
     staged = state.transported(phase_map(m0s * de0), 0.0)
-    evolved = gaussian_oscillator_evolve(staged, m0s, family.Omega0, t)
+    evolved = staged.transported(rotation_map(m0s, family.Omega0, t),
+                                 _continuous_arg(m0s, family.Omega0, complex(staged.a), t))
     return evolved.transported(dilation_map(-et) @ phase_map(-m0s * det), 0.0)
 
 

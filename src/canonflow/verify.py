@@ -203,7 +203,7 @@ def suite_reduction():
     ts = np.linspace(0.0, 5.0, 41)
     worst = 0.0
     for t in ts:
-        red, _, _ = reduce_oscillator(mass, omega, float(t))
+        red = reduce_oscillator(mass, omega, float(t))
         worst = max(worst,
                     abs(red.a - 1.0 / (2.0 * m0)),
                     abs(red.b - 0.5 * m0 * fam.Omega0 ** 2),
@@ -340,8 +340,7 @@ def suite_metric_inverse():
                          "against the known flow of e^(-x) at eps=0.4"))
 
     sample = np.linspace(-4.0, 4.0, 17)
-    ev = flow_evaluate(rec.generator, 0.4, sample, with_jacobian=False,
-                       rtol=1e-12, atol=1e-14)
+    ev = flow_evaluate(rec.generator, 0.4, sample, with_jacobian=False)
     g_rt = np.asarray(ev.f2) ** -2.0
     g_ref = metric.check_positive(sample)
     checks.append(_check("metric_round_trip_sup",

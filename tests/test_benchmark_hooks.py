@@ -2,15 +2,21 @@
 
 ``perfbench/layers.py`` wraps these functions and methods by name and reads
 their arguments by parameter name, so a rename here silently breaks
-``perfbench/run.py --trace 1``.  This test pins them.
+``perfbench/run.py --trace 1``.  These tests pin them, and run the tracer.
 """
 
 import dataclasses
+import importlib
 import inspect
+import os
 
+import numpy as np
 import pytest
 
 from canonflow import cli, flowcore, gridspace, hamiltonians, metricmap, propagators, verify
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
 
 # (module, function, parameters the tracer reads)
 FUNCTIONS = [
@@ -24,7 +30,7 @@ FUNCTIONS = [
     (metricmap, "generator_from_metric", []),
     (metricmap, "verify_metric_equivalence", []),
     (cli, "run_scenario", []),
-    (flowcore, "flow_evaluate", ["gen", "eps", "x", "method"]),
+    (flowcore, "flow_evaluate", ["gen", "eps", "x"]),
 ]
 
 # (class, methods that must be defined on the class itself)
@@ -42,10 +48,20 @@ def test_traced_function_signature(module, name, params):
         assert param in signature.parameters, f"{name} lost parameter {param!r}"
 
 
-def test_flow_evaluate_method_is_keyword_only():
-    param = inspect.signature(flowcore.flow_evaluate).parameters["method"]
-    assert param.kind is inspect.Parameter.KEYWORD_ONLY
-    assert param.default == "auto"
+def test_tracer_counts_a_custom_flow(monkeypatch):
+    # install the benchmark's own wrappers, as ``--trace 1`` does
+    monkeypatch.syspath_prepend(PERFBENCH)
+    layers = importlib.import_module("layers")
+    original = flowcore.flow_evaluate
+    rec = layers.Recorder()
+    uninstall = layers.install(rec)
+    try:
+        gen = flowcore.GeneratorSpec.custom(np.ones_like, np.zeros_like)
+        flowcore.flow_evaluate(gen, 0.3, np.linspace(-1.0, 1.0, 7))
+    finally:
+        uninstall()
+    assert rec.counts["flowcore.flow_evaluate.ode.points"] == 7
+    assert flowcore.flow_evaluate is original
 
 
 @pytest.mark.parametrize("cls,methods", METHODS, ids=[c.__name__ for c, _ in METHODS])

@@ -310,16 +310,6 @@ class TestDomains:
         with pytest.raises(ValueError):
             make()
 
-    # the generator's kind picks the route: "auto" is the only method
-    @pytest.mark.parametrize("gen,method", [(custom_twin("linear"), "closed"),
-                                            (LIN, "euler"), (LIN, "ode"),
-                                            (LIN, "closed")],
-                             ids=["closed-on-custom", "unknown-method",
-                                  "ode-on-linear", "closed-on-linear"])
-    def test_unavailable_method_refused(self, gen, method):
-        with pytest.raises(ValueError):
-            flow_evaluate(gen, 0.3, 1.0, method=method)
-
     @pytest.mark.parametrize("gen,eps,want", [
         (LIN, 0.7, (-np.inf, np.inf)), (LIN, -0.7, (-np.inf, np.inf)),
         (QUAD, 0.5, (-np.inf, 2.0)), (QUAD, -0.5, (-2.0, np.inf)),

@@ -25,15 +25,20 @@ from canonflow.propagators import (ExactSolvablePropagator, HermiteBasis,
                                    apply_curved_kinetic, crank_nicolson_curved,
                                    curved_kinetic_diagonals, free_propagate,
                                    gaussian_exact_propagate,
-                                   gaussian_oscillator_evolve,
                                    oscillator_spectrum, split_step_propagate,
                                    uniform_time_grid)
 
 GRID = Grid.from_interval(-12.0, 12.0, 2048)
 CK = SolvableFamily.caldirola_kanai(gamma=0.2, omega0=np.sqrt(1.01))
-# alpha = 0: the static oscillator m = w = 1, which the exact chain evolves
-# in its Hermite eigenbasis with no dilation or phase
-STATIC = SolvableFamily(m0=1.0, mu=1.0, nu=0.0, alpha=0.0, Omega0=1.0)
+
+
+def static(m, w):
+    """alpha = 0: the static oscillator p^2/(2m) + (1/2) m w^2 x^2, which the
+    exact chain evolves in its Hermite eigenbasis with no dilation or phase."""
+    return SolvableFamily(m0=m, mu=1.0, nu=0.0, alpha=0.0, Omega0=w)
+
+
+STATIC = static(1.0, 1.0)
 
 
 def l2diff(a, b):
@@ -664,7 +669,7 @@ class TestGaussianTransport:
         for t in (0.37, 2.3, 11.0):
             g = GaussianState(a=1.3 - 0.25j, center=0.8, momentum=-0.6, phase=0.2)
             wf = ExactSolvablePropagator(STATIC, g.to_wavefunction(GRID))(t)
-            gt = gaussian_oscillator_evolve(g, 1.0, 1.0, t)
+            gt = gaussian_exact_propagate(STATIC, g, t)
             overlap = wf.normalized().inner(gt.to_wavefunction(GRID).normalized())
             assert abs(overlap - 1.0) < 1e-9
 
@@ -692,7 +697,7 @@ class TestGaussianTransport:
             assert complex(out.a).real > 0
 
     @pytest.mark.parametrize("evolve, w, rotation_only", [
-        *(pytest.param(partial(gaussian_oscillator_evolve, GaussianState(a=a0), m, w),
+        *(pytest.param(partial(gaussian_exact_propagate, static(m, w), GaussianState(a=a0)),
                        w, True, id=f"{m}-{w}-{a0}")
           for m, w, a0 in [(1.0, 1.0, 1.3 - 0.25j), (0.4, 2.7, 0.2 + 3.0j),
                            (2.5, 0.3, 4.0 - 1.0j)]),
@@ -720,7 +725,7 @@ class TestGaussianTransport:
 
         def routes():
             return [gaussian_exact_propagate(CK, g, 3.0),
-                    gaussian_oscillator_evolve(g, 1.0, 1.0, 3.0)]
+                    gaussian_exact_propagate(STATIC, g, 3.0)]
 
         def refuse(*args, **kwargs):
             raise AssertionError("the Gaussian oracle read the grid chain")
@@ -759,7 +764,7 @@ def test_width_phase_against_dense_unwrap(m, w, re, im, t):
     # Gaussian transport's width phase is -arg(z)/2 on z's continuous branch,
     # in every width regime; a centred Gaussian has no center phase
     a0 = complex(re, im)
-    out = gaussian_oscillator_evolve(GaussianState(a=a0), m, w, t)
+    out = gaussian_exact_propagate(static(m, w), GaussianState(a=a0), t)
     assert abs(out.phase + 0.5 * dense_unwrapped_arg(m, w, a0, t)) < 1e-11
 
 
