@@ -147,8 +147,7 @@ def _build_frequency(spec, mass, where):
         return TimeProfile.constant(_require(spec, "value", float, where))
     if kind == "matched":
         omega0 = _require(spec, "Omega0", float, where)
-        return TimeProfile.from_callable(
-            lambda t: omega_from_mass(mass, omega0, t), name="matched")
+        return TimeProfile.from_callable(lambda t: omega_from_mass(mass, omega0, t))
     raise ScenarioError(f"{where}.type: unknown frequency profile {kind!r}")
 
 

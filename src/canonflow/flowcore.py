@@ -69,7 +69,6 @@ class GeneratorSpec:
     func: Optional[Callable] = None
     dfunc: Optional[Callable] = None
     domain: Tuple[float, float] = (-np.inf, np.inf)
-    name: str = ""
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -82,23 +81,23 @@ class GeneratorSpec:
     @classmethod
     def linear(cls):
         """f(x) = x (dilation generator)."""
-        return cls(kind=LINEAR, name="x")
+        return cls(kind=LINEAR)
 
     @classmethod
     def quadratic(cls):
         """f(x) = x^2."""
-        return cls(kind=QUADRATIC, name="x^2")
+        return cls(kind=QUADRATIC)
 
     @classmethod
     def exp_decay(cls, lam):
         """f(x) = exp(-lam*x) with lam > 0."""
-        return cls(kind=EXP_DECAY, lam=float(lam), name=f"exp(-{lam}*x)")
+        return cls(kind=EXP_DECAY, lam=float(lam))
 
     @classmethod
-    def custom(cls, func, dfunc=None, domain=(-np.inf, np.inf), name="custom"):
+    def custom(cls, func, dfunc=None, domain=(-np.inf, np.inf)):
         """Wrap a smooth callable f(x) valid on ``domain``."""
         return cls(kind=CUSTOM, func=func, dfunc=dfunc,
-                   domain=(float(domain[0]), float(domain[1])), name=name)
+                   domain=(float(domain[0]), float(domain[1])))
 
     # -- pointwise evaluation -------------------------------------------------
 

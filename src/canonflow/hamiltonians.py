@@ -45,16 +45,17 @@ from .gridspace import apply_momentum, apply_weighted_kinetic
 class TimeProfile:
     """A scalar function of time and its first two derivatives.
 
-    The derivatives are read only as the triple (value, d1, d2) from one
-    ``with_derivatives(t)`` call; ``value`` serves readers of the value
-    alone.  Closed-form constructors keep the derivatives exact;
-    ``from_callable`` takes them from 4th-order central differences of step
-    h = 1e-4, five evaluations of the callable per call.
+    ``with_derivatives(t)`` returns the triple (value, d1, d2); ``value(t)``
+    is its first entry.  Closed-form constructors keep the derivatives
+    exact; ``from_callable`` takes them from 4th-order central differences
+    of step h = 1e-4, five evaluations of the callable per call, so the
+    callable must be defined within 2h of every t asked for.
     """
 
-    value: Callable
     with_derivatives: Callable
-    name: str = ""
+
+    def value(self, t):
+        return self.with_derivatives(t)[0]
 
     @classmethod
     def constant(cls, v):
@@ -64,12 +65,11 @@ class TimeProfile:
             zero = 0.0 * np.asarray(t, dtype=float)
             return v + zero, zero, zero
 
-        return cls(lambda t: triple(t)[0], triple, name=f"const {v}")
+        return cls(triple)
 
     @classmethod
     def exponential(cls, c0, rate):
         """c0 * exp(rate * t); a steep rate overflows to inf, which mass checks reject."""
-        name = f"{float(c0)}*exp({float(rate)}t)"
         c0, rate = np.float64(c0), np.float64(rate)
         with np.errstate(over="ignore", invalid="ignore"):
             c1, c2 = c0 * rate, c0 * rate ** 2
@@ -79,10 +79,10 @@ class TimeProfile:
                 e = np.exp(rate * np.asarray(t, dtype=float))
                 return c0 * e, c1 * e, c2 * e
 
-        return cls(lambda t: triple(t)[0], triple, name=name)
+        return cls(triple)
 
     @classmethod
-    def from_callable(cls, fn, name="numeric"):
+    def from_callable(cls, fn):
         h = 1e-4
 
         def triple(t):
@@ -93,8 +93,7 @@ class TimeProfile:
                     (fm2 - 8 * fm1 + 8 * fp1 - fp2) / (12 * h),
                     (-fm2 + 16 * fm1 - 30 * f0 + 16 * fp1 - fp2) / (12 * h * h))
 
-        return cls(lambda t: np.asarray(fn(np.asarray(t, dtype=float)), dtype=float),
-                   triple, name=name)
+        return cls(triple)
 
 
 def mass_epsilon(m, dm, ddm, m0):
@@ -288,8 +287,7 @@ class SolvableFamily:
         return m, dm, ddm
 
     def mass_profile(self):
-        return TimeProfile(lambda t: self.mass_with_derivatives(t)[0],
-                           self.mass_with_derivatives, name="solvable-family mass")
+        return TimeProfile(self.mass_with_derivatives)
 
     def frequency_profile(self):
         return TimeProfile.constant(self.omega)

@@ -132,8 +132,7 @@ class MetricProfile:
         value = float(value)
         if value <= 0:
             raise SingularMetric("constant metric must be positive")
-        return cls(g=lambda x: np.full_like(np.asarray(x, dtype=float), value),
-                   name=f"g={value}")
+        return cls(g=lambda x: np.full_like(np.asarray(x, dtype=float), value))
 
     @classmethod
     def from_samples(cls, x, g):
@@ -145,8 +144,7 @@ class MetricProfile:
             raise SingularMetric("metric samples must be positive")
         if x.size < 2 or not (np.all(np.diff(x) > 0) and np.all(np.isfinite(np.append(x, g)))):
             raise ValueError("metric samples need two or more finite rows, x increasing")
-        return cls(g=_spline(x, g), domain=(float(x[0]), float(x[-1])),
-                   name="tabulated metric")
+        return cls(g=_spline(x, g), domain=(float(x[0]), float(x[-1])))
 
     def check_positive(self, x):
         """g(x), the one way a metric is sampled: DomainBlowup at a point outside
@@ -166,8 +164,7 @@ def metric_from_generator(gen, eps):
         ev = flow_evaluate(gen, eps, x, with_jacobian=False)
         return np.asarray(ev.f2, dtype=float) ** -2.0
 
-    return MetricProfile(g=g, domain=gen.flow_domain(eps),
-                         name=f"from {gen.name}@eps={eps}")
+    return MetricProfile(g=g, domain=gen.flow_domain(eps))
 
 
 def curved_hamiltonian(metric, m, grid):
@@ -492,8 +489,7 @@ def _abel_generator(flow, eps, anchor, working, extended):
         raise NonMonotoneFlow("Abel spline nodes are not strictly increasing")
     y, logmul = transport_log(fill)
     spline = _spline(nodes, sign * np.exp(np.insert(logs, at, ell(y) - logmul)))
-    return GeneratorSpec.custom(spline, domain=(float(dlo), float(dhi)),
-                                name="abel-reconstructed")
+    return GeneratorSpec.custom(spline, domain=(float(dlo), float(dhi)))
 
 
 # -- dynamic equivalence check ---------------------------------------------------

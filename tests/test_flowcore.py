@@ -21,7 +21,7 @@ def custom_twin(kind):
         "quadratic": lambda t: t * t,
         "exp_decay": lambda t: np.exp(-t),
     }
-    return GeneratorSpec.custom(table[kind], name=f"{kind} twin")
+    return GeneratorSpec.custom(table[kind])
 
 
 class TestClosedForms:
@@ -89,7 +89,7 @@ class TestFlowProperties:
         assert np.max(np.abs(once - twice)) < 1e-9
 
     def test_group_law_custom(self):
-        gen = GeneratorSpec.custom(lambda t: np.sin(t) + 1.5, name="sin+1.5")
+        gen = GeneratorSpec.custom(lambda t: np.sin(t) + 1.5)
         rng = np.random.default_rng(4)
         x = rng.uniform(-2.0, 2.0, 20)
         once = flow_evaluate(gen, 0.5, x, with_jacobian=False).x_out
@@ -137,7 +137,7 @@ class TestFlowProperties:
 
     def test_fixed_point_limits(self):
         # at a zero of f the weight tends to exp(-eps f')
-        ev = flow_evaluate(GeneratorSpec.custom(lambda t: t, name="x"), 0.5, 0.0)
+        ev = flow_evaluate(GeneratorSpec.custom(lambda t: t), 0.5, 0.0)
         assert ev.f2 == pytest.approx(np.exp(-0.5), abs=1e-9)
         assert ev.jacobian == pytest.approx(np.exp(0.5), abs=1e-9)
 
@@ -165,7 +165,7 @@ class TestAbelSolver:
         # f = cos: the Abel coordinate is asinh(tan x), and the zeros of f at
         # +-pi/2 stop the flow, which a long eps runs into
         x = np.linspace(-1.5, 1.5, 301)
-        ev = flow_evaluate(GeneratorSpec.custom(np.cos, name="cos"), eps, x)
+        ev = flow_evaluate(GeneratorSpec.custom(np.cos), eps, x)
         oracle = np.arctan(np.sinh(np.arcsinh(np.tan(x)) + eps))
         # measured 2.2e-16 (|eps| = 0.5) and 4.4e-16 (|eps| = 5)
         assert np.max(np.abs(ev.x_out - oracle)) <= 1e-12
@@ -173,7 +173,7 @@ class TestAbelSolver:
     def test_constant_generator_translates(self):
         # f = 2 given as a callable that returns a scalar: phi = x + 2 eps
         x = np.linspace(-3.0, 3.0, 7)
-        ev = flow_evaluate(GeneratorSpec.custom(lambda t: 2.0, name="2"), -0.75, x)
+        ev = flow_evaluate(GeneratorSpec.custom(lambda t: 2.0), -0.75, x)
         assert np.max(np.abs(ev.x_out - (x - 1.5))) <= 1e-14
         assert np.all(ev.f2 == 1.0)
 
@@ -199,7 +199,7 @@ class TestAbelSolver:
         # e^(-eps f') = e^eps (f' a five-point difference, 1e-11 off), not
         # f(x)/f(phi) = 1
         x = np.array([-np.pi, np.pi])
-        ev = flow_evaluate(GeneratorSpec.custom(np.sin, name="sin"), eps, x)
+        ev = flow_evaluate(GeneratorSpec.custom(np.sin), eps, x)
         assert np.all(ev.x_out == x)
         assert np.max(np.abs(ev.f2 / np.exp(eps) - 1.0)) <= 1e-10
 
@@ -231,8 +231,7 @@ unit_points = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=16)
 def sine_generator(c0, ratio, k):
     """The positive custom generator c0 (1 + ratio sin(k x)), |ratio| < 1."""
     return GeneratorSpec.custom(lambda t: c0 * (1.0 + ratio * np.sin(k * t)),
-                                dfunc=lambda t: c0 * ratio * k * np.cos(k * t),
-                                name="sine")
+                                dfunc=lambda t: c0 * ratio * k * np.cos(k * t))
 
 
 @pytest.mark.parametrize("kind", sorted(GROUP_LAW_CLOSED))
@@ -284,11 +283,11 @@ class TestDomains:
 
     def test_custom_escape_detected(self):
         with pytest.raises(DomainBlowup):
-            flow_evaluate(GeneratorSpec.custom(lambda t: t * t, name="x^2"), 0.5, 2.5,
+            flow_evaluate(GeneratorSpec.custom(lambda t: t * t), 0.5, 2.5,
                           with_jacobian=False)
 
     def test_custom_generator_not_finite_at_the_start(self):
-        gen = GeneratorSpec.custom(lambda t: np.sqrt(1.0 - t * t), name="sqrt(1-x^2)")
+        gen = GeneratorSpec.custom(lambda t: np.sqrt(1.0 - t * t))
         with pytest.raises(DomainBlowup):
             flow_evaluate(gen, 0.1, np.array([0.0, 2.0]))
 
@@ -375,7 +374,7 @@ class TestBracketGenerator:
         oracle = self._symbolic_h(x, sp.Integer(1))
         one = GeneratorSpec.custom(
             lambda t: np.ones_like(np.asarray(t, dtype=float)),
-            dfunc=lambda t: np.zeros_like(np.asarray(t, dtype=float)), name="1")
+            dfunc=lambda t: np.zeros_like(np.asarray(t, dtype=float)))
         h = bracket_generator(LIN, one)
         xs = np.linspace(-2, 2, 5)
         assert np.allclose(h(xs), float(oracle(1.0)) * np.ones_like(xs), atol=1e-12)
@@ -415,7 +414,7 @@ family_params = st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.floats(
 @given(p1=family_params, p2=family_params, u=unit_points)
 def test_bracket_generator_symbolic_property(p1, p2, u):
     gens = [GeneratorSpec.custom(lambda t, p=p: FAMILY_F(t, *p),
-                                 dfunc=lambda t, p=p: FAMILY_DF(t, *p), name="family")
+                                 dfunc=lambda t, p=p: FAMILY_DF(t, *p))
             for p in (p1, p2)]
     x = -2.0 + 4.0 * np.asarray(u)
     h = bracket_generator(*gens)(x)

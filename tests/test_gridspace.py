@@ -574,7 +574,7 @@ class TestBracketIdentities:
         grid = Grid.from_interval(-10, 10, 256)
         one = GeneratorSpec.custom(
             lambda x: np.ones_like(np.asarray(x, dtype=float)),
-            dfunc=lambda x: np.zeros_like(np.asarray(x, dtype=float)), name="1")
+            dfunc=lambda x: np.zeros_like(np.asarray(x, dtype=float)))
         probes = [GaussianState(a=1.0).to_wavefunction(grid)]
         rep = verify_bracket_identities(one, GeneratorSpec.quadratic(), grid, probes)
         assert rep.multiplication_identity < 1e-8

@@ -323,6 +323,14 @@ class TestProfiles:
 
     @pytest.mark.parametrize("t", [1.3, np.linspace(-3.0, 7.0, 11)],
                              ids=["scalar", "vector"])
+    def test_value_is_the_triples_first_entry(self, t):
+        # one evaluation rule per profile: value cannot disagree with the triple
+        assert [f.name for f in dataclasses.fields(TimeProfile)] == ["with_derivatives"]
+        profile = TimeProfile.from_callable(lambda s: 1.0 + 0.9 * np.cos(5.0 * s))
+        assert np.array_equal(profile.value(t), profile.with_derivatives(t)[0])
+
+    @pytest.mark.parametrize("t", [1.3, np.linspace(-3.0, 7.0, 11)],
+                             ids=["scalar", "vector"])
     def test_closed_form_triples_match_their_formulas_bit_for_bit(self, t):
         # oracle: each derivative of the constant, exponential and family
         # profiles written out on its own, as separate closed forms
@@ -347,10 +355,10 @@ class TestProfiles:
             cases.append((fam.mass_profile(),
                           (fam.m0 * s * s, 2.0 * fam.m0 * s * ds,
                            2.0 * fam.m0 * (ds * ds + s * dds))))
-        for profile, want in cases:
+        for i, (profile, want) in enumerate(cases):
             got = profile.with_derivatives(t)
-            assert all(np.array_equal(g, w) for g, w in zip(got, want)), profile.name
-            assert np.array_equal(profile.value(t), want[0]), profile.name
+            assert all(np.array_equal(g, w) for g, w in zip(got, want)), i
+            assert np.array_equal(profile.value(t), want[0]), i
 
     def test_epsilon_from_mass_gauge(self):
         mass = TimeProfile.exponential(1.0, 0.2)
@@ -412,8 +420,7 @@ class TestProfiles:
 
 
 SQRT_1_X2 = GeneratorSpec.custom(lambda t: np.sqrt(1.0 + t * t),
-                                  dfunc=lambda t: t / np.sqrt(1.0 + t * t),
-                                  name="sqrt(1+x^2)")
+                                  dfunc=lambda t: t / np.sqrt(1.0 + t * t))
 SQRT_1_X2_NO_DFUNC = dataclasses.replace(SQRT_1_X2, dfunc=None)
 
 
