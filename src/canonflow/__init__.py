@@ -32,8 +32,7 @@ from .hamiltonians import (
 from .propagators import (
     HermiteBasis, StepperReport, Trajectory, split_step_propagate,
     free_propagate, ExactSolvablePropagator, gaussian_exact_propagate,
-    crank_nicolson_curved, apply_curved_kinetic, quadratic_hamiltonian_matrix,
-    oscillator_spectrum,
+    crank_nicolson_curved, apply_curved_kinetic, oscillator_spectrum,
 )
 from .metricmap import (
     MetricProfile, metric_from_generator, curved_hamiltonian,

@@ -28,7 +28,7 @@ from canonflow.flowcore import CLOSED_FORMS, GeneratorSpec
 from canonflow.gridspace import (GaussianState, Grid, WaveFunction, expectation,
                                  wavefunction_to_csv)
 from canonflow.hamiltonians import QuadraticHamiltonian, SolvableFamily
-from canonflow.propagators import ExactSolvablePropagator, HermiteBasis
+from canonflow.propagators import BASIS_SIZE, ExactSolvablePropagator, HermiteBasis
 
 
 def invoke(capsys, *argv):
@@ -859,10 +859,10 @@ def test_stored_row_is_bit_identical_to_the_expectation_row(
         _row(t, doubled, 1.0, lambda stored: expectation(ham, stored))
 
     # the chain's frames: the basis at dilated points, and on the grid
-    basis = HermiteBasis(40, m, w, grid)
+    basis = HermiteBasis(BASIS_SIZE, m, w, grid)
     points = np.exp(-eps) * grid.x
-    assert np.array_equal(basis.monic(points) / basis.scales[:, None], oracle_monic_hermite(40, m, w, points))
-    assert np.array_equal(basis.functions, oracle_monic_hermite(40, m, w, grid.x))
+    assert np.array_equal(basis.monic(points) / basis.scales[:, None], oracle_monic_hermite(BASIS_SIZE, m, w, points))
+    assert np.array_equal(basis.functions, oracle_monic_hermite(BASIS_SIZE, m, w, grid.x))
 
 
 # the README's Caldirola-Kanai scenario, run by the transform chain
@@ -924,9 +924,12 @@ class TestColdStart:
         "gen = GeneratorSpec.custom(lambda t: np.sqrt(1.0 + t * t))\n"
         "h = general_f_transform(1.0, np.cos, gen, 0.3, grid, 0.1)\n"
         "assert np.all(np.isfinite(h(np.exp(-grid.x ** 2))))",
+        "from canonflow import Grid, QuadraticHamiltonian, oscillator_spectrum\n"
+        "ham = QuadraticHamiltonian(0.5, 0.7, 0.3)\n"
+        "assert oscillator_spectrum(ham, Grid.from_interval(-10.0, 10.0, 64), k=2)[0] > 0",
     ], ids=["parser", "flow-quadratic", "propagate-exact", "propagate-split_step",
             "general-f-transform-linear", "point-unitary-custom",
-            "general-f-transform-custom"])
+            "general-f-transform-custom", "oscillator-spectrum"])
     def test_no_scipy_loaded(self, code, tmp_path):
         (tmp_path / "scenario.json").write_text(json.dumps(README_SCENARIO))
         split_step = dict(README_SCENARIO, propagator=dict(
@@ -1078,7 +1081,7 @@ def _line_counts():
 
 # the package's code lines, as scripts/line_counts.py counts them; a change
 # may lower this, and none raises it until the total is back under 2000
-CODE_LINE_CAP = 2018
+CODE_LINE_CAP = 2017
 
 
 def test_code_lines_within_cap():

@@ -87,15 +87,15 @@ def test_basis_against_sympy_hermite(size, bound):
 def test_monic_rows_have_the_parity_of_their_degree():
     # the exact chain's mirror fold reads row n at -|x| as (-1)^n times row n
     # at |x|: negation is exact and every recurrence step is sign-symmetric
-    basis = HermiteBasis(40, 2.0, 0.5, GRID)
-    signs = (-1.0) ** np.arange(40)[:, None]
+    basis = HermiteBasis(propagators.BASIS_SIZE, 2.0, 0.5, GRID)
+    signs = (-1.0) ** np.arange(propagators.BASIS_SIZE)[:, None]
     assert np.array_equal(basis.monic(-HERMITE_POINTS),
                           signs * basis.monic(HERMITE_POINTS))
 
 
 class TestHermiteBasis:
     def test_orthonormal(self):
-        basis = HermiteBasis(40, 1.0, 1.0, GRID)
+        basis = HermiteBasis(propagators.BASIS_SIZE, 1.0, 1.0, GRID)
         assert basis.gram_residual() < 1e-8
 
     def test_energies(self):
@@ -441,7 +441,7 @@ def complex_frame_chain(family, psi0, times, static_mass=None):
     with c_n e^(-i E_n t) in complex."""
     m0 = family.static_mass() if static_mass is None else float(static_mass)
     grid = psi0.grid
-    basis = HermiteBasis(40, m0, family.Omega0, grid)
+    basis = HermiteBasis(propagators.BASIS_SIZE, m0, family.Omega0, grid)
     x = grid.x
 
     def frame(t):
@@ -451,7 +451,7 @@ def complex_frame_chain(family, psi0, times, static_mass=None):
         return envelope * rows.astype(complex)
 
     coeffs = grid.dx * (frame(0.0).conj() @ psi0.values)
-    energies = (np.arange(40) + 0.5) * family.Omega0
+    energies = (np.arange(propagators.BASIS_SIZE) + 0.5) * family.Omega0
     return [(coeffs * np.exp(-1j * energies * t)) @ frame(t) for t in times]
 
 
@@ -947,41 +947,25 @@ def test_cn_one_factorization_and_one_solve_per_step(monkeypatch):
     assert counts == {"zgttrf": 1, "zgttrs": 10}
 
 
-def dense_oracle(ham, grid):
-    """The finite-difference assembly as a dense matrix, built independently."""
-    n, dx, x = grid.n, grid.dx, grid.x
-    lap = (np.diag(np.full(n - 2, -1.0), -2) + np.diag(np.full(n - 1, 16.0), -1)
-           + np.diag(np.full(n, -30.0)) + np.diag(np.full(n - 1, 16.0), 1)
-           + np.diag(np.full(n - 2, -1.0), 2)) / (12.0 * dx ** 2)
-    p = -1j * (np.diag(np.ones(n - 1), 1) - np.diag(np.ones(n - 1), -1)) / (2.0 * dx)
-    xm = np.diag(x)
-    return -ham.a * lap + ham.b * xm @ xm + 0.5 * ham.c * (xm @ p + p @ xm)
-
-
 class TestSpectrum:
     def test_oscillator_levels(self):
-        grid = Grid.from_interval(-10.0, 10.0, 1024)
+        grid = Grid.from_interval(-10.0, 10.0, 128)
         vals = oscillator_spectrum(QuadraticHamiltonian.oscillator(1.0, 1.0),
                                    grid, k=8)
         target = np.arange(8) + 0.5
         assert np.max(np.abs(vals - target) / target) < 1e-4
 
-    @pytest.mark.parametrize("c", [0.0, 0.3])
-    def test_banded_matches_dense_eigvalsh(self, c):
-        grid = Grid.from_interval(-8.0, 8.0, 384)
-        ham = QuadraticHamiltonian(0.5, 0.5, c)
-        dense = np.linalg.eigvalsh(dense_oracle(ham, grid))[:6]
-        assert np.max(np.abs(oscillator_spectrum(ham, grid, k=6) - dense)) < 1e-10
+    @pytest.mark.parametrize("c", [0.0, 0.3, -0.5])
+    def test_levels_match_the_analytic_oscillator(self, c):
+        # a p^2 + b x^2 + (c/2){x, p} is an oscillator of frequency
+        # sqrt(4ab - c^2): the mixed term only shears phase space
+        grid = Grid.from_interval(-10.0, 10.0, 128)
+        ham = QuadraticHamiltonian(0.5, 0.7, c)
+        want = (np.arange(8) + 0.5) * np.sqrt(4.0 * ham.a * ham.b - c * c)
+        assert np.max(np.abs(oscillator_spectrum(ham, grid, k=8) - want)) < 1e-10
 
-    def test_mixed_term_hermitian(self):
-        # the upper-form bands stand for the independently built Hermitian matrix
-        from canonflow.propagators import quadratic_hamiltonian_matrix
-        grid = Grid.from_interval(-6.0, 6.0, 128)
-        ham = QuadraticHamiltonian(0.5, 0.5, 0.3)
-        dense = dense_oracle(ham, grid)
-        assert np.max(np.abs(dense - dense.conj().T)) < 1e-14
-        bands = quadratic_hamiltonian_matrix(ham, grid)
-        for offset in range(3):
-            band = np.diagonal(dense, offset)
-            assert np.max(np.abs(bands[2 - offset, offset:] - band)) < 1e-14 * np.max(np.abs(dense))
-        assert np.all(dense[np.triu_indices(grid.n, 3)] == 0)
+    @pytest.mark.parametrize("k", [0, -1, 33])
+    def test_level_count_outside_the_grid_is_refused(self, k):
+        grid = Grid.from_interval(-10.0, 10.0, 32)
+        with pytest.raises(ValueError, match="k must be"):
+            oscillator_spectrum(QuadraticHamiltonian.oscillator(1.0, 1.0), grid, k=k)
