@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import (FixedPointInInterval, NonMonotoneFlow, SingularMetric)
 from .flowcore import GeneratorSpec, _check, _gauss, flow_evaluate
-from .gridspace import WaveFunction, apply_point_unitary, apply_weighted_kinetic
+from .gridspace import apply_point_unitary, apply_weighted_kinetic
 from .propagators import crank_nicolson_curved, free_propagate, uniform_time_grid
 
 TABLE_SAMPLES = 4097         # flow-table points on the extended interval
@@ -496,11 +496,10 @@ def _abel_generator(flow, eps, anchor, working, extended):
 
 @dataclass(frozen=True)
 class EquivalenceReport:
-    """Curved vs conjugated free evolution, with the curved final state."""
+    """Curved vs conjugated free evolution."""
 
     fidelity: float
     curved_norm_drift: float
-    curved_final: WaveFunction
 
 
 def verify_metric_equivalence(gen, eps, psi0, t_final, *, m=1.0, dt=1e-3):
@@ -529,5 +528,4 @@ def verify_metric_equivalence(gen, eps, psi0, t_final, *, m=1.0, dt=1e-3):
 
     fid = curved.final.fidelity(flat_side)
     return EquivalenceReport(fidelity=float(fid),
-                             curved_norm_drift=curved.report.max_norm_drift,
-                             curved_final=curved.final)
+                             curved_norm_drift=curved.report.max_norm_drift)

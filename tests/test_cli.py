@@ -1081,7 +1081,7 @@ def _line_counts():
 
 # the package's code lines, as scripts/line_counts.py counts them; a change
 # may lower this, and none raises it until the total is back under 2000
-CODE_LINE_CAP = 2017
+CODE_LINE_CAP = 2013
 
 
 def test_code_lines_within_cap():
