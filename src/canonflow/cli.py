@@ -364,12 +364,10 @@ def _cmd_flow(args):
     if args.all:
         out = [{"x": float(xi), "x_out": float(o), "jacobian": float(j),
                 "weight": float(w)}
-               for xi, o, j, w in zip(xs, np.atleast_1d(ev.x_out),
-                                      np.atleast_1d(ev.jacobian),
-                                      np.atleast_1d(ev.f2))]
+               for xi, o, j, w in zip(xs, ev.x_out, ev.jacobian, ev.f2)]
         print(json.dumps(out, indent=2))
     else:
-        for val in np.atleast_1d(ev.x_out):
+        for val in ev.x_out:
             print(repr(float(val)))
     return 0
 

@@ -232,19 +232,10 @@ def _gauss(n):
     return 0.5 * (1.0 + x), 0.5 * w
 
 
-_BLOCK = 8192      # samples of f per call in _inverse_f
-
-
 def _inverse_f(gen, sign, start, length, nodes):
     """sign / f at start + nodes * length: one row per node, one column per
-    point.  f is called on whole rows of at most ``_BLOCK`` samples at a time,
-    so that its temporaries stay small; at 2048 points that measured faster
-    than one call on every sample (CHANGES.md)."""
-    out = np.empty((nodes.size, start.size))
-    rows = max(1, _BLOCK // start.size)
-    for i in range(0, nodes.size, rows):
-        out[i:i + rows] = sign / gen.f(start + nodes[i:i + rows, None] * length)
-    return out
+    point, from one call of f."""
+    return sign / gen.f(start + nodes[:, None] * length)
 
 
 def _abel_flow(gen, eps, x, rtol, atol, with_jacobian):

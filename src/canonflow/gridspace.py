@@ -286,21 +286,14 @@ def apply_point_unitary(gen, eps, psi, *, leak_tol=LEAK_TOL):
         except DomainBlowup:
             pass                # no preimage: that side stays open
     read = gen.in_domain(x) & (x >= pre[0]) & (x <= pre[1])
-    y = np.full(grid.n, np.nan)
-    jac = np.zeros(grid.n)
-    if np.any(read):
-        ev = flow_evaluate(gen, eps, x[read])
-        y[read] = ev.x_out
-        jac[read] = ev.jacobian
-
-    in_grid = (y >= grid.x0) & (y <= grid.xmax)
-    if not np.any(in_grid):
+    if not np.any(read):
         raise SupportLeakage("flow maps the whole grid outside itself")
+    ev = flow_evaluate(gen, eps, x[read])
 
     # Probability mass outside the window actually read by the flow is lost;
-    # refuse if the fraction is above threshold.
-    ylo, yhi = np.min(y[in_grid]), np.max(y[in_grid])
-    unread = (x < ylo - grid.dx) | (x > yhi + grid.dx)
+    # refuse if the fraction is above threshold.  The map increases, so the
+    # image's ends are its first and last values.
+    unread = (x < ev.x_out[0] - grid.dx) | (x > ev.x_out[-1] + grid.dx)
     if np.any(unread):
         lost = _mass(psi._position_density[unread], grid.dx)
         if lost > leak_tol * psi.mass:
@@ -309,7 +302,7 @@ def apply_point_unitary(gen, eps, psi, *, leak_tol=LEAK_TOL):
                 "reachable by the flow")
 
     out = np.zeros(grid.n, dtype=complex)
-    out[in_grid] = np.sqrt(jac[in_grid]) * band_limited_values(psi, y[in_grid])
+    out[read] = np.sqrt(ev.jacobian) * band_limited_values(psi, ev.x_out)
     result = WaveFunction(grid, out)
     if not result.edge_decay_ok(tol=max(leak_tol, STORED_EDGE_TOL)):
         raise SupportLeakage("transformed support reaches the grid edge")

@@ -257,10 +257,9 @@ def _half_angle_cis(half, t, r, out):
 def _strang_step(grid, dt):
     """step(m, w, values): e^(-i V dt/2) e^(-i T dt) e^(-i V dt/2) values.
 
-    Each phase depends on x^2 or k^2 alone, so it is evaluated once per
-    distinct value and spread back, bit-identical to evaluating it at every
-    point: x^2 through ``np.unique`` (a shifted grid is not symmetric), k^2
-    on k[:n//2 + 1] (``fftfreq`` is mirror-symmetric).  Both phases are one
+    The kinetic phase depends on k^2 alone, so it is evaluated on
+    k[:n//2 + 1] (``fftfreq`` is mirror-symmetric) and spread back,
+    bit-identical to evaluating it at every point.  Both phases are one
     ``_half_angle_cis`` call on one buffer, with the 1/2 folded into the
     rate constants (exact: a power of two), made only when (m, w) differs
     from the previous step's.  Every array but the returned state is
@@ -268,23 +267,22 @@ def _strang_step(grid, dt):
     order (numpy's complex product is not bitwise commutative under FMA).
     """
     n, nk = grid.n, grid.n // 2 + 1
-    x2, x2_at = np.unique(grid.x ** 2, return_inverse=True)
+    x2 = grid.x ** 2
     kin_rate = -0.25 * dt * grid.k[:nk] ** 2
-    nx = x2.size
-    angle, t, r = (np.empty(nx + nk) for _ in range(3))
-    phase = np.empty(nx + nk, complex)
-    half_v, kin, work = (np.empty(n, complex) for _ in range(3))
+    angle, t, r = (np.empty(n + nk) for _ in range(3))
+    phase = np.empty(n + nk, complex)
+    half_v = phase[:n]
+    kin, work = np.empty(n, complex), np.empty(n, complex)
     last = [None]                      # the (m, w) the phase arrays hold
 
     def step(m, w, values):
         if last[0] != (m, w):
             last[0] = (m, w)
-            np.multiply(-0.125 * dt * m * w * w, x2, out=angle[:nx])
-            np.multiply(kin_rate, 1.0 / m, out=angle[nx:])
+            np.multiply(-0.125 * dt * m * w * w, x2, out=angle[:n])
+            np.multiply(kin_rate, 1.0 / m, out=angle[n:])
             _half_angle_cis(angle, t, r, phase)
-            phase[:nx].take(x2_at, out=half_v)
-            kin[:nk] = phase[nx:]
-            kin[nk:] = phase[nx + n - nk:nx:-1]
+            kin[:nk] = phase[n:]
+            kin[nk:] = phase[2 * n - nk:n:-1]
         y = np.multiply(half_v, values, out=work)
         np.fft.fft(y, out=y)
         np.multiply(kin, y, out=y)

@@ -1079,9 +1079,9 @@ def _line_counts():
     return script
 
 
-# the package's code lines, as scripts/line_counts.py counts them; a change
-# may lower this, and none raises it until the total is back under 2000
-CODE_LINE_CAP = 2013
+# the package's code lines, as scripts/line_counts.py counts them, under the
+# 2000 cap; a change may lower this, and none raises it
+CODE_LINE_CAP = 1998
 
 
 def test_code_lines_within_cap():

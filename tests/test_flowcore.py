@@ -160,6 +160,18 @@ class TestAbelSolver:
         assert np.max(np.abs(ev.x_out - closed.x_out)) <= 1e-12
         assert np.max(np.abs(ev.f2 / closed.f2 - 1.0)) <= 1e-12
 
+    def test_a_panel_is_one_call_of_f(self):
+        # f receives every node of a panel, for all 2048 moving points, in one
+        # call: more than 8192 samples, the most a call took in row blocks
+        sizes = []
+
+        def f(t):
+            sizes.append(t.size)
+            return np.sqrt(1.0 + t * t)
+
+        flow_evaluate(GeneratorSpec.custom(f), 0.4, self.GRID)
+        assert max(sizes) > 8192
+
     @pytest.mark.parametrize("eps", [0.5, -0.5, 5.0, -5.0])
     def test_cosine_flow(self, eps):
         # f = cos: the Abel coordinate is asinh(tan x), and the zeros of f at

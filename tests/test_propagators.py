@@ -324,8 +324,9 @@ def twenty_steps(oracle, n, shift, half_length, m, w, dt, seed):
     return got, want
 
 
-# the step split_step_propagate drives evaluates each phase once per distinct
-# x^2 and k^2; on any grid it must be bit-identical to the full-array step
+# the step split_step_propagate drives evaluates the kinetic phase once per
+# distinct k^2 (the potential phase at every point); on any grid it must be
+# bit-identical to the full-array step
 @settings(derandomize=True, database=None, deadline=2000, max_examples=60)
 @STEP_CASES
 @example(n=2048, shift=0.0, half_length=12.0, m=1.3, w=1.0, dt=1e-3, seed=1)
