@@ -297,7 +297,7 @@ def split_step_propagate(mass, omega, psi0, t_grid, *, stride=None):
 
     Coefficients are sampled at the step midpoints (a mass that is not
     positive and finite there raises ``MassZeroCrossing``): global second
-    order in dt, which the suite's Richardson self-test checks.  The step is
+    order in dt, which ``verify``'s ``split_step_order_ratio`` checks.  The step is
     exactly unitary, so norm drift is at rounding level.  The FFT wraps
     through the periodic boundary, so a stored state that fails
     ``edge_decay_ok(tol=STORED_EDGE_TOL)`` raises ``SupportLeakage``.  A

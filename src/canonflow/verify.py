@@ -245,23 +245,29 @@ def suite_solvability():
 
 
 def suite_propagation():
-    """Exponential-mass (Caldirola-Kanai) scenario: exact chain vs split-step."""
+    """Exponential-mass (Caldirola-Kanai) scenario: the exact chain at T = 5
+    against split-step legs of dt = 2e-2, 1e-2 and 5e-3, and the step's
+    order from the legs' infidelities."""
     checks = []
     fam = SolvableFamily.caldirola_kanai(gamma=0.2, omega0=np.sqrt(1.01))
     grid = Grid.from_interval(-12.0, 12.0, 2048)
     psi0 = GaussianState(a=1.0, center=1.0).to_wavefunction(grid)
 
     start = time.perf_counter()
-    exact = ExactSolvablePropagator(fam, psi0)
-    final_exact = exact(5.0)
-    traj = split_step_propagate(fam.mass_profile(), fam.frequency_profile(),
-                                psi0, np.linspace(0.0, 5.0, 5001))
+    final_exact = ExactSolvablePropagator(fam, psi0)(5.0)
+    legs = [split_step_propagate(fam.mass_profile(), fam.frequency_profile(), psi0,
+                                 propagators.uniform_time_grid(5.0, dt))
+            for dt in (2e-2, 1e-2, 5e-3)]
     wall = time.perf_counter() - start
 
-    fid = final_exact.fidelity(traj.final)
-    checks.append(_check("ck_exact_vs_split_step_infidelity", 1.0 - fid, 1e-6,
-                         f"fidelity {fid:.12f} at T=5"))
-    checks.append(_check("ck_norm_drift", traj.report.max_norm_drift, 1e-8))
+    infid = [1.0 - final_exact.fidelity(traj.final) for traj in legs]
+    ratios = [coarse / fine for coarse, fine in zip(infid, infid[1:])]
+    checks.append(_check("ck_exact_vs_split_step_infidelity", infid[2], 1e-6,
+                         f"fidelity {1.0 - infid[2]:.12f} at T=5, dt=5e-3"))
+    checks.append(_check("ck_norm_drift", legs[2].report.max_norm_drift, 1e-8))
+    checks.append(_check("split_step_order_ratio", max(abs(r - 16.0) for r in ratios), 4.0,
+                         f"1 - F ratios {ratios[0]:.3f}, {ratios[1]:.3f} per dt halving; "
+                         "1 - F is quadratic in the L2 error, so second order reads 16"))
     checks.append(_check("ck_runtime_s", wall, 10.0))
     checks.append(_check("ck_exact_unitarity",
                          abs(final_exact.norm() - 1.0), 1e-8))
@@ -298,9 +304,8 @@ def suite_spectrum():
     psi0 = GaussianState(a=1.3 - 0.2j, center=0.6, momentum=0.5).to_wavefunction(wide)
     static = SolvableFamily(m0=1.0, mu=1.0, nu=0.0, alpha=0.0, Omega0=1.0)
     evolved = ExactSolvablePropagator(static, psi0)(1.0)
-    traj = split_step_propagate(TimeProfile.constant(1.0),
-                                TimeProfile.constant(1.0), psi0,
-                                np.linspace(0.0, 1.0, 2001))
+    traj = split_step_propagate(static.mass_profile(), static.frequency_profile(),
+                                psi0, np.linspace(0.0, 1.0, 501))
     fid = evolved.fidelity(traj.final)
     checks.append(_check("hermite_vs_split_step_infidelity", 1.0 - fid, 1e-7))
     return checks
@@ -324,8 +329,7 @@ def suite_metric_equivalence():
     finals = [propagators.crank_nicolson_curved(
         metric, 1.0, psi0, propagators.uniform_time_grid(0.25, dt)).final.values
         for dt in (1e-3, 5e-4, 2.5e-4)]
-    d1 = WaveFunction(grid, finals[0] - finals[1]).norm()
-    d2 = WaveFunction(grid, finals[1] - finals[2]).norm()
+    d1, d2 = (WaveFunction(grid, a - b).norm() for a, b in zip(finals, finals[1:]))
     ratio = d1 / d2
     checks.append(Check("cayley_step_order_ratio", bool(3.0 <= ratio <= 5.0),
                         float(ratio), 4.0,
@@ -377,11 +381,8 @@ def suite_gauge_affine():
     hsum = QuadraticHamiltonian(h1.a + h2.a, h1.b + h2.b, h1.c + h2.c)
 
     def gap(deps):
-        left = dilation_transform(hsum, 0.3, deps)
-        r1 = dilation_transform(h1, 0.3, deps)
-        r2 = dilation_transform(h2, 0.3, deps)
-        return max(abs(left.a - r1.a - r2.a), abs(left.b - r1.b - r2.b),
-                   abs(left.c - r1.c - r2.c))
+        left, r1, r2 = (dilation_transform(h, 0.3, deps) for h in (hsum, h1, h2))
+        return max(abs(getattr(left, k) - getattr(r1, k) - getattr(r2, k)) for k in "abc")
 
     checks.append(_check("dilation_additive_when_static", gap(0.0), 1e-14,
                          "deps = 0: the transform is linear"))

@@ -1,5 +1,5 @@
-"""Acceptance criteria, one test per criterion, and controls of criterion 8's
-step-order check.
+"""Acceptance criteria, one test per criterion, and controls of the step-order
+checks of criteria 5 and 8 and of criterion 7's eigenbasis phases.
 
 Each criterion test prints a PASS/FAIL line (run with ``pytest -s`` to see
 them all) and asserts the stated tolerance.  The checks are driven through the
@@ -16,6 +16,7 @@ from scipy.linalg.lapack import zgttrf, zgttrs
 
 from canonflow import propagators, verify
 from canonflow.errors import DomainBlowup
+from canonflow.hamiltonians import TimeProfile
 
 
 def report(number, title, checks):
@@ -31,6 +32,10 @@ def report(number, title, checks):
     for c in failed:
         print(f"    failed: {c.name} residual={c.residual:.3e} tol={c.tolerance:g}")
     assert not failed, f"criterion {number} failed: {[c.name for c in failed]}"
+
+
+def named(checks, name):
+    return next(c for c in checks if c.name == name)
 
 
 def test_acceptance_01_canonicality():
@@ -79,8 +84,47 @@ def test_acceptance_04_reduction_chain():
 
 def test_acceptance_05_exact_vs_numerical():
     checks = verify.suite_propagation()
-    report(5, "exponential-mass oscillator: exact chain vs split-step at T=5",
-           checks)
+    report(5, "exponential-mass oscillator: exact chain vs split-step legs of "
+              "dt = 2e-2, 1e-2, 5e-3 at T=5, second order", checks)
+
+
+def start_sampled(mass, omega, psi0, t_grid, **kwargs):
+    """``split_step_propagate`` with m and w read at each step's start, dt/2
+    before the midpoint it samples: a first-order scheme."""
+    half = 0.5 * (t_grid[1] - t_grid[0])
+    early = [TimeProfile(lambda t, p=p: p.with_derivatives(np.asarray(t) - half))
+             for p in (mass, omega)]
+    return propagators.split_step_propagate(*early, psi0, t_grid, **kwargs)
+
+
+def test_split_step_order_check_reads_second_order():
+    check = named(verify.suite_propagation(), "split_step_order_ratio")
+    assert check.passed and check.residual <= 0.01
+
+
+def test_split_step_order_check_refuses_a_start_sampled_step(monkeypatch):
+    monkeypatch.setattr(verify, "split_step_propagate", start_sampled)
+    checks = verify.suite_propagation()
+    check = named(checks, "split_step_order_ratio")
+    # ratios 4.10 and 4.05: the residual is 16 - 4.05
+    assert not check.passed and abs(check.residual - 11.95) <= 0.05
+    # the finest leg alone reads 1.16e-7 and still passes its 1e-6
+    infidelity = named(checks, "ck_exact_vs_split_step_infidelity")
+    assert 1e-7 < infidelity.residual < 1.3e-7
+    assert all(c.passed for c in checks if c is not check)
+
+
+def test_split_step_order_legs_take_1750_steps(monkeypatch):
+    real, steps = verify.split_step_propagate, []
+
+    def counted(*args, **kwargs):
+        traj = real(*args, **kwargs)
+        steps.append(traj.report.steps)
+        return traj
+
+    monkeypatch.setattr(verify, "split_step_propagate", counted)
+    verify.suite_propagation()
+    assert steps == [250, 500, 1000]
 
 
 def test_acceptance_06_solvability_condition():
@@ -94,13 +138,21 @@ def test_acceptance_07_static_spectrum():
            checks)
 
 
+@pytest.mark.parametrize("scale, infidelity", [(1.001, 2.0e-7), (-1.0, 0.34)],
+                         ids=["wrong_Omega0", "time_reversed"])
+def test_eigenbasis_phase_check_refuses_wrong_energies(monkeypatch, scale, infidelity):
+    energies = propagators.HermiteBasis.energies
+    monkeypatch.setattr(propagators.HermiteBasis, "energies",
+                        lambda self: scale * energies(self))
+    checks = verify.suite_spectrum()
+    check = named(checks, "hermite_vs_split_step_infidelity")
+    assert not check.passed and check.residual == pytest.approx(infidelity, rel=0.05)
+    assert all(c.passed for c in checks if c is not check)
+
+
 def test_acceptance_08_metric_equivalence():
     checks = verify.suite_metric_equivalence()
     report(8, "curved Crank-Nicolson vs conjugated free evolution", checks)
-
-
-def order_ratio_check(checks):
-    return next(c for c in checks if c.name == "cayley_step_order_ratio")
 
 
 def theta_scheme(theta):
@@ -125,7 +177,7 @@ def theta_scheme(theta):
 
 
 def test_step_order_check_reads_second_order():
-    check = order_ratio_check(verify.suite_metric_equivalence())
+    check = named(verify.suite_metric_equivalence(), "cayley_step_order_ratio")
     assert check.passed and abs(check.residual - 4.0) <= 0.01
 
 
@@ -134,7 +186,7 @@ def test_step_order_check_refuses_an_off_centred_scheme(monkeypatch):
     # run keeps the real stepper through metricmap's own import
     monkeypatch.setattr(propagators, "crank_nicolson_curved", theta_scheme(0.5005))
     checks = verify.suite_metric_equivalence()
-    check = order_ratio_check(checks)
+    check = named(checks, "cayley_step_order_ratio")
     assert not check.passed and abs(check.residual - 2.36) <= 0.05
     assert all(c.passed for c in checks if c is not check)
 

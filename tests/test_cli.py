@@ -1081,7 +1081,7 @@ def _line_counts():
 
 # the package's code lines, as scripts/line_counts.py counts them, under the
 # 2000 cap; a change may lower this, and none raises it
-CODE_LINE_CAP = 1998
+CODE_LINE_CAP = 1997
 
 
 def test_code_lines_within_cap():
